@@ -37,7 +37,7 @@ def boxes_adjacent(a: Box, b: Box) -> bool:
 class YoungDiagram:
     """Partition as nonincreasing positive column heights."""
 
-    __slots__ = ("cols", "boxes", "_index")
+    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left")
 
     def __init__(self, col_heights: Iterable[int]):
         try:
@@ -57,7 +57,15 @@ class YoungDiagram:
         self.boxes = tuple(
             Box(i, j) for j in range(cols[0]) for i in range(len(cols)) if j < cols[i]
         )
-        self._index = {b: pos for pos, b in enumerate(self.boxes)}
+        self._index = index = {b: pos for pos, b in enumerate(self.boxes)}
+        # Neighbour table: the row-major position of each box's left, upper
+        # and upper-left neighbour, or -1 when it is off the diagram.  A value
+        # tuple with a 0 appended reads the zero extension through -1, so
+        # the mixed difference is v[p] - v[left[p]] - v[up[p]] + v[up_left[p]]
+        # and the RPP floor is max(v[left[p]], v[up[p]]), with no branches.
+        self.left = tuple(index.get((i - 1, j), -1) for i, j in self.boxes)
+        self.up = tuple(index.get((i, j - 1), -1) for i, j in self.boxes)
+        self.up_left = tuple(index.get((i - 1, j - 1), -1) for i, j in self.boxes)
 
     # -- basic geometry ----------------------------------------------------
 

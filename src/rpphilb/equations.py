@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Box
 from .errors import DomainError
 from .linalg import rank
 from .poly import SparsePoly, VarId, divmod_in_x, var_a, var_b, var_c
@@ -45,15 +44,17 @@ def ambient_and_bundle(n: RPP) -> AmbientSummary:
     vertical label differences; the bundle rank counts, over boxes with both
     neighbours, the diagonal difference.  Their difference is the weight.
     """
-    dim = n.value((0, 0))
+    d = n.diagram
+    v = n.values
+    dim = v[0]
     rk = 0
-    for box in n.diagram.boxes:
-        if box.i >= 1:
-            dim += n.value(box) - n.value((box.i - 1, box.j))
-        if box.j >= 1:
-            dim += n.value(box) - n.value((box.i, box.j - 1))
-        if box.i >= 1 and box.j >= 1:
-            rk += n.value(box) - n.value((box.i - 1, box.j - 1))
+    for p, (l, u, ul) in enumerate(zip(d.left, d.up, d.up_left)):
+        if l >= 0:
+            dim += v[p] - v[l]
+        if u >= 0:
+            dim += v[p] - v[u]
+        if ul >= 0:
+            rk += v[p] - v[ul]
     summary = AmbientSummary(dim, rk, dim - rk)
     assert summary.expected_dim == n.weight(), "ambient minus bundle must equal the weight"
     return summary
@@ -139,24 +140,18 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
     ambient = tuple(
         var_a(b.i, b.j, k) for b in lam.boxes for k in range(1, n.value(b) + 1)
     )
-    polys = {b: universal_monic(n, b) for b in lam.boxes}
+    v = (*n.values, 0)
+    polys = [universal_monic(n, b) for b in lam.boxes]
     generators: list[SparsePoly] = []
     groups: list[dict] = []
-    conditions = 0
-    for box in lam.boxes:
-        conditions += (
-            n.value((box.i - 1, box.j))
-            + n.value((box.i, box.j - 1))
-            - n.value((box.i - 1, box.j - 1))
-        )
-        for divisor_box in (Box(box.i - 1, box.j), Box(box.i, box.j - 1)):
-            if divisor_box.i < 0 or divisor_box.j < 0:
-                continue
-            d = n.value(divisor_box)
+    conditions = sum(v[l] + v[u] - v[ul] for l, u, ul in zip(lam.left, lam.up, lam.up_left))
+    for p, box in enumerate(lam.boxes):
+        for q in (lam.left[p], lam.up[p]):
+            d = v[q]  # 0 also when the neighbour is absent (q == -1)
             if d == 0:
                 continue
-            generators.extend(_remainder_coefficients(polys[box], polys[divisor_box], d))
-            groups.append({"box": tuple(box), "divisor_box": tuple(divisor_box), "size": d})
+            generators.extend(_remainder_coefficients(polys[p], polys[q], d))
+            groups.append({"box": tuple(box), "divisor_box": tuple(lam.boxes[q]), "size": d})
     return IdealPresentation(
         ambient_vars=ambient,
         generators=tuple(generators),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .diagram import Box
 from .errors import CapExceeded, DomainError
 from .poly import L, SparsePoly
 from .rpp import RPP
@@ -114,17 +113,13 @@ def count_points(
             n.to_text(),
         )
 
-    boxes = n.diagram.boxes
-    index = {box: k for k, box in enumerate(boxes)}
-    degrees = [n.value(box) for box in boxes]
-    predecessors = [
-        [index[nb] for nb in (Box(box.i - 1, box.j), Box(box.i, box.j - 1)) if nb in index]
-        for box in boxes
-    ]
-    assigned: list = [None] * len(boxes)
+    diagram = n.diagram
+    degrees = n.values
+    predecessors = [[q for q in (l, u) if q >= 0] for l, u in zip(diagram.left, diagram.up)]
+    assigned: list = [None] * diagram.size
 
     def dfs(k: int) -> int:
-        if k == len(boxes):
+        if k == diagram.size:
             return 1
         total = 0
         for candidate in field.monic_polynomials(degrees[k]):

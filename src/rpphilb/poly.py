@@ -52,10 +52,6 @@ def var_c(i: int, j: int, k: int) -> VarId:
     return VarId("c", i, j, k)
 
 
-def var_q(i: int, j: int) -> VarId:
-    return VarId("q", i, j)
-
-
 def parse_var_name(name: str) -> VarId:
     if name == "x":
         return X

@@ -83,17 +83,17 @@ class RPP(Filling):
 
     def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
         super().__init__(diagram, values)
-        for box, v in zip(diagram.boxes, self.values):
-            if v < 0:
-                raise DomainError("negative-label", f"negative label {v} at {tuple(box)}", list(self.values))
-            left = self.value((box.i - 1, box.j))
-            up = self.value((box.i, box.j - 1))
-            if (box.i > 0 and v < left) or (box.j > 0 and v < up):
-                raise DomainError(
-                    "not-monotone",
-                    f"label {v} at {tuple(box)} is smaller than a left/up neighbour",
-                    list(self.values),
-                )
+        pos = _first_fault(diagram, self.values)
+        if pos is None:
+            return
+        box, v = diagram.boxes[pos], self.values[pos]
+        if v < 0:
+            raise DomainError("negative-label", f"negative label {v} at {tuple(box)}", list(self.values))
+        raise DomainError(
+            "not-monotone",
+            f"label {v} at {tuple(box)} is smaller than a left/up neighbour",
+            list(self.values),
+        )
 
     # -- monoid arithmetic ---------------------------------------------------
 
@@ -114,16 +114,10 @@ class RPP(Filling):
 
     def derivative(self) -> Filling:
         """Mixed second difference, with the filling extended by zero off the diagram."""
-        vals = []
-        for box in self.diagram.boxes:
-            i, j = box
-            vals.append(
-                self.value((i, j))
-                - self.value((i - 1, j))
-                - self.value((i, j - 1))
-                + self.value((i - 1, j - 1))
-            )
-        return Filling(self.diagram, vals)
+        d = self.diagram
+        v = (*self.values, 0)
+        triples = zip(d.left, d.up, d.up_left)
+        return Filling(d, (v[p] - v[l] - v[u] + v[ul] for p, (l, u, ul) in enumerate(triples)))
 
     def weight(self) -> int:
         """Total of the derivative; equals socle sum minus subsocle sum."""
@@ -313,21 +307,23 @@ def complete_factorization(n: RPP) -> Factorization | None:
     return fact
 
 
+def _first_fault(diagram: YoungDiagram, vals: tuple[int, ...]) -> int | None:
+    """Row-major position of the first box that is negative or below its left/up neighbour.
+
+    An absent neighbour reads the appended 0, and present ones were
+    checked first, so a negative label fails one of the two comparisons.
+    """
+    v = (*vals, 0)
+    for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
+        if v[p] < v[l] or v[p] < v[u]:
+            return p
+    return None
+
+
 def _subtract_if_rpp(n_vals: tuple[int, ...], ind_vals: tuple[int, ...], diagram: YoungDiagram):
     """n - indicator as a value tuple, or None when the result is not an RPP."""
-    out = []
-    for a, b in zip(n_vals, ind_vals):
-        d = a - b
-        if d < 0:
-            return None
-        out.append(d)
-    for box in diagram.boxes:
-        pos = diagram.box_index(box)
-        if box.i > 0 and out[pos] < out[diagram.box_index(Box(box.i - 1, box.j))]:
-            return None
-        if box.j > 0 and out[pos] < out[diagram.box_index(Box(box.i, box.j - 1))]:
-            return None
-    return tuple(out)
+    out = tuple(a - b for a, b in zip(n_vals, ind_vals))
+    return None if _first_fault(diagram, out) is not None else out
 
 
 def all_factorizations(
@@ -387,21 +383,15 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
     """
     if max_size < 0:
         raise DomainError("negative-size", "max_size must be nonnegative", max_size)
-    boxes = diagram.boxes
-    index = {b: pos for pos, b in enumerate(boxes)}
+    size, left, up = diagram.size, diagram.left, diagram.up
     out: list[RPP] = []
-    vals: list[int] = [0] * len(boxes)
+    vals: list[int] = [0] * (size + 1)  # the trailing 0 is the zero extension
 
     def rec(pos: int, used: int) -> None:
-        if pos == len(boxes):
-            out.append(RPP(diagram, tuple(vals)))
+        if pos == size:
+            out.append(RPP(diagram, vals[:size]))
             return
-        box = boxes[pos]
-        lower = 0
-        if box.i > 0:
-            lower = max(lower, vals[index[Box(box.i - 1, box.j)]])
-        if box.j > 0:
-            lower = max(lower, vals[index[Box(box.i, box.j - 1)]])
+        lower = max(vals[left[pos]], vals[up[pos]])
         for v in range(lower, max_size - used + 1):
             vals[pos] = v
             rec(pos + 1, used + v)

@@ -30,6 +30,8 @@ class TruncatedSeries:
         coefficients: dict | None = None,
         single_variable: bool = False,
     ):
+        if max_size < 0:
+            raise DomainError("negative-size", "max_size must be nonnegative", max_size)
         self.n_vars = n_vars
         self.max_size = max_size
         self.single_variable = single_variable

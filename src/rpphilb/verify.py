@@ -37,8 +37,8 @@ from .rpp import (
     standard_factorization,
 )
 from .series import (
+    TruncatedSeries,
     collapse_to_diagonals,
-    diagonal_support,
     euler_series,
     hook_product,
     motivic_series,
@@ -242,29 +242,20 @@ def _row_count_points_diagonal(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
     p = row["p"]
     max_size = row["max_size"]
-    positions = {d: k for k, d in enumerate(diagonal_support(diagram))}
-    n_diags = len(positions)
-
-    def trace(exponents) -> tuple:
-        out = [0] * n_diags
-        for box, e in zip(diagram.boxes, exponents):
-            out[positions[box.j - box.i]] += e
-        return tuple(out)
-
-    counted: dict = {}
-    for rpp in enumerate_rpps(diagram, max_size):
-        key = trace(rpp.values)
-        counted[key] = counted.get(key, 0) + count_points(rpp, p)
-    predicted: dict = {}
-    for exp, poly in motivic_series(diagram, "A1", max_size).coefficients.items():
-        key = trace(exp)
-        predicted[key] = predicted.get(key, 0) + evaluate_motive(poly, p)
-    predicted = {k: v for k, v in predicted.items() if v}
-    counted = {k: v for k, v in counted.items() if v}
+    counts = {rpp.values: count_points(rpp, p) for rpp in enumerate_rpps(diagram, max_size)}
+    counted = _diagonal_totals(diagram, TruncatedSeries(diagram.size, max_size, counts), p)
+    predicted = _diagonal_totals(diagram, motivic_series(diagram, "A1", max_size), p)
     if counted != predicted:
         diff = sorted(set(counted.items()) ^ set(predicted.items()))
         return [f"diagonal totals differ, first at {diff[0]}"]
     return []
+
+
+def _diagonal_totals(diagram, series, p: int) -> dict:
+    """Nonzero coefficients at L = p of the series collapsed along diagonals."""
+    collapsed = collapse_to_diagonals(diagram, series).coefficients
+    totals = {k: evaluate_motive(c, p) for k, c in collapsed.items()}
+    return {k: v for k, v in totals.items() if v}
 
 
 @_kind("random-properties")
@@ -289,21 +280,19 @@ def random_instance(rng: random.Random, max_boxes: int = 6, max_entry: int = 5) 
             height = h
             budget -= h
         diagram = YoungDiagram(cols)
-        values = {}
-        for box in diagram.boxes:
-            floor = max(
-                values.get((box.i - 1, box.j), 0), values.get((box.i, box.j - 1), 0)
-            )
-            values[box] = min(max_entry, floor + rng.choice((0, 0, 1, 1, 2)))
-        n = RPP(diagram, tuple(values[b] for b in diagram.boxes))
+        values = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
+        for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
+            floor = max(values[l], values[u])
+            values[p] = min(max_entry, floor + rng.choice((0, 0, 1, 1, 2)))
+        n = RPP(diagram, values[:-1])
         if n.weight() <= 12:
             return n
 
 
-def _random_nested_polynomials(rng: random.Random, n: RPP) -> dict:
-    """Monic integer polynomials per box, nested by left/up divisibility."""
+def _random_nested_polynomials(rng: random.Random, n: RPP) -> list:
+    """Monic integer polynomials per box, row-major, nested by left/up divisibility."""
     if n.is_zero():
-        return {box: SparsePoly.constant(1) for box in n.diagram.boxes}
+        return [SparsePoly.constant(1)] * n.diagram.size
     factorization = standard_factorization(n)
     factors = []
     for indicator, multiplicity in factorization.terms.items():
@@ -311,13 +300,13 @@ def _random_nested_polynomials(rng: random.Random, n: RPP) -> dict:
         for k in range(multiplicity):
             poly = poly + SparsePoly.x_power(k) * rng.randint(-3, 3)
         factors.append((indicator, poly))
-    tuples = {}
-    for box in n.diagram.boxes:
+    tuples = []
+    for pos in range(n.diagram.size):
         product = SparsePoly.constant(1)
         for indicator, poly in factors:
-            if indicator.value(box):
+            if indicator.values[pos]:
                 product = product * poly
-        tuples[box] = product
+        tuples.append(product)
     return tuples
 
 
@@ -359,27 +348,27 @@ def check_random_instance(rng: random.Random) -> list:
             problems.append(f"{label}: type {tag} vars minus conditions != weight")
         if not check_grading(ideal):
             problems.append(f"{label}: type {tag} presentation inhomogeneous")
+    diagram = n.diagram
     tuples = _random_nested_polynomials(rng, n)
     assignment = {}
-    for box, poly in tuples.items():
-        degree = n.value(box)
+    for box, degree, poly in zip(diagram.boxes, n.values, tuples):
         for k in range(1, degree + 1):
             assignment[var_a(box.i, box.j, k)] = poly.coefficient_of_x(degree - k)
     for g in ideal_i.generators:
         if not g.substitute(assignment).is_zero():
             problems.append(f"{label}: type I generator nonzero on a nested tuple")
             break
+    # index -1 reads the zero extension: degree 0, the constant polynomial 1
+    degrees = (*n.values, 0)
+    polys = (*tuples, SparsePoly.constant(1))
     assignment = {}
-    for box, poly in tuples.items():
-        for kind, shift in (("left", (-1, 0)), ("up", (0, -1))):
-            other = (box.i + shift[0], box.j + shift[1])
-            divisor = tuples.get(other, SparsePoly.constant(1))
-            quotient, remainder = _exact_quotient(poly, divisor)
+    for p, box in enumerate(diagram.boxes):
+        for kind, other, maker in (("left", diagram.left[p], var_b), ("up", diagram.up[p], var_c)):
+            quotient, remainder = _exact_quotient(polys[p], polys[other])
             if quotient is None:
                 problems.append(f"{label}: nested tuple fails {kind} divisibility")
                 continue
-            degree = n.value(box) - (n.value(other) if other in tuples else 0)
-            maker = var_b if kind == "left" else var_c
+            degree = degrees[p] - degrees[other]
             for k in range(1, degree + 1):
                 assignment[maker(box.i, box.j, k)] = quotient.coefficient_of_x(degree - k)
     for tag, ideal in (("II", ideal_ii), ("II-minimal", ideal_iim)):

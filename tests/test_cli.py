@@ -186,6 +186,7 @@ def test_domain_error_payload_schema():
         ("bogus",),
         ("series", "2,2"),
         ("series", "--curve", "A1", "--euler", "1", "2,2"),
+        ("series", "--euler", "1", "--max-size", "-3", "2,2"),
         ("equations", "--type", "I", "--minimal-border", FT.SQUARE_TEXT),
         ("count-points", "1", "--p", "4"),
     ):

@@ -1,9 +1,12 @@
 """Monotone fillings, their derivative and weight, and monoid factorisations."""
 
+from itertools import product
+
 import pytest
 
 from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
 from rpphilb.rpp import (
+    Filling,
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
@@ -33,6 +36,7 @@ def test_ragged_rows_give_hook_shape():
     "text, code",
     [
         ("1 0", "not-monotone"),
+        ("1 0 / -1 0", "not-monotone"),  # the first offending box in row-major order wins
         ("0 1 / 1 0", "not-monotone"),
         ("-1 0", "negative-label"),
         ("0 x", "parse-error"),
@@ -150,6 +154,56 @@ def test_factorization_weight_cap():
     assert err.value.code == "search-too-large"
     # raising the cap makes the enumeration legal again
     assert len(all_factorizations(heavy, max_weight=13)) == 1
+
+
+def _diagrams_up_to(n_boxes):
+    """Every Young diagram with at most n_boxes boxes, as column heights."""
+
+    def parts(n, largest):
+        if n == 0:
+            yield ()
+        for k in range(min(n, largest), 0, -1):
+            for rest in parts(n - k, k):
+                yield (k,) + rest
+
+    for n in range(1, n_boxes + 1):
+        yield from parts(n, n)
+
+
+def test_neighbour_table_matches_box_index_oracle():
+    diagrams = [YoungDiagram(cols) for cols in _diagrams_up_to(5)]
+    assert len(diagrams) == 18
+    for d in diagrams:
+        for pos, (i, j) in enumerate(d.boxes):
+            for table, nb in ((d.left, (i - 1, j)), (d.up, (i, j - 1)), (d.up_left, (i - 1, j - 1))):
+                assert table[pos] == (d.box_index(nb) if nb in d else -1)
+
+        def monotone(f):
+            return all(
+                f.value(b) >= max(0, f.value((b.i - 1, b.j)), f.value((b.i, b.j - 1)))
+                for b in d.boxes
+            )
+
+        brute = []
+        for vals in product(range(-1, 4), repeat=d.size):
+            f = Filling(d, vals)
+            ok = monotone(f)
+            if ok and f.size <= 3:
+                brute.append(f)
+            try:
+                RPP(d, vals)
+                assert ok, vals
+            except DomainError:
+                assert not ok, vals
+        brute.sort(key=lambda f: (f.size, f.values))
+        rpps = enumerate_rpps(d, 3)
+        assert [r.values for r in rpps] == [f.values for f in brute]
+        for r in rpps:
+            expected = tuple(
+                r.value((i, j)) - r.value((i - 1, j)) - r.value((i, j - 1)) + r.value((i - 1, j - 1))
+                for i, j in d.boxes
+            )
+            assert r.derivative().values == expected
 
 
 def test_enumerate_rpps_counts(square_diagram):
