@@ -10,10 +10,12 @@ Run with:  python3 demos/series_and_counts.py
 """
 
 from rpphilb import RPP, YoungDiagram
-from rpphilb.pointcount import count_points, evaluate_motive
+from rpphilb.pointcount import count_points
 from rpphilb.series import (
     collapse_to_diagonals,
     euler_series,
+    evaluate_motive,
+    format_coefficient,
     hook_product,
     motivic_series,
     rpp_series_bruteforce,
@@ -23,7 +25,7 @@ square = YoungDiagram((2, 2))
 
 print("== single-variable counts ==")
 series = euler_series(square, 1, 10, single_variable=True)
-counts = [str(series.coefficient((k,))) for k in range(11)]
+counts = [format_coefficient(series.coefficient((k,))) for k in range(11)]
 print("fillings of the square by total size 0..10:", ", ".join(counts))
 print()
 
@@ -38,10 +40,10 @@ print()
 lhs = rpp_series_bruteforce(square, 4)
 rhs = hook_product(square, 1, -1, 4)
 print("on the square, each side owns a monomial the other misses:")
-print("  exponent (0,1,1,1): enumeration", lhs.coefficient((0, 1, 1, 1)),
-      "| product", rhs.coefficient((0, 1, 1, 1)))
-print("  exponent (1,1,1,0): enumeration", lhs.coefficient((1, 1, 1, 0)),
-      "| product", rhs.coefficient((1, 1, 1, 0)))
+print("  exponent (0,1,1,1): enumeration", format_coefficient(lhs.coefficient((0, 1, 1, 1))),
+      "| product", format_coefficient(rhs.coefficient((0, 1, 1, 1))))
+print("  exponent (1,1,1,0): enumeration", format_coefficient(lhs.coefficient((1, 1, 1, 0))),
+      "| product", format_coefficient(rhs.coefficient((1, 1, 1, 0))))
 collapsed_equal = collapse_to_diagonals(square, lhs) == collapse_to_diagonals(square, rhs)
 print("after collapsing exponents along diagonals the sides agree:", collapsed_equal)
 print()

@@ -28,7 +28,7 @@ from .equations import (
     type_ii_ideal,
 )
 from .errors import CapExceeded, DomainError
-from .pointcount import PrimeField, count_points, evaluate_motive, is_prime
+from .pointcount import PrimeField, count_points, is_prime
 from .poly import SparsePoly, VarId, divmod_in_x, parse_poly
 from .rpp import (
     RPP,
@@ -47,6 +47,7 @@ from .series import (
     collapse_to_diagonals,
     diagonal_support,
     euler_series,
+    evaluate_motive,
     hook_product,
     motivic_series,
     rpp_series_bruteforce,

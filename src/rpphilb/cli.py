@@ -21,7 +21,7 @@ from .components import classify
 from .diagram import YoungDiagram
 from .equations import tangent_embedding, type_i_ideal, type_ii_ideal
 from .errors import DomainError
-from .pointcount import count_points, evaluate_motive
+from .pointcount import count_points
 from .rpp import (
     RPP,
     all_factorizations,
@@ -29,7 +29,7 @@ from .rpp import (
     indicators,
     standard_factorization,
 )
-from .series import euler_series, motivic_series
+from .series import euler_series, evaluate_motive, format_coefficient, motivic_series
 from .verify import load_corpus, run_corpus
 
 
@@ -201,9 +201,9 @@ def _cmd_series(args) -> int:
             diagram, args.euler, args.max_size, single_variable=args.single_variable
         )
     lines = []
-    for exp, poly in series.sorted_items():
+    for exp, c in series.sorted_items():
         key = exp[0] if series.single_variable else list(exp)
-        lines.append(f"{key}: {poly}")
+        lines.append(f"{key}: {format_coefficient(c)}")
     _emit(args, series.to_json_obj(), lines)
     return 0
 

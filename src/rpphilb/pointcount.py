@@ -15,7 +15,6 @@ import os
 from itertools import product
 
 from .errors import CapExceeded, DomainError
-from .poly import L, SparsePoly
 from .rpp import RPP
 
 DEFAULT_BUDGET = 10**7
@@ -131,23 +130,3 @@ def count_points(
 
     return dfs(0)
 
-
-def evaluate_motive(coefficient: SparsePoly, p: int) -> int:
-    """Evaluate a series coefficient, a polynomial in L alone, at L = p."""
-    extra = [v for v in coefficient.variables() if v != L]
-    if extra:
-        raise DomainError(
-            "parse-error",
-            f"coefficient is not univariate in L (also uses {extra[0]})",
-            str(coefficient),
-        )
-    value = coefficient.substitute({L: SparsePoly.constant(p)})
-    return _as_int(value)
-
-
-def _as_int(poly: SparsePoly) -> int:
-    if poly.is_zero():
-        return 0
-    ((mono, c),) = poly.terms.items()
-    assert mono == (), "evaluation left unresolved variables"
-    return c

@@ -207,11 +207,6 @@ class SparsePoly:
 
     # -- degrees, linear parts, substitution -----------------------------------
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def weighted_degree(self, grading) -> int | None:
         """Max over monomials of the grading-weighted degree; None if zero."""
         g = grading if callable(grading) else (lambda v: grading[v])

@@ -260,10 +260,6 @@ class Factorization:
         return " + ".join(parts) if parts else "0"
 
 
-def _indicator_of_members(diagram: YoungDiagram, members) -> Indicator:
-    return Indicator(UpperSet(diagram, members))
-
-
 def standard_factorization(n: RPP) -> Factorization:
     """Level-set factorisation: always exists for a nonzero RPP.
 

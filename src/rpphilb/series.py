@@ -5,12 +5,14 @@ product of the q's over its hook.  The brute-force RPP sum, the hook
 product with integer exponents (Euler form), and the motivic product of
 zeta factors for the affine line and the projective line are all computed
 as truncated series: exponent vectors with total at most max_size mapping
-to integer polynomials in the motive symbol L.
+to coefficients in Z[L].  A coefficient is a tuple of ints indexed by the
+power of L, lowest first, with no trailing zeros, so L^2 + 1 is (1, 0, 1)
+and zero is the empty tuple, which is never stored.
 """
 
 from __future__ import annotations
 
-from math import comb
+from operator import add
 
 from .diagram import YoungDiagram
 from .errors import DomainError
@@ -36,7 +38,7 @@ class TruncatedSeries:
         self.max_size = max_size
         self.single_variable = single_variable
         coeffs = {}
-        for exp, poly in (coefficients or {}).items():
+        for exp, c in (coefficients or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != n_vars:
                 raise DomainError("parse-error", f"exponent vector {exp} has wrong length", exp)
@@ -44,47 +46,28 @@ class TruncatedSeries:
                 raise DomainError("parse-error", f"negative exponent in {exp}", exp)
             if sum(exp) > max_size:
                 continue
-            p = poly if isinstance(poly, SparsePoly) else SparsePoly.constant(poly)
-            if not p.is_zero():
-                coeffs[exp] = p
+            c = _coefficient(c)
+            if c:
+                coeffs[exp] = c
         self.coefficients = coeffs
 
     @classmethod
     def one(cls, n_vars: int, max_size: int, single_variable: bool = False) -> "TruncatedSeries":
         return cls(n_vars, max_size, {(0,) * n_vars: 1}, single_variable)
 
-    def coefficient(self, exponents) -> SparsePoly:
-        return self.coefficients.get(tuple(exponents), SparsePoly.constant(0))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = dict(self.coefficients)
-        for exp, p in other.coefficients.items():
-            s = out.get(exp, SparsePoly.constant(0)) + p
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return TruncatedSeries(self.n_vars, self.max_size, out, self.single_variable)
+    def coefficient(self, exponents) -> tuple:
+        return self.coefficients.get(tuple(exponents), ())
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         out: dict = {}
-        for e1, p1 in self.coefficients.items():
+        for e1, c1 in self.coefficients.items():
             s1 = sum(e1)
-            for e2, p2 in other.coefficients.items():
+            for e2, c2 in other.coefficients.items():
                 if s1 + sum(e2) > self.max_size:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = p1 * p2
-                if exp in out:
-                    s = out[exp] + prod
-                    if s.is_zero():
-                        del out[exp]
-                    else:
-                        out[exp] = s
-                else:
-                    out[exp] = prod
+                out[exp] = _add(out.get(exp, ()), _mul(c1, c2))
         return TruncatedSeries(self.n_vars, self.max_size, out, self.single_variable)
 
     def _check_compatible(self, other) -> None:
@@ -100,11 +83,10 @@ class TruncatedSeries:
 
     def substitute_L(self, value: int) -> "TruncatedSeries":
         """Specialise the motive symbol to an integer."""
-        repl = {L: SparsePoly.constant(value)}
         return TruncatedSeries(
             self.n_vars,
             self.max_size,
-            {exp: p.substitute(repl) for exp, p in self.coefficients.items()},
+            {exp: evaluate_motive(c, value) for exp, c in self.coefficients.items()},
             self.single_variable,
         )
 
@@ -113,8 +95,8 @@ class TruncatedSeries:
 
     def to_json_obj(self) -> list:
         out = []
-        for exp, p in self.sorted_items():
-            coeff = {str(d): c for d, c in _l_poly_dict(p).items()}
+        for exp, c in self.sorted_items():
+            coeff = {str(d): x for d, x in enumerate(c) if x}
             if self.single_variable:
                 out.append({"size": exp[0], "coefficient": coeff})
             else:
@@ -122,21 +104,93 @@ class TruncatedSeries:
         return out
 
     def __repr__(self) -> str:
-        parts = [f"q^{list(exp)}: {p}" for exp, p in self.sorted_items()]
+        parts = [f"q^{list(exp)}: {format_coefficient(c)}" for exp, c in self.sorted_items()]
         return f"TruncatedSeries({'; '.join(parts)})"
 
 
-def _l_poly_dict(p: SparsePoly) -> dict:
-    """A polynomial in L alone, as a degree -> coefficient dict."""
-    out: dict = {}
-    for mono, c in p.terms.items():
-        if len(mono) == 0:
-            out[0] = c
-        elif len(mono) == 1 and mono[0][0] == L:
-            out[mono[0][1]] = c
-        else:
-            raise DomainError("parse-error", f"coefficient {p} is not a polynomial in L", str(p))
-    return out
+def format_coefficient(coefficient: tuple) -> str:
+    """A coefficient as text, highest power of L first, e.g. ``L^2 + L + 1``."""
+    return str(SparsePoly({((L, d),): c for d, c in enumerate(coefficient)}))
+
+
+def evaluate_motive(coefficient: tuple, p: int) -> int:
+    """Evaluate a coefficient, its ints by power of L, at L = p."""
+    return sum(c * p**d for d, c in enumerate(coefficient))
+
+
+def _coefficient(c) -> tuple:
+    """An int, or ints by power of L, as a coefficient tuple."""
+    c = [c] if isinstance(c, int) else list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for d, c in enumerate(b):
+        out[d] += c
+    return _coefficient(out)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    # the top entry is a product of two nonzero ints, so nothing to trim
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _product(n_vars: int, max_size: int, factors, single_variable: bool = False) -> TruncatedSeries:
+    """Π (1 − w·q^v)^k over the (v, w, k) factors, truncated.
+
+    The terms are held by total size, and each factor takes one pass over
+    the sizes with the terms c_j·w^j·q^{j·v} of (1 − w·q^v)^{|k|} for
+    1 ≤ j ≤ |k| that fit under max_size, where c_j = (−1)^j·C(|k|, j).  For
+    k > 0 the pass walks the sizes downwards and adds c_j·w^j·S[e] to
+    T[e + j·v] while S[e] is not yet overwritten.  For k < 0 it solves
+    T·(1 − w·q^v)^{|k|} = S: it walks the sizes upwards and subtracts
+    c_j·w^j·T[e] from T[e + j·v] once T[e] is final.  Either way a term
+    makes at most max_size // |v| updates, however large |k| is.
+    """
+    start = TruncatedSeries.one(n_vars, max_size, single_variable)
+    graded = [start.coefficients] + [{} for _ in range(max_size)]
+    for exponents, weight, power in factors:
+        v = tuple(int(e) for e in exponents)
+        step = sum(v)
+        if step == 0:
+            raise DomainError("zero-input", "factor exponent vector must be nonzero", list(v))
+        if len(v) != n_vars:
+            raise DomainError("parse-error", f"exponent vector {v} has wrong length", v)
+        if any(e < 0 for e in v):
+            raise DomainError("parse-error", f"negative exponent in {v}", v)
+        w, k = _coefficient(weight), abs(power)
+        updates, c, w_j = [], 1, (1,)
+        for j in range(1, min(k, max_size // step) + 1):
+            c, w_j = c * (j - 1 - k) // j, _mul(w_j, w)
+            updates.append((j * step, tuple(j * e for e in v), tuple((c if power > 0 else -c) * x for x in w_j)))
+        sizes = range(max_size - step + 1) if power < 0 else range(max_size - step, -1, -1)
+        for t in sizes:
+            for e, a in graded[t].items():
+                for shift, jv, cw in updates:
+                    if t + shift > max_size:
+                        break
+                    target = graded[t + shift]
+                    key = tuple(map(add, e, jv))
+                    s = _add(target.get(key, ()), _mul(cw, a))
+                    if s:
+                        target[key] = s
+                    else:
+                        target.pop(key, None)
+    terms = {e: c for by_size in graded for e, c in by_size.items()}
+    return TruncatedSeries(n_vars, max_size, terms, single_variable)
 
 
 def hook_variable(diagram: YoungDiagram, box) -> tuple:
@@ -148,48 +202,23 @@ def hook_variable(diagram: YoungDiagram, box) -> tuple:
 def factor_power(
     exponents, weight, power: int, n_vars: int, max_size: int, single_variable: bool = False
 ) -> TruncatedSeries:
-    """(1 − w·q^v)^power truncated, for any integer power.
-
-    Nonnegative powers expand by the binomial theorem and are finite;
-    negative powers expand by the negative binomial series up to the
-    truncation order.
-    """
-    v = tuple(int(e) for e in exponents)
-    step = sum(v)
-    if step == 0:
-        raise DomainError("zero-input", "factor exponent vector must be nonzero", list(v))
-    w = weight if isinstance(weight, SparsePoly) else SparsePoly.constant(weight)
-    coeffs: dict = {}
-    if power >= 0:
-        ks = range(0, min(power, max_size // step) + 1)
-        binom = lambda k: (-1) ** k * comb(power, k)
-    else:
-        ks = range(0, max_size // step + 1)
-        binom = lambda k: comb(-power - 1 + k, k)
-    for k in ks:
-        coeffs[tuple(k * e for e in v)] = binom(k) * (w**k)
-    return TruncatedSeries(n_vars, max_size, coeffs, single_variable)
-
-
-def geometric_inverse(exponents, weight, n_vars: int, max_size: int) -> TruncatedSeries:
-    """(1 − w·q^v)^{-1}: the geometric series Σ w^k q^{k·v}, truncated."""
-    return factor_power(exponents, weight, -1, n_vars, max_size)
+    """(1 − w·q^v)^power truncated, for any integer power; w is an int or a coefficient."""
+    return _product(n_vars, max_size, [(exponents, weight, power)], single_variable)
 
 
 def rpp_series_bruteforce(diagram: YoungDiagram, max_size: int) -> TruncatedSeries:
     """Σ q^𝐧 over all RPPs with |𝐧| ≤ max_size, by direct enumeration."""
-    coeffs = {r.values: SparsePoly.constant(1) for r in enumerate_rpps(diagram, max_size)}
+    coeffs = {r.values: 1 for r in enumerate_rpps(diagram, max_size)}
     return TruncatedSeries(diagram.size, max_size, coeffs)
 
 
 def hook_product(diagram: YoungDiagram, weights, power: int, max_size: int) -> TruncatedSeries:
-    """Π_□ (1 − w·p_□)^power with p_□ the hook variable, truncated."""
-    series = TruncatedSeries.one(diagram.size, max_size)
-    for box in diagram.boxes:
-        series = series * factor_power(
-            hook_variable(diagram, box), weights, power, diagram.size, max_size
-        )
-    return series
+    """Π_□ (1 − w·p_□)^power with p_□ the hook variable, truncated.
+
+    The weight w is an int or a coefficient; L is (0, 1).
+    """
+    factors = ((hook_variable(diagram, box), weights, power) for box in diagram.boxes)
+    return _product(diagram.size, max_size, factors)
 
 
 def motivic_series(diagram: YoungDiagram, curve: str, max_size: int) -> TruncatedSeries:
@@ -199,10 +228,11 @@ def motivic_series(diagram: YoungDiagram, curve: str, max_size: int) -> Truncate
     line contributes (1 − p_□)^{-1}(1 − L·p_□)^{-1}.
     """
     if curve == "A1":
-        return hook_product(diagram, SparsePoly.variable(L), -1, max_size)
+        return hook_product(diagram, (0, 1), -1, max_size)
     if curve == "P1":
-        series = hook_product(diagram, SparsePoly.variable(L), -1, max_size)
-        return series * hook_product(diagram, 1, -1, max_size)
+        hooks = [hook_variable(diagram, box) for box in diagram.boxes]
+        factors = [(v, w, -1) for v in hooks for w in ((0, 1), 1)]
+        return _product(diagram.size, max_size, factors)
     raise DomainError("unsupported-curve", f"no zeta factor for curve {curve!r} (use A1 or P1)", curve)
 
 
@@ -211,12 +241,8 @@ def euler_series(
 ) -> TruncatedSeries:
     """Π_□ (1 − p_□)^{-chi}; with single_variable, p_□ collapses to q^{hook length}."""
     if single_variable:
-        series = TruncatedSeries.one(1, max_size, single_variable=True)
-        for box in diagram.boxes:
-            series = series * factor_power(
-                (diagram.hook_length(box),), 1, -chi, 1, max_size, single_variable=True
-            )
-        return series
+        factors = [((diagram.hook_length(box),), 1, -chi) for box in diagram.boxes]
+        return _product(1, max_size, factors, single_variable=True)
     return hook_product(diagram, 1, -chi, max_size)
 
 
@@ -245,10 +271,10 @@ def collapse_to_diagonals(diagram: YoungDiagram, series: TruncatedSeries) -> Tru
     diagonals = diagonal_support(diagram)
     position = {d: k for k, d in enumerate(diagonals)}
     coeffs: dict = {}
-    for exp, poly in series.coefficients.items():
+    for exp, c in series.coefficients.items():
         collapsed = [0] * len(diagonals)
         for box, e in zip(diagram.boxes, exp):
             collapsed[position[box.j - box.i]] += e
         key = tuple(collapsed)
-        coeffs[key] = coeffs[key] + poly if key in coeffs else poly
+        coeffs[key] = _add(coeffs.get(key, ()), c)
     return TruncatedSeries(len(diagonals), series.max_size, coeffs)

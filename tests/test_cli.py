@@ -117,6 +117,20 @@ def test_series_json_schema_both_modes():
     assert [entry["coefficient"]["0"] for entry in entries] == [1, 1, 3, 4, 7]
 
 
+def test_series_text_lines():
+    code, out, _ = run_cli("series", "--curve", "P1", "--max-size", "3", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "[0]: 1",
+        "[1]: L + 1",
+        "[2]: L^2 + L + 1",
+        "[3]: L^3 + L^2 + L + 1",
+    ]
+    code, out, _ = run_cli("series", "--euler", "-2", "--single-variable", "--max-size", "3", "2")
+    assert code == 0
+    assert out.splitlines() == ["0: 1", "1: -2", "2: -1", "3: 4"]
+
+
 def test_count_points_json():
     code, out, _ = run_cli(
         "count-points", FT.REFINEMENT_GAP_TEXT, "--p", "2", "--format", "json"
