@@ -176,11 +176,11 @@ def _cmd_equations(args) -> int:
             "tangent_dim": dim,
             "reduced": reduced.to_json_obj(),
         }
-        lines = [str(g) for g in reduced.generators]
+        printed = reduced
     else:
         obj = ideal.to_json_obj()
-        lines = [str(g) for g in ideal.generators]
-    _emit(args, obj, lines)
+        printed = ideal
+    _emit(args, obj, [str(g) for g in printed.generators] or ["(no generators)"])
     return 0
 
 

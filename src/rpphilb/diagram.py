@@ -29,11 +29,6 @@ def partial_order_leq(a: Box, b: Box) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def boxes_adjacent(a: Box, b: Box) -> bool:
-    """Edge adjacency: the two boxes share a side."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-
-
 class YoungDiagram:
     """Partition as nonincreasing positive column heights."""
 
@@ -80,10 +75,6 @@ class YoungDiagram:
     def height(self, i: int) -> int:
         """Number of boxes in column i (0 outside the diagram)."""
         return self.cols[i] if 0 <= i < len(self.cols) else 0
-
-    def row_length(self, j: int) -> int:
-        """Number of boxes in row j."""
-        return sum(1 for h in self.cols if h > j)
 
     def __contains__(self, box) -> bool:
         i, j = box
@@ -174,7 +165,14 @@ class YoungDiagram:
     def from_json_obj(cls, obj) -> "YoungDiagram":
         if not isinstance(obj, dict) or "cols" not in obj:
             raise DomainError("parse-error", 'diagram JSON needs a "cols" list', obj)
-        return cls(obj["cols"])
+        return cls(json_ints(obj["cols"], 'diagram JSON "cols"'))
+
+
+def json_ints(raw, what: str) -> list[int]:
+    """A JSON list of integers as it stands; floats, strings and booleans are a parse-error."""
+    if not isinstance(raw, list) or any(type(x) is not int for x in raw):
+        raise DomainError("parse-error", f"{what} must be a list of integers", raw)
+    return raw
 
 
 class UpperSet:
@@ -213,13 +211,6 @@ class UpperSet:
     def member_vector(self) -> tuple[int, ...]:
         """0/1 vector over the diagram's row-major box order."""
         return tuple(1 if b in self.members else 0 for b in self.diagram.boxes)
-
-    def minimal_boxes(self) -> frozenset[Box]:
-        return frozenset(
-            b
-            for b in self.members
-            if not any(m != b and partial_order_leq(m, b) for m in self.members)
-        )
 
     def is_connected(self) -> bool:
         return len(connected_parts(self)) <= 1

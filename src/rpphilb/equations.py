@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import rank
-from .poly import SparsePoly, VarId, divmod_in_x, var_a, var_b, var_c
+from .poly import X, SparsePoly, VarId, divmod_in_x, var_a, var_b, var_c
 from .rpp import RPP
 
 
@@ -111,22 +111,19 @@ class IdealPresentation:
         }
 
 
-def universal_monic(n: RPP, box) -> SparsePoly:
-    """x^d + a(i,j,1)·x^(d-1) + … + a(i,j,d) with d the label at the box."""
+def _monic(d: int, var, box) -> SparsePoly:
+    """x^d + var(i,j,1)·x^(d-1) + … + var(i,j,d), the universal monic of degree d at a box."""
     i, j = box
-    d = n.value(box)
-    p = SparsePoly.x_power(d)
-    for k in range(1, d + 1):
-        p = p + SparsePoly.variable(var_a(i, j, k)) * SparsePoly.x_power(d - k)
-    return p
+    terms = {((X, d - k), (var(i, j, k), 1)): 1 for k in range(1, d + 1)}
+    terms[((X, d),)] = 1
+    return SparsePoly(terms)
 
 
-def _remainder_coefficients(dividend: SparsePoly, divisor: SparsePoly, d: int) -> list[SparsePoly]:
-    """The d remainder coefficients, highest x-power first."""
-    _, r = divmod_in_x(dividend, divisor)
-    coeffs = r.x_coefficients()
+def _top_coefficients(f: SparsePoly, d: int) -> list[SparsePoly]:
+    """The x-coefficients of f, of x-degree below d, zero-padded to d, highest power first."""
+    coeffs = f.x_coefficients()
     coeffs += [SparsePoly.constant(0)] * (d - len(coeffs))
-    return [coeffs[deg] for deg in range(d - 1, -1, -1)]
+    return coeffs[::-1]
 
 
 def type_i_ideal(n: RPP) -> IdealPresentation:
@@ -137,11 +134,9 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
     against the upper neighbour; degree-0 divisors impose nothing.
     """
     lam = n.diagram
-    ambient = tuple(
-        var_a(b.i, b.j, k) for b in lam.boxes for k in range(1, n.value(b) + 1)
-    )
+    ambient = tuple(var_a(b.i, b.j, k) for b, d in zip(lam.boxes, n.values) for k in range(1, d + 1))
     v = (*n.values, 0)
-    polys = [universal_monic(n, b) for b in lam.boxes]
+    polys = [_monic(d, var_a, b) for b, d in zip(lam.boxes, n.values)]
     generators: list[SparsePoly] = []
     groups: list[dict] = []
     conditions = sum(v[l] + v[u] - v[ul] for l, u, ul in zip(lam.left, lam.up, lam.up_left))
@@ -150,32 +145,15 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
             d = v[q]  # 0 also when the neighbour is absent (q == -1)
             if d == 0:
                 continue
-            generators.extend(_remainder_coefficients(polys[p], polys[q], d))
+            generators.extend(_top_coefficients(divmod_in_x(polys[p], polys[q])[1], d))
             groups.append({"box": tuple(box), "divisor_box": tuple(lam.boxes[q]), "size": d})
     return IdealPresentation(
         ambient_vars=ambient,
         generators=tuple(generators),
-        grading={v: v.k for v in ambient},
+        grading={w: w.k for w in ambient},
         groups=tuple(groups),
         condition_count=conditions,
     )
-
-
-def _difference_factor(n: RPP, box, kind: str) -> SparsePoly:
-    """L (kind 'b', row difference) or U (kind 'c', column difference) at a box."""
-    i, j = box
-    if i < 0 or j < 0:
-        return SparsePoly.constant(1)
-    if kind == "b":
-        d = n.value(box) - n.value((i - 1, j))
-        mk = var_b
-    else:
-        d = n.value(box) - n.value((i, j - 1))
-        mk = var_c
-    p = SparsePoly.x_power(d)
-    for k in range(1, d + 1):
-        p = p + SparsePoly.variable(mk(i, j, k)) * SparsePoly.x_power(d - k)
-    return p
 
 
 def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
@@ -192,47 +170,46 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     ambient_and_bundle.
     """
     lam = n.diagram
+    left, up = lam.left, lam.up
+    v = (*n.values, 0)
+    row_deg = [v[p] - v[l] for p, l in enumerate(left)]
+    col_deg = [v[p] - v[u] for p, u in enumerate(up)]
+    # the factor of an absent neighbour, read at position -1, is the constant 1
+    one = SparsePoly.constant(1)
+    rows = [_monic(d, var_b, b) for d, b in zip(row_deg, lam.boxes)] + [one]
+    cols = [_monic(d, var_c, b) for d, b in zip(col_deg, lam.boxes)] + [one]
 
-    def keep_b(box) -> bool:
-        return not (minimal_border and box.i == 0 and box.j >= 1)
-
-    def keep_c(box) -> bool:
-        return not (minimal_border and box.j == 0)
-
-    b_vars = [
+    # on the border, column 0 has no left neighbour and row 0 no upper one
+    ambient = [
         var_b(b.i, b.j, k)
-        for b in lam.boxes
-        if keep_b(b)
-        for k in range(1, n.value(b) - n.value((b.i - 1, b.j)) + 1)
+        for p, b in enumerate(lam.boxes)
+        if not (minimal_border and left[p] < 0 <= up[p])
+        for k in range(1, row_deg[p] + 1)
     ]
-    c_vars = [
+    ambient += [
         var_c(b.i, b.j, k)
-        for b in lam.boxes
-        if keep_c(b)
-        for k in range(1, n.value(b) - n.value((b.i, b.j - 1)) + 1)
+        for p, b in enumerate(lam.boxes)
+        if not (minimal_border and up[p] < 0)
+        for k in range(1, col_deg[p] + 1)
     ]
-    ambient = tuple(sorted(b_vars + c_vars, key=lambda v: v.sort_key()))
+    ambient = tuple(sorted(ambient, key=VarId.sort_key))
 
     generators: list[SparsePoly] = []
     groups: list[dict] = []
-    for box in lam.boxes:
-        if minimal_border and (box.i == 0 or box.j == 0):
+    for p, (box, l, u, ul) in enumerate(zip(lam.boxes, left, up, lam.up_left)):
+        if minimal_border and (l < 0 or u < 0):
             continue
-        D = n.value(box) - n.value((box.i - 1, box.j - 1))
+        D = v[p] - v[ul]
         if D == 0:
             continue
-        eq = _difference_factor(n, box, "b") * _difference_factor(
-            n, (box.i - 1, box.j), "c"
-        ) - _difference_factor(n, box, "c") * _difference_factor(n, (box.i, box.j - 1), "b")
+        eq = rows[p] * cols[l] - cols[p] * rows[u]
         assert eq.degree_in_x() < D, "monic leading terms must cancel"
-        coeffs = eq.x_coefficients()
-        coeffs += [SparsePoly.constant(0)] * (D - len(coeffs))
-        generators.extend(coeffs[deg] for deg in range(D - 1, -1, -1))
+        generators.extend(_top_coefficients(eq, D))
         groups.append({"box": tuple(box), "size": D})
     return IdealPresentation(
         ambient_vars=ambient,
         generators=tuple(generators),
-        grading={v: v.k for v in ambient},
+        grading={w: w.k for w in ambient},
         groups=tuple(groups),
         condition_count=len(generators),
     )

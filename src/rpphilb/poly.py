@@ -2,9 +2,9 @@
 
 Variables are tagged tuples (kind, i, j, k): the main variable ``x``, the
 coefficient families ``a``/``b``/``c`` indexed by a box (i=column, j=row)
-and a depth k, the motive symbol ``L``, and box-indexed series variables
-``q``.  Polynomials are dicts from monomials (sorted tuples of
-(variable, exponent) pairs) to integer coefficients.
+and a depth k, and the motive symbol ``L``.  Polynomials are dicts from
+monomials (sorted tuples of (variable, exponent) pairs) to integer
+coefficients.
 
 The text format uses ``+ - * ^`` with explicit multiplication, e.g.
 ``x^3 - a_1_0_1*x^2 + 2``, and round-trips through ``parse_poly``.
@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
+from .terms import format_terms
 
-_KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4, "q": 5}
+_KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4}
 
 
 class VarId(NamedTuple):
@@ -31,8 +32,6 @@ class VarId(NamedTuple):
     def __str__(self) -> str:
         if self.kind in ("x", "L"):
             return self.kind
-        if self.kind == "q":
-            return f"q_{self.i}_{self.j}"
         return f"{self.kind}_{self.i}_{self.j}_{self.k}"
 
 
@@ -60,8 +59,6 @@ def parse_var_name(name: str) -> VarId:
     parts = name.split("_")
     kind = parts[0]
     try:
-        if kind == "q" and len(parts) == 3:
-            return VarId("q", int(parts[1]), int(parts[2]))
         if kind in ("a", "b", "c") and len(parts) == 4:
             return VarId(kind, int(parts[1]), int(parts[2]), int(parts[3]))
     except ValueError:
@@ -104,9 +101,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
 
     def variables(self) -> list[VarId]:
         seen = {v for mono in self.terms for v, _ in mono}
@@ -260,20 +254,9 @@ class SparsePoly:
         return sorted(self.terms.items(), key=key, reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, c in self._sort_terms():
-            factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return format_terms(
+            (c, [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]) for mono, c in self._sort_terms()
+        )
 
     __repr__ = __str__
 

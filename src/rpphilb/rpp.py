@@ -12,9 +12,9 @@ standard / complete / exhaustive factorisation constructions.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .diagram import Box, UpperSet, YoungDiagram, connected_parts, enumerate_upper_sets
+from .diagram import Box, UpperSet, YoungDiagram, connected_parts, enumerate_upper_sets, json_ints
 from .errors import CapExceeded, DomainError
 
 #: caps for the exhaustive factorisation search
@@ -162,10 +162,10 @@ class RPP(Filling):
 
     @classmethod
     def from_json_obj(cls, obj) -> "RPP":
-        if not isinstance(obj, dict) or "rows" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
             raise DomainError("parse-error", 'RPP JSON needs a "rows" list of lists', obj)
-        rpp = cls.from_rows(obj["rows"])
-        if "cols" in obj and tuple(obj["cols"]) != rpp.diagram.cols:
+        rpp = cls.from_rows(json_ints(row, "each RPP JSON row") for row in obj["rows"])
+        if "cols" in obj and tuple(json_ints(obj["cols"], 'RPP JSON "cols"')) != rpp.diagram.cols:
             raise DomainError("parse-error", 'RPP JSON "cols" disagree with "rows"', obj)
         return rpp
 
@@ -194,11 +194,6 @@ def indicators(diagram: YoungDiagram, max_boxes: int | None = None) -> list[Indi
         diagram, connected_only=True, nonempty_only=True, max_boxes=max_boxes
     )
     return [Indicator(u) for u in uppers]
-
-
-def is_indicator(n: RPP) -> bool:
-    """Irreducibility test: weight one (equivalently, membership in indicators())."""
-    return n.weight() == 1
 
 
 class Factorization:
@@ -299,7 +294,7 @@ def complete_factorization(n: RPP) -> Factorization | None:
         if dv > 0:
             terms[Indicator(principal_upper_set(n.diagram, box))] = dv
     fact = Factorization(terms)
-    assert fact.total() == n
+    assert fact.total() == n if terms else n.is_zero()
     return fact
 
 
@@ -396,10 +391,3 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
     rec(0, 0)
     out.sort(key=lambda r: (r.size, r.values))
     return out
-
-
-def iter_rpps_of_size(diagram: YoungDiagram, total: int) -> Iterator[RPP]:
-    """RPPs with label total exactly ``total`` (convenience filter)."""
-    for r in enumerate_rpps(diagram, total):
-        if r.size == total:
-            yield r

@@ -16,8 +16,8 @@ from operator import add
 
 from .diagram import YoungDiagram
 from .errors import DomainError
-from .poly import L, SparsePoly
 from .rpp import enumerate_rpps
+from .terms import format_terms
 
 
 class TruncatedSeries:
@@ -110,7 +110,8 @@ class TruncatedSeries:
 
 def format_coefficient(coefficient: tuple) -> str:
     """A coefficient as text, highest power of L first, e.g. ``L^2 + L + 1``."""
-    return str(SparsePoly({((L, d),): c for d, c in enumerate(coefficient)}))
+    terms = reversed(list(enumerate(coefficient)))
+    return format_terms((c, ["L" if d == 1 else f"L^{d}"] if d else []) for d, c in terms if c)
 
 
 def evaluate_motive(coefficient: tuple, p: int) -> int:

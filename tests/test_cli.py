@@ -72,6 +72,16 @@ def test_factorizations_json_schema():
     assert obj["complete_index"] == 2
 
 
+def test_factorizations_of_the_zero_filling():
+    for text in ("0", "0 0 / 0 0"):
+        code, out, _ = run_cli("factorizations", text)
+        assert (code, out) == (0, "1 factorizations of weight 0\n1: (empty) (complete)\n")
+        code, out, _ = run_cli("factorizations", text, "--format", "json")
+        obj = json.loads(out)
+        check(obj, "factorizations")
+        assert (obj["count"], obj["complete_index"]) == (1, 0)
+
+
 def test_classify_text_headline_and_json():
     code, out, _ = run_cli("classify", FT.SQUARE_TEXT)
     assert code == 0
@@ -101,6 +111,16 @@ def test_equations_tangent_payload():
     obj = json.loads(out)
     assert obj["tangent_dim"] == FT.TANGENT_DIM
     assert obj["presentation"]["n_vars"] == FT.TYPE_II_N_VARS
+
+
+def test_equations_without_generators_say_so():
+    for argv in (("3", "--type", "I"), ("0", "--type", "II"), ("1 / 2", "--type", "I", "--tangent")):
+        code, out, _ = run_cli("equations", *argv)
+        assert (code, out) == (0, "(no generators)\n")
+        code, out, _ = run_cli("equations", *argv, "--format", "json")
+        obj = json.loads(out)
+        check(obj, "equations")
+        assert obj.get("reduced", obj)["generators"] == []
 
 
 def test_series_json_schema_both_modes():
@@ -194,8 +214,27 @@ def test_verify_empty_corpus_is_an_error(tmp_path):
 # -- error objects and exit codes ---------------------------------------------
 
 
-def test_domain_error_payload_schema():
-    for argv in (
+def test_domain_error_payload_schema(tmp_path):
+    # JSON entries must be ints: no strings, nulls, floats, booleans or bare numbers
+    bad_json = []
+    for k, (command, payload) in enumerate(
+        (
+            ("weight", {"rows": [[0, "a"]]}),
+            ("weight", [[0, None]]),
+            ("weight", {"rows": [[0, None]]}),
+            ("weight", {"rows": [0, 1]}),
+            ("weight", {"rows": [[1.5]]}),
+            ("weight", {"rows": [[True]]}),
+            ("weight", {"rows": [[0, 1]], "cols": [True, True]}),
+            ("indicators", {"cols": [2.5, 1]}),
+            ("indicators", {"cols": "21"}),
+            ("indicators", {"cols": [True]}),
+        )
+    ):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(payload))
+        bad_json.append((command, f"@{path}"))
+    for argv in [
         ("weight", "1 0"),
         ("bogus",),
         ("series", "2,2"),
@@ -203,12 +242,14 @@ def test_domain_error_payload_schema():
         ("series", "--euler", "1", "--max-size", "-3", "2,2"),
         ("equations", "--type", "I", "--minimal-border", FT.SQUARE_TEXT),
         ("count-points", "1", "--p", "4"),
-    ):
+    ] + bad_json:
         code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
         payload = json.loads(err)
         check(payload, "error")
+        if argv in bad_json:
+            assert payload["code"] == "parse-error"
 
 
 def test_cap_errors_exit_2():

@@ -6,17 +6,19 @@ import pytest
 
 from rpphilb import RPP, DomainError
 from rpphilb.equations import (
+    _monic,
     ambient_and_bundle,
     check_grading,
     tangent_embedding,
     type_i_ideal,
     type_ii_ideal,
-    universal_monic,
 )
-from rpphilb.poly import SparsePoly, parse_poly, var_a
+from rpphilb.poly import SparsePoly, parse_poly, var_a, var_b, var_c
+from rpphilb.rpp import enumerate_rpps
 from rpphilb.verify import check_random_instance
 
 import frozen_tables as FT
+from conftest import diagrams_up_to
 
 
 def test_divisibility_presentation_for_grid(grid_rpp):
@@ -81,8 +83,8 @@ def test_single_box_is_affine_space():
     assert ideal.condition_count == 0
 
 
-def test_universal_monic_shape(grid_rpp):
-    p = universal_monic(grid_rpp, (2, 1))
+def test_universal_monic_shape():
+    p = _monic(5, var_a, (2, 1))  # the label 5 at box (2, 1) of the grid
     assert p.degree_in_x() == 5
     assert str(p.coefficient_of_x(5)) == "1"
     assert str(p.coefficient_of_x(3)) == "a_2_1_2"
@@ -126,3 +128,73 @@ def test_both_ideals_vanish_on_random_nested_witnesses():
     rng = random.Random(411)
     for _ in range(25):
         assert check_random_instance(rng) == []
+
+
+# -- coordinate-based type II, kept as the oracle for the neighbour-table build --
+
+
+def _difference_factor(n, box, kind):
+    """L (kind 'b', row difference) or U (kind 'c', column difference) at a box."""
+    i, j = box
+    if i < 0 or j < 0:
+        return SparsePoly.constant(1)
+    if kind == "b":
+        d = n.value(box) - n.value((i - 1, j))
+        mk = var_b
+    else:
+        d = n.value(box) - n.value((i, j - 1))
+        mk = var_c
+    p = SparsePoly.x_power(d)
+    for k in range(1, d + 1):
+        p = p + SparsePoly.variable(mk(i, j, k)) * SparsePoly.x_power(d - k)
+    return p
+
+
+def _type_ii_oracle(n, minimal_border):
+    """(ambient vars, generators, groups, condition count) read off by coordinates."""
+    lam = n.diagram
+
+    def keep_b(box):
+        return not (minimal_border and box.i == 0 and box.j >= 1)
+
+    def keep_c(box):
+        return not (minimal_border and box.j == 0)
+
+    b_vars = [
+        var_b(b.i, b.j, k)
+        for b in lam.boxes
+        if keep_b(b)
+        for k in range(1, n.value(b) - n.value((b.i - 1, b.j)) + 1)
+    ]
+    c_vars = [
+        var_c(b.i, b.j, k)
+        for b in lam.boxes
+        if keep_c(b)
+        for k in range(1, n.value(b) - n.value((b.i, b.j - 1)) + 1)
+    ]
+    ambient = tuple(sorted(b_vars + c_vars, key=lambda v: v.sort_key()))
+    generators, groups = [], []
+    for box in lam.boxes:
+        if minimal_border and (box.i == 0 or box.j == 0):
+            continue
+        D = n.value(box) - n.value((box.i - 1, box.j - 1))
+        if D == 0:
+            continue
+        eq = _difference_factor(n, box, "b") * _difference_factor(
+            n, (box.i - 1, box.j), "c"
+        ) - _difference_factor(n, box, "c") * _difference_factor(n, (box.i, box.j - 1), "b")
+        coeffs = eq.x_coefficients()
+        coeffs += [SparsePoly.constant(0)] * (D - len(coeffs))
+        generators.extend(coeffs[deg] for deg in range(D - 1, -1, -1))
+        groups.append({"box": tuple(box), "size": D})
+    return ambient, tuple(generators), tuple(groups), len(generators)
+
+
+def test_type_ii_matches_coordinate_oracle():
+    fillings = [n for d in diagrams_up_to(5) for n in enumerate_rpps(d, 4)]
+    assert len(fillings) == 305
+    for n in fillings:
+        for minimal_border in (False, True):
+            ideal = type_ii_ideal(n, minimal_border=minimal_border)
+            got = (ideal.ambient_vars, ideal.generators, ideal.groups, ideal.condition_count)
+            assert got == _type_ii_oracle(n, minimal_border), (n.to_text(), minimal_border)

@@ -75,7 +75,7 @@ def test_coefficient_extraction():
     assert p.degree_in_x() == 2
     assert str(p.coefficient_of_x(2)) == "a_1_1_1"
     assert [str(c) for c in p.x_coefficients()] == ["5", "1", "a_1_1_1"]
-    assert p.constant_term() == 5
+    assert p.terms[()] == 5
 
 
 def test_grading_and_linear_part():

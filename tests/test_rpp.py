@@ -11,13 +11,12 @@ from rpphilb.rpp import (
     complete_factorization,
     enumerate_rpps,
     indicators,
-    is_indicator,
-    iter_rpps_of_size,
     standard_factorization,
     zero_rpp,
 )
 
 import frozen_tables as FT
+from conftest import diagrams_up_to
 
 
 def test_text_round_trip(square_rpp):
@@ -99,10 +98,11 @@ def test_grid_indicators_in_canonical_order(grid_diagram):
 
 
 def test_is_indicator(square_rpp):
-    assert is_indicator(RPP.from_text("0 1 / 1 1"))
-    assert not is_indicator(square_rpp)
+    # an RPP is irreducible exactly when its weight is one
+    assert RPP.from_text("0 1 / 1 1").weight() == 1
+    assert square_rpp.weight() != 1
     # 0/1 filling on a disconnected upper set is not an indicator
-    assert not is_indicator(RPP.from_text("0 1 / 1"))
+    assert RPP.from_text("0 1 / 1").weight() != 1
 
 
 def test_standard_factorization_of_square(square_rpp):
@@ -122,6 +122,15 @@ def test_complete_factorization_of_square(square_rpp):
         "0 0 / 1 1": 2,
     }
     assert f.total() == square_rpp
+
+
+def test_complete_factorization_of_zero_filling_is_empty():
+    # the zero filling has derivative 0 >= 0, so its complete factorisation exists
+    for text in ("0", "0 0 / 0 0", "0 0 0 / 0"):
+        n = RPP.from_text(text)
+        f = complete_factorization(n)
+        assert f is not None and f.terms == {}
+        assert all_factorizations(n) == [f]
 
 
 def test_complete_factorization_needs_nonnegative_derivative(grid_rpp):
@@ -156,22 +165,8 @@ def test_factorization_weight_cap():
     assert len(all_factorizations(heavy, max_weight=13)) == 1
 
 
-def _diagrams_up_to(n_boxes):
-    """Every Young diagram with at most n_boxes boxes, as column heights."""
-
-    def parts(n, largest):
-        if n == 0:
-            yield ()
-        for k in range(min(n, largest), 0, -1):
-            for rest in parts(n - k, k):
-                yield (k,) + rest
-
-    for n in range(1, n_boxes + 1):
-        yield from parts(n, n)
-
-
 def test_neighbour_table_matches_box_index_oracle():
-    diagrams = [YoungDiagram(cols) for cols in _diagrams_up_to(5)]
+    diagrams = diagrams_up_to(5)
     assert len(diagrams) == 18
     for d in diagrams:
         for pos, (i, j) in enumerate(d.boxes):
@@ -207,6 +202,6 @@ def test_neighbour_table_matches_box_index_oracle():
 
 
 def test_enumerate_rpps_counts(square_diagram):
-    by_size = [len(list(iter_rpps_of_size(square_diagram, k))) for k in range(5)]
+    by_size = [sum(r.size == k for r in enumerate_rpps(square_diagram, k)) for k in range(5)]
     assert by_size == [1, 1, 3, 4, 7]
     assert len(enumerate_rpps(square_diagram, 4)) == sum(by_size)

@@ -1,17 +1,20 @@
 """Truncated generating series: products over hooks, collapse, specialisation."""
 
+from itertools import product
 from math import comb
 
 import pytest
 
 from rpphilb import DomainError, YoungDiagram
-from rpphilb.rpp import enumerate_rpps, iter_rpps_of_size
+from rpphilb.poly import L, SparsePoly
+from rpphilb.rpp import enumerate_rpps
 from rpphilb.series import (
     TruncatedSeries,
     collapse_to_diagonals,
     diagonal_support,
     euler_series,
     factor_power,
+    format_coefficient,
     hook_product,
     hook_variable,
     motivic_series,
@@ -19,6 +22,7 @@ from rpphilb.series import (
 )
 
 import frozen_tables as FT
+from conftest import diagrams_up_to
 
 
 def test_hook_variable_exponents(square_diagram):
@@ -96,9 +100,7 @@ def test_collapse_rejects_wrong_diagram(square_diagram, grid_diagram):
 
 def test_euler_series_single_variable_counts(square_diagram):
     series = euler_series(square_diagram, 1, 10, single_variable=True)
-    counts = [
-        len(list(iter_rpps_of_size(square_diagram, k))) for k in range(11)
-    ]
+    counts = [sum(r.size == k for r in enumerate_rpps(square_diagram, k)) for k in range(11)]
     assert counts == FT.SQUARE_RPP_COUNTS
     assert [series.coefficient((k,)) for k in range(11)] == [
         (c,) for c in counts
@@ -153,20 +155,9 @@ def _convolved(factors, n_vars, max_size, single_variable=False):
     return series
 
 
-def _diagrams_up_to(n_boxes):
-    def partitions(n, largest):
-        if n == 0:
-            yield ()
-        for k in range(min(n, largest), 0, -1):
-            for rest in partitions(n - k, k):
-                yield (k,) + rest
-
-    return [YoungDiagram(p) for n in range(1, n_boxes + 1) for p in partitions(n, n)]
-
-
 def test_graded_passes_match_the_binomial_convolution():
     max_size = 6
-    diagrams = _diagrams_up_to(4)
+    diagrams = diagrams_up_to(4)
     assert len(diagrams) == 11
     for d in diagrams:
         hooks = [hook_variable(d, box) for box in d.boxes]
@@ -200,3 +191,11 @@ def test_factor_power_rejects_negative_exponents():
         with pytest.raises(DomainError) as err:
             factor_power(v, 1, -1, 2, 4)
         assert err.value.code == "parse-error"
+
+
+def test_format_coefficient_matches_polynomial_printing():
+    # the polynomial in L with the same coefficients is the printing oracle
+    for length in range(5):
+        for coefficient in product(range(-2, 3), repeat=length):
+            expected = str(SparsePoly({((L, d),): c for d, c in enumerate(coefficient)}))
+            assert format_coefficient(coefficient) == expected, coefficient
