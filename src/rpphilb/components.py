@@ -52,11 +52,11 @@ def dimension_recursive(n: RPP) -> int:
     return n.value((0, j1)) - n.value((0, j2)) + dimension_recursive(RPP(sub, vals))
 
 
-def _support_matrix(T: Factorization) -> list[list[Fraction]]:
+def _support_matrix(T: Factorization) -> list[list[int]]:
     """Box-by-support matrix whose columns are the support indicators."""
     support = T.support
     size = support[0].diagram.size
-    return [[Fraction(ind.values[row]) for ind in support] for row in range(size)]
+    return [[ind.values[row] for ind in support] for row in range(size)]
 
 
 def _check_relation(T: Factorization, coeffs: dict) -> None:

@@ -32,13 +32,15 @@ def partial_order_leq(a: Box, b: Box) -> bool:
 class YoungDiagram:
     """Partition as nonincreasing positive column heights."""
 
-    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left")
+    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left", "_indicators")
 
     def __init__(self, col_heights: Iterable[int]):
         try:
-            cols = tuple(int(h) for h in col_heights)
-        except (TypeError, ValueError):
+            cols = tuple(col_heights)
+        except TypeError:
             raise DomainError("parse-error", "column heights must be integers", col_heights) from None
+        if any(type(h) is not int for h in cols):
+            raise DomainError("parse-error", "column heights must be integers", list(cols))
         if not cols:
             raise DomainError("empty-diagram", "need at least one column", col_heights)
         if any(h <= 0 for h in cols):
@@ -61,6 +63,8 @@ class YoungDiagram:
         self.left = tuple(index.get((i - 1, j), -1) for i, j in self.boxes)
         self.up = tuple(index.get((i, j - 1), -1) for i, j in self.boxes)
         self.up_left = tuple(index.get((i - 1, j - 1), -1) for i, j in self.boxes)
+        # the indicator fillings, built on first use by rpp.indicators
+        self._indicators = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -213,7 +217,20 @@ class UpperSet:
         return tuple(1 if b in self.members else 0 for b in self.diagram.boxes)
 
     def is_connected(self) -> bool:
-        return len(connected_parts(self)) <= 1
+        """Whether the skew shape λ/μ is edge-connected, μ the complement's heights.
+
+        Column i holds the rows μ_i ≤ j < λ_i, so λ/μ is connected exactly
+        when its nonempty columns are consecutive and each meets the next,
+        μ_i < λ_{i+1}.
+        """
+        cols = self.diagram.cols
+        counts = [0] * len(cols)
+        for b in self.members:
+            counts[b.i] += 1
+        nonempty = [i for i, c in enumerate(counts) if c]
+        return all(
+            k == i + 1 and cols[i] - counts[i] < cols[k] for i, k in zip(nonempty, nonempty[1:])
+        )
 
     def __repr__(self) -> str:
         return f"UpperSet({list(self.diagram.cols)}, {sorted(self.members)})"

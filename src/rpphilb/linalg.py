@@ -1,48 +1,67 @@
-"""Exact linear algebra over the rationals (Fraction-based, no floats).
+"""Exact linear algebra over the rationals (no floats).
 
 Small dense matrices only: row reduction, rank, kernel bases, and integer
-normalisation of rational vectors.  Matrices are lists of lists of
-Fractions, rows first.
+normalisation of rational vectors.  Matrices are lists of rows whose
+entries are ints or Fractions; results are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _to_fraction_matrix(matrix) -> list[list[Fraction]]:
-    return [[Fraction(entry) for entry in row] for row in matrix]
+def _integer_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators; scaling leaves the RREF unchanged."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = _to_fraction_matrix(matrix)
+    """Reduced row echelon form and the pivot column indices.
+
+    Gauss-Jordan runs over Python ints: each rational row is first scaled
+    to an integer one, an update takes pivot * row - entry * pivot_row,
+    and the updated row is divided by the gcd of its entries, so no
+    Fraction is built until the output, where each pivot row is divided
+    by its pivot.  The RREF is unique, so this equals rational elimination.
+    """
+    m = [_integer_row(row) for row in matrix]
     if not m:
         return [], []
-    n_cols = len(m[0])
+    n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot_row = r
+        for pivot_row in range(row, n_rows):
+            if m[pivot_row][col]:
                 break
-        if pivot_row is None:
+        else:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        pv = m[row][col]
-        m[row] = [entry / pv for entry in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        prow = m[row]
+        pv = prow[col]
+        for r in range(n_rows):
+            factor = m[r][col]
+            if factor and r != row:
+                updated = [pv * a - factor * b for a, b in zip(m[r], prow)]
+                g = gcd(*updated)
+                m[r] = [a // g for a in updated] if g > 1 else updated
         pivots.append(col)
         row += 1
-        if row == len(m):
+        if row == n_rows:
             break
-    return m, pivots
+    out = []
+    for r, p in enumerate(pivots):
+        pv = m[r][p]
+        out.append([_ZERO if not x else _ONE if x == pv else Fraction(x, pv) for x in m[r]])
+    out += [[_ZERO] * n_cols for _ in range(n_rows - len(pivots))]
+    return out, pivots
 
 
 def rank(matrix) -> int:

@@ -28,7 +28,9 @@ class Filling:
     __slots__ = ("diagram", "values")
 
     def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        if any(type(v) is not int for v in vals):
+            raise DomainError("parse-error", "labels must be integers", list(vals))
         if len(vals) != diagram.size:
             raise DomainError(
                 "parse-error",
@@ -121,9 +123,11 @@ class RPP(Filling):
 
     def weight(self) -> int:
         """Total of the derivative; equals socle sum minus subsocle sum."""
+        d = self.diagram
         w = sum(self.derivative().values)
-        soc = sum(self.value(b) for b in self.diagram.socle())
-        sub = sum(self.value(b) for b in self.diagram.subsocle())
+        socle, subsocle = d.socle(), d.subsocle()
+        soc = sum(v for b, v in zip(d.boxes, self.values) if b in socle)
+        sub = sum(v for b, v in zip(d.boxes, self.values) if b in subsocle)
         assert w == soc - sub, f"weight formulas disagree: {w} vs {soc - sub}"
         return w
 
@@ -188,12 +192,16 @@ class Indicator(RPP):
         self.upper_set = upper_set
 
 
-def indicators(diagram: YoungDiagram, max_boxes: int | None = None) -> list[Indicator]:
-    """All indicator fillings, descending-lex on the row-major 0/1 vector."""
-    uppers = enumerate_upper_sets(
-        diagram, connected_only=True, nonempty_only=True, max_boxes=max_boxes
-    )
-    return [Indicator(u) for u in uppers]
+def indicators(diagram: YoungDiagram) -> list[Indicator]:
+    """All indicator fillings, descending-lex on the row-major 0/1 vector.
+
+    The table is built once per diagram instance and kept on it; each call
+    returns a fresh list of the same indicators.
+    """
+    if diagram._indicators is None:
+        uppers = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
+        diagram._indicators = tuple(Indicator(u) for u in uppers)
+    return list(diagram._indicators)
 
 
 class Factorization:
@@ -311,12 +319,6 @@ def _first_fault(diagram: YoungDiagram, vals: tuple[int, ...]) -> int | None:
     return None
 
 
-def _subtract_if_rpp(n_vals: tuple[int, ...], ind_vals: tuple[int, ...], diagram: YoungDiagram):
-    """n - indicator as a value tuple, or None when the result is not an RPP."""
-    out = tuple(a - b for a, b in zip(n_vals, ind_vals))
-    return None if _first_fault(diagram, out) is not None else out
-
-
 def all_factorizations(
     n: RPP,
     max_weight: int | None = None,
@@ -328,6 +330,12 @@ def all_factorizations(
     indicator position nondecreasing along each branch (so each multiset is
     visited exactly once) and pruning whenever the remainder stops being an
     RPP — partial sums of any factorisation are RPPs, so the pruning is safe.
+
+    The remainder v is an RPP, so v - 1_U is one exactly when v[p] > v[q]
+    for every guard pair of U: p in U and q its left or upper neighbour
+    outside U, with q = -1 reading the zero extension.  Pairs with both
+    boxes in U or both outside it compare as before, and no box outside
+    the upper set U has a neighbour in U to its left or above.
     """
     w_cap = MAX_FACTORIZATION_WEIGHT if max_weight is None else max_weight
     i_cap = MAX_FACTORIZATION_INDICATORS if max_indicators is None else max_indicators
@@ -342,25 +350,37 @@ def all_factorizations(
     if n.is_zero():
         return [Factorization({})]
 
+    left, up = n.diagram.left, n.diagram.up
+    members = [[p for p, x in enumerate(ind.values) if x] for ind in inds]
+    guards = [
+        [(p, q) for p in ps for q in {left[p], up[p]} if q == -1 or not ind.values[q]]
+        for ind, ps in zip(inds, members)
+    ]
+    vals = [*n.values, 0]  # the remainder, decremented and restored in place
     results: list[Factorization] = []
     path: list[Indicator] = []
 
-    def search(vals: tuple[int, ...], start: int) -> None:
-        if all(v == 0 for v in vals):
+    def search(start: int, remaining: int) -> None:
+        if remaining == 0:
             terms: dict = {}
             for ind in path:
                 terms[ind] = terms.get(ind, 0) + 1
             results.append(Factorization(terms))
             return
         for pos in range(start, len(inds)):
-            rest = _subtract_if_rpp(vals, inds[pos].values, n.diagram)
-            if rest is None:
-                continue
-            path.append(inds[pos])
-            search(rest, pos)
-            path.pop()
+            for p, q in guards[pos]:
+                if vals[p] <= vals[q]:
+                    break
+            else:
+                for p in members[pos]:
+                    vals[p] -= 1
+                path.append(inds[pos])
+                search(pos, remaining - len(members[pos]))
+                path.pop()
+                for p in members[pos]:
+                    vals[p] += 1
 
-    search(n.values, 0)
+    search(0, n.size)
     for fact in results:
         assert fact.length == w, "factorisation length must equal the weight"
         assert fact.total() == n

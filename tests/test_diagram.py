@@ -12,6 +12,8 @@ from rpphilb.diagram import (
     principal_upper_set,
 )
 
+from conftest import diagrams_up_to
+
 
 def test_box_order_is_row_major(grid_diagram):
     assert grid_diagram.boxes[:4] == (Box(0, 0), Box(1, 0), Box(2, 0), Box(0, 1))
@@ -41,12 +43,16 @@ def test_basic_geometry(square_diagram):
         ((0,), "nonpositive-column"),
         ((-1,), "nonpositive-column"),
         ((1, 2), "columns-not-nonincreasing"),
+        ((2.5, "1"), "parse-error"),
+        ((2.0,), "parse-error"),
+        ((True,), "parse-error"),
+        (3, "parse-error"),
     ],
 )
 def test_bad_column_heights(cols, code):
     with pytest.raises(DomainError) as err:
         YoungDiagram(cols)
-    assert err.value.code == code
+    assert (err.value.code, err.value.exit_code) == (code, 1)
 
 
 def test_from_text_rejects_garbage():
@@ -138,3 +144,10 @@ def test_enumeration_cap():
     assert err.value.code == "diagram-too-large"
     # an explicit larger cap lifts the guard
     assert len(enumerate_upper_sets(wide, max_boxes=40)) == 32
+
+
+def test_connectivity_matches_connected_parts_oracle():
+    uppers = [u for d in diagrams_up_to(10) for u in enumerate_upper_sets(d)]
+    assert len(uppers) == 2887
+    for u in uppers:
+        assert u.is_connected() == (len(connected_parts(u)) <= 1), u

@@ -4,9 +4,12 @@ from itertools import product
 
 import pytest
 
+import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
 from rpphilb.rpp import (
+    Factorization,
     Filling,
+    _first_fault,
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
@@ -46,6 +49,14 @@ def test_bad_fillings(text, code):
     with pytest.raises(DomainError) as err:
         RPP.from_text(text)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("values", [[1.7], [True], ["1"], [1.0]])
+@pytest.mark.parametrize("cls", [Filling, RPP])
+def test_labels_that_are_not_ints_are_refused(cls, values):
+    with pytest.raises(DomainError) as err:
+        cls(YoungDiagram((1,)), values)
+    assert (err.value.code, err.value.exit_code) == ("parse-error", 1)
 
 
 def test_size_values_and_access(square_rpp):
@@ -205,3 +216,69 @@ def test_enumerate_rpps_counts(square_diagram):
     by_size = [sum(r.size == k for r in enumerate_rpps(square_diagram, k)) for k in range(5)]
     assert by_size == [1, 1, 3, 4, 7]
     assert len(enumerate_rpps(square_diagram, 4)) == sum(by_size)
+
+
+def _subtract_if_rpp(n_vals, ind_vals, diagram):
+    """n - indicator as a value tuple, or None when the result is not an RPP."""
+    out = tuple(a - b for a, b in zip(n_vals, ind_vals))
+    return None if _first_fault(diagram, out) is not None else out
+
+
+def _tuple_search_factorizations(n):
+    """The factorisation search that rebuilds and rescans the remainder at each node: the oracle."""
+    inds = indicators(n.diagram)
+    if n.is_zero():
+        return [Factorization({})]
+    results, path = [], []
+
+    def search(vals, start):
+        if all(v == 0 for v in vals):
+            terms = {}
+            for ind in path:
+                terms[ind] = terms.get(ind, 0) + 1
+            results.append(Factorization(terms))
+            return
+        for pos in range(start, len(inds)):
+            rest = _subtract_if_rpp(vals, inds[pos].values, n.diagram)
+            if rest is None:
+                continue
+            path.append(inds[pos])
+            search(rest, pos)
+            path.pop()
+
+    search(n.values, 0)
+    return results
+
+
+def _as_terms(facts):
+    return [[(ind.values, m) for ind, m in f.terms.items()] for f in facts]
+
+
+def test_guard_search_matches_tuple_subtraction_oracle():
+    fillings = [r for d in diagrams_up_to(5) for r in enumerate_rpps(d, 4)]
+    assert len(fillings) == 305
+    for n in fillings + [RPP.from_text(FT.GRID_TEXT), RPP.from_text("0 2 4 / 2 4 6 / 4 6 8")]:
+        assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n)), n
+
+
+def test_indicator_table_is_built_once_per_diagram(monkeypatch):
+    calls = []
+    enumerate_upper_sets = rpphilb.rpp.enumerate_upper_sets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_upper_sets(*args, **kwargs)
+
+    monkeypatch.setattr(rpphilb.rpp, "enumerate_upper_sets", counting)
+    d = YoungDiagram((3, 2, 1))
+    first = indicators(d)
+    texts = [nu.to_text() for nu in first]
+    first.clear()
+    second = indicators(d)
+    assert [nu.to_text() for nu in second] == texts
+    second.append(second[0])
+    assert len(indicators(d)) == len(texts)
+    assert len(calls) == 1
+    # the table belongs to the instance: an equal diagram builds its own
+    indicators(YoungDiagram((3, 2, 1)))
+    assert len(calls) == 2
