@@ -37,19 +37,20 @@ def dimension_recursive(n: RPP) -> int:
     be dropped, or it sits in column 0 and the column-0 boxes below the
     next socle row can be removed at the cost of the label difference.
     """
-    lam = n.diagram
+    lam, v = n.diagram, n.values
     soc = sorted(lam.socle())
     if len(soc) == 1:
-        return n.value(soc[0])
+        return v[-1]  # the corner of a rectangle is its last box
     i1, j1 = soc[0]
+    rows = n.rows()
     if i1 > 0:
         sub = YoungDiagram(lam.cols[i1:])
-        vals = [n.value((b.i + i1, b.j)) for b in sub.boxes]
-        return dimension_recursive(RPP(sub, vals))
+        return dimension_recursive(RPP(sub, [x for row in rows for x in row[i1:]]))
+    # the rows below j2 hold column 0 alone, so the subdiagram keeps a prefix
+    # of the row-major labels and the column-0 socle box (0, j1) is the last box
     i2, j2 = soc[1]
     sub = YoungDiagram((j2 + 1,) + lam.cols[1:])
-    vals = [n.value(b) for b in sub.boxes]
-    return n.value((0, j1)) - n.value((0, j2)) + dimension_recursive(RPP(sub, vals))
+    return v[-1] - rows[j2][0] + dimension_recursive(RPP(sub, v[: sub.size]))
 
 
 def _support_matrix(T: Factorization) -> list[list[int]]:

@@ -227,6 +227,9 @@ class SparsePoly:
         """Replace variables by polynomials (unlisted variables stay)."""
         result = SparsePoly.constant(0)
         for mono, c in self.terms.items():
+            if not any(v in assignments for v, _ in mono):
+                result = result + _raw({mono: c})  # untouched: its own image
+                continue
             term = SparsePoly.constant(c)
             for v, e in mono:
                 if v in assignments:
@@ -235,6 +238,18 @@ class SparsePoly:
                     term = term * _raw({((v, e),): 1})
             result = result + term
         return result
+
+    def evaluate(self, values: dict) -> int:
+        """Value at a point that assigns an int to every variable."""
+        total = 0
+        for mono, c in self.terms.items():
+            for v, e in mono:
+                try:
+                    c *= values[v] ** e
+                except KeyError:
+                    raise DomainError("parse-error", f"no value for variable {v}", str(v)) from None
+            total += c
+        return total
 
     # -- printing and parsing ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from .equations import (
     type_ii_ideal,
 )
 from .errors import CapExceeded, DomainError
-from .poly import SparsePoly, divmod_in_x, parse_poly, var_a, var_b, var_c
+from .poly import parse_poly, var_a, var_b, var_c
 from .pointcount import count_points
 from .rpp import (
     RPP,
@@ -291,24 +291,45 @@ def random_instance(rng: random.Random, max_boxes: int = 6, max_entry: int = 5) 
 
 
 def _random_nested_polynomials(rng: random.Random, n: RPP) -> list:
-    """Monic integer polynomials per box, row-major, nested by left/up divisibility."""
+    """Monic integer polynomials per box, row-major, nested by left/up divisibility.
+
+    Each is an int coefficient list, lowest power first.
+    """
     if n.is_zero():
-        return [SparsePoly.constant(1)] * n.diagram.size
-    factorization = standard_factorization(n)
+        return [[1]] * n.diagram.size
     factors = []
-    for indicator, multiplicity in factorization.terms.items():
-        poly = SparsePoly.x_power(multiplicity)
-        for k in range(multiplicity):
-            poly = poly + SparsePoly.x_power(k) * rng.randint(-3, 3)
-        factors.append((indicator, poly))
+    for indicator, multiplicity in standard_factorization(n).terms.items():
+        factors.append((indicator, [rng.randint(-3, 3) for _ in range(multiplicity)] + [1]))
     tuples = []
     for pos in range(n.diagram.size):
-        product = SparsePoly.constant(1)
-        for indicator, poly in factors:
+        product = [1]
+        for indicator, coeffs in factors:
             if indicator.values[pos]:
-                product = product * poly
+                product = _convolve(product, coeffs)
         tuples.append(product)
     return tuples
+
+
+def _convolve(f: list, g: list) -> list:
+    """Product of two int coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_quotient(poly: list, divisor: list) -> list | None:
+    """Quotient of int coefficient lists by a monic divisor; None if it does not divide."""
+    assert divisor[-1] == 1, "the divisor must be monic"
+    rest = list(poly)
+    dd = len(divisor) - 1
+    quotient = [0] * max(len(poly) - dd, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        q = quotient[k] = rest[k + dd]
+        for i, d in enumerate(divisor):
+            rest[k + i] -= q * d
+    return None if any(rest) else quotient
 
 
 def check_random_instance(rng: random.Random) -> list:
@@ -352,39 +373,36 @@ def check_random_instance(rng: random.Random) -> list:
     diagram = n.diagram
     tuples = _random_nested_polynomials(rng, n)
     assignment = {}
-    for box, degree, poly in zip(diagram.boxes, n.values, tuples):
+    for box, degree, coeffs in zip(diagram.boxes, n.values, tuples):
         for k in range(1, degree + 1):
-            assignment[var_a(box.i, box.j, k)] = poly.coefficient_of_x(degree - k)
+            assignment[var_a(box.i, box.j, k)] = coeffs[degree - k]
     for g in ideal_i.generators:
-        if not g.substitute(assignment).is_zero():
+        if g.evaluate(assignment) != 0:
             problems.append(f"{label}: type I generator nonzero on a nested tuple")
             break
     # index -1 reads the zero extension: degree 0, the constant polynomial 1
     degrees = (*n.values, 0)
-    polys = (*tuples, SparsePoly.constant(1))
+    polys = (*tuples, [1])
     assignment = {}
+    divisible = True
     for p, box in enumerate(diagram.boxes):
         for kind, other, maker in (("left", diagram.left[p], var_b), ("up", diagram.up[p], var_c)):
-            quotient, remainder = _exact_quotient(polys[p], polys[other])
+            quotient = _exact_quotient(polys[p], polys[other])
             if quotient is None:
                 problems.append(f"{label}: nested tuple fails {kind} divisibility")
+                divisible = False
                 continue
             degree = degrees[p] - degrees[other]
             for k in range(1, degree + 1):
-                assignment[maker(box.i, box.j, k)] = quotient.coefficient_of_x(degree - k)
-    for tag, ideal in (("II", ideal_ii), ("II-minimal", ideal_iim)):
-        for g in ideal.generators:
-            if not g.substitute(assignment).is_zero():
-                problems.append(f"{label}: type {tag} generator nonzero on a nested tuple")
-                break
+                assignment[maker(box.i, box.j, k)] = quotient[degree - k]
+    # a failed division leaves variables unassigned, and is already reported
+    if divisible:
+        for tag, ideal in (("II", ideal_ii), ("II-minimal", ideal_iim)):
+            for g in ideal.generators:
+                if g.evaluate(assignment) != 0:
+                    problems.append(f"{label}: type {tag} generator nonzero on a nested tuple")
+                    break
     return problems
-
-
-def _exact_quotient(poly: SparsePoly, divisor: SparsePoly):
-    quotient, remainder = divmod_in_x(poly, divisor)
-    if not remainder.is_zero():
-        return None, remainder
-    return quotient, remainder
 
 
 def run_random_properties(seed: int, n_cases: int) -> tuple:

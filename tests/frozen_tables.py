@@ -228,6 +228,12 @@ AMBIENT_EXPECTED_DIM = 5
 
 TANGENT_DIM = 9
 TANGENT_DEGREES = [4, 4, 5, 5]
+# SHA-256 of the text stdout of `rpphilb equations --type T --tangent` on the
+# grid example, pinning the reduced generators byte for byte.
+TANGENT_STDOUT_SHA256 = {
+    "I": "b377aced744d281f1f3acadd65929267cbbb7ba5578f17d77900ade8c81ef5de",
+    "II": "2a8e179e0e067ddcdf7aee337c0bb75c9a71aa999995ca74c62260c10064e3fc",
+}
 
 # Single-variable counts of fillings of the square by total size 0..10 and
 # the hook lengths of the square, used by the generating-series checks.

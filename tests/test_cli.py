@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 
 import jsonschema
@@ -111,6 +112,13 @@ def test_equations_tangent_payload():
     obj = json.loads(out)
     assert obj["tangent_dim"] == FT.TANGENT_DIM
     assert obj["presentation"]["n_vars"] == FT.TYPE_II_N_VARS
+
+
+def test_equations_tangent_stdout_is_frozen():
+    for kind, digest in FT.TANGENT_STDOUT_SHA256.items():
+        code, out, _ = run_cli("equations", "--type", kind, "--tangent", FT.GRID_TEXT)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
 
 
 def test_equations_without_generators_say_so():

@@ -10,9 +10,10 @@ from rpphilb.components import (
     differential_injective,
     dimension_recursive,
 )
-from rpphilb.rpp import Factorization, indicators
+from rpphilb.rpp import Factorization, enumerate_rpps, indicators
 
 import frozen_tables as FT
+from conftest import diagrams_up_to
 
 
 def _report_rows(reports, diagram):
@@ -73,6 +74,13 @@ def test_dimension_equals_weight(square_rpp, grid_rpp):
     assert dimension_recursive(square_rpp) == 4
     assert component_dimension(grid_rpp) == FT.GRID_WEIGHT
     assert dimension_recursive(grid_rpp) == FT.GRID_WEIGHT
+
+
+def test_recursive_dimension_is_the_weight_on_small_fillings():
+    fillings = [n for d in diagrams_up_to(7) for n in enumerate_rpps(d, 4)]
+    assert len(fillings) == 1064
+    for n in fillings:
+        assert dimension_recursive(n) == n.weight(), n.to_text()
 
 
 def test_bijective_but_not_differentially_injective(grid_rpp):

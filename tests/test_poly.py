@@ -1,10 +1,14 @@
 """Exact sparse polynomial arithmetic and monic division in x."""
 
+import random
+
 import pytest
 
-from rpphilb import DomainError
+from rpphilb import RPP, DomainError
+from rpphilb.equations import type_i_ideal, type_ii_ideal
 from rpphilb.poly import (
     L,
+    X,
     SparsePoly,
     divmod_in_x,
     parse_poly,
@@ -13,6 +17,7 @@ from rpphilb.poly import (
     var_b,
     var_c,
 )
+from rpphilb.verify import load_corpus
 
 
 def test_ring_identities():
@@ -94,6 +99,58 @@ def test_substitute():
     assert str(out) == "-a_2_1_2 + 9"
     closed = out.substitute({var_a(2, 1, 2): SparsePoly.constant(9)})
     assert closed.is_zero()
+
+
+def test_substitute_copies_untouched_monomials():
+    # a*x + x with a -> -1: the untouched x cancels against the substituted one
+    g = parse_poly("a_1_1_1*x + x")
+    assert g.substitute({var_a(1, 1, 1): SparsePoly.constant(-1)}).is_zero()
+    h = parse_poly("a_1_1_1^2*b_2_0_1 - 3*c_1_0_2 + x^2 + 5")
+    assert h.substitute({var_a(0, 0, 1): SparsePoly.constant(7)}) == h
+    assert h.substitute({}) == h
+
+
+def _random_poly(rng, variables):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mono = tuple((v, rng.randint(1, 3)) for v in variables if rng.random() < 0.4)
+        terms[mono] = rng.randint(-5, 5)
+    return SparsePoly(terms)
+
+
+def _evaluate_by_substitution(g, point):
+    """The constant left after substituting every variable: the oracle for evaluate."""
+    return g.substitute({v: SparsePoly.constant(c) for v, c in point.items()}).terms.get((), 0)
+
+
+def test_evaluate_agrees_with_substitution():
+    rng = random.Random(8)
+    variables = [X, L, var_a(1, 1, 1), var_a(2, 0, 3), var_b(0, 1, 1), var_c(1, 0, 2)]
+    for _ in range(300):
+        g = _random_poly(rng, variables)
+        point = {v: rng.randint(-4, 4) for v in variables}
+        assert g.evaluate(point) == _evaluate_by_substitution(g, point)
+    assert SparsePoly.constant(0).evaluate({}) == 0
+    assert SparsePoly.constant(-7).evaluate({}) == -7
+
+
+def test_evaluate_agrees_with_substitution_on_corpus_ideals():
+    rng = random.Random(9)
+    rows = [row for row in load_corpus()["rows"] if row["kind"] == "equations"]
+    assert rows
+    for row in rows:
+        n = RPP.from_text(row["rpp"])
+        for ideal in (type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True)):
+            point = {v: rng.randint(-3, 3) for v in ideal.ambient_vars}
+            for g in ideal.generators:
+                assert g.evaluate(point) == _evaluate_by_substitution(g, point)
+
+
+def test_evaluate_names_an_unassigned_variable():
+    with pytest.raises(DomainError) as err:
+        parse_poly("a_1_1_1*b_2_0_1 + 1").evaluate({var_a(1, 1, 1): 2})
+    assert err.value.code == "parse-error"
+    assert "b_2_0_1" in err.value.message
 
 
 def test_variable_sort_key_orders_kinds_consistently():

@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from rpphilb import DomainError
+from rpphilb import DomainError, verify
+from rpphilb.diagram import YoungDiagram
+from rpphilb.poly import X, SparsePoly, divmod_in_x
+from rpphilb.rpp import enumerate_rpps, standard_factorization
 from rpphilb.verify import (
+    _exact_quotient,
+    _random_nested_polynomials,
     check_random_instance,
     load_corpus,
     random_instance,
@@ -67,3 +72,97 @@ def test_check_random_instance_lists_no_failures():
     rng = random.Random(99)
     for _ in range(10):
         assert check_random_instance(rng) == []
+
+
+def test_non_nested_tuple_is_reported_as_a_divisibility_failure(monkeypatch):
+    # x^d + (p+1)(x^(d-1) + ... + 1) at row-major position p: not nested, so
+    # some division fails and leaves type II variables unassigned
+    def not_nested(rng, n):
+        return [[p + 1] * d + [1] for p, d in enumerate(n.values)]
+
+    monkeypatch.setattr(verify, "_random_nested_polynomials", not_nested)
+    row = {"name": "random", "kind": "random-properties", "seed": 5, "n_cases": 10}
+    [(name, ok, detail)] = run_corpus({"rows": [row]})
+    assert not ok
+    assert "divisibility" in detail
+    assert "malformed" not in detail and "parse-error" not in detail
+    failures, _ = run_random_properties(5, 10)
+    assert any(f.endswith("fails left divisibility") or f.endswith("fails up divisibility") for f in failures)
+
+
+# -- SparsePoly arithmetic, kept as the oracle for the integer fast path ------
+
+
+def _sparse_nested_polynomials(rng, n):
+    """Monic SparsePoly per box, row-major, nested by left/up divisibility."""
+    if n.is_zero():
+        return [SparsePoly.constant(1)] * n.diagram.size
+    factorization = standard_factorization(n)
+    factors = []
+    for indicator, multiplicity in factorization.terms.items():
+        poly = SparsePoly.x_power(multiplicity)
+        for k in range(multiplicity):
+            poly = poly + SparsePoly.x_power(k) * rng.randint(-3, 3)
+        factors.append((indicator, poly))
+    tuples = []
+    for pos in range(n.diagram.size):
+        product = SparsePoly.constant(1)
+        for indicator, poly in factors:
+            if indicator.values[pos]:
+                product = product * poly
+        tuples.append(product)
+    return tuples
+
+
+def _coefficients(poly):
+    """Integer x-coefficients of a polynomial in x alone, lowest power first."""
+    return [c.terms.get((), 0) for c in poly.x_coefficients()]
+
+
+def _poly(coeffs):
+    return SparsePoly({((X, k),): c for k, c in enumerate(coeffs)})
+
+
+def test_nested_polynomials_match_the_sparse_builder():
+    shapes = ((1,), (2,), (2, 1), (2, 2), (3, 1))
+    fillings = [n for cols in shapes for n in enumerate_rpps(YoungDiagram(cols), 3)]
+    for seed in range(8):
+        rng = random.Random(seed)
+        instances = fillings + [random_instance(rng) for _ in range(30)]
+        for n in instances:
+            state = rng.getstate()
+            fast = _random_nested_polynomials(rng, n)
+            after = rng.getstate()
+            rng.setstate(state)
+            slow = _sparse_nested_polynomials(rng, n)
+            assert rng.getstate() == after
+            assert fast == [_coefficients(p) for p in slow], n.to_text()
+            assert [len(c) - 1 for c in fast] == list(n.values)
+
+
+def _random_monic(rng, degree):
+    return [rng.randint(-3, 3) for _ in range(degree)] + [1]
+
+
+def test_exact_quotient_agrees_with_divmod_in_x():
+    rng = random.Random(3)
+    pairs = []
+    for _ in range(300):
+        g = _random_monic(rng, rng.randint(0, 4))
+        h = _random_monic(rng, rng.randint(0, 4))
+        f = _coefficients(_poly(g) * _poly(h))
+        pairs.append((f, g))  # divisible
+        if len(g) > 1:
+            r = [rng.randint(-3, 3) for _ in range(len(g) - 1)]
+            r[rng.randrange(len(r))] = rng.choice((-2, -1, 1, 2))
+            pairs.append(([a + b for a, b in zip(f, r)] + f[len(r) :], g))  # remainder r
+        pairs.append((_random_monic(rng, rng.randint(0, 5)), g))  # either
+    divisible = 0
+    for f, g in pairs:
+        quotient = _exact_quotient(f, g)
+        q, r = divmod_in_x(_poly(f), _poly(g))
+        assert (quotient is None) == (not r.is_zero()), (f, g)
+        if quotient is not None:
+            divisible += 1
+            assert _poly(quotient) == q, (f, g)
+    assert 300 <= divisible < len(pairs)
