@@ -30,6 +30,7 @@ from .poly import parse_poly, var_a, var_b, var_c
 from .pointcount import count_points
 from .rpp import (
     RPP,
+    Factorization,
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
@@ -290,15 +291,15 @@ def random_instance(rng: random.Random, max_boxes: int = 6, max_entry: int = 5) 
             return n
 
 
-def _random_nested_polynomials(rng: random.Random, n: RPP) -> list:
+def _random_nested_polynomials(rng: random.Random, n: RPP, standard: Factorization) -> list:
     """Monic integer polynomials per box, row-major, nested by left/up divisibility.
 
-    Each is an int coefficient list, lowest power first.
+    ``standard`` is the standard factorisation of ``n`` (empty when ``n``
+    is zero); each of its indicators draws one random monic factor.  Each
+    polynomial is an int coefficient list, lowest power first.
     """
-    if n.is_zero():
-        return [[1]] * n.diagram.size
     factors = []
-    for indicator, multiplicity in standard_factorization(n).terms.items():
+    for indicator, multiplicity in standard.terms.items():
         factors.append((indicator, [rng.randint(-3, 3) for _ in range(multiplicity)] + [1]))
     tuples = []
     for pos in range(n.diagram.size):
@@ -348,8 +349,9 @@ def check_random_instance(rng: random.Random) -> list:
         facts = None
     if facts is not None and any(f.length != omega for f in facts):
         problems.append(f"{label}: a factorisation length differs from the weight")
+    standard = Factorization({}) if n.is_zero() else standard_factorization(n)
     if not n.is_zero():
-        candidates = [standard_factorization(n)]
+        candidates = [standard]
         complete = complete_factorization(n)
         if complete is not None:
             candidates.append(complete)
@@ -371,7 +373,7 @@ def check_random_instance(rng: random.Random) -> list:
         if not check_grading(ideal):
             problems.append(f"{label}: type {tag} presentation inhomogeneous")
     diagram = n.diagram
-    tuples = _random_nested_polynomials(rng, n)
+    tuples = _random_nested_polynomials(rng, n, standard)
     assignment = {}
     for box, degree, coeffs in zip(diagram.boxes, n.values, tuples):
         for k in range(1, degree + 1):

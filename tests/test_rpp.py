@@ -1,5 +1,6 @@
 """Monotone fillings, their derivative and weight, and monoid factorisations."""
 
+import random
 from itertools import product
 
 import pytest
@@ -254,11 +255,61 @@ def _as_terms(facts):
     return [[(ind.values, m) for ind, m in f.terms.items()] for f in facts]
 
 
+def _rising_filling(diagram, step):
+    """RPP whose labels rise by ``step()`` over the larger of the left and upper neighbours."""
+    vals = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
+    for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
+        vals[p] = max(vals[l], vals[u]) + step()
+    return RPP(diagram, vals[:-1])
+
+
+def _filling_of_weight(rng, diagram, weight):
+    while True:
+        n = _rising_filling(diagram, lambda: rng.choice((0, 0, 1, 1, 2)))
+        if n.weight() == weight:
+            return n
+
+
 def test_guard_search_matches_tuple_subtraction_oracle():
     fillings = [r for d in diagrams_up_to(5) for r in enumerate_rpps(d, 4)]
     assert len(fillings) == 305
-    for n in fillings + [RPP.from_text(FT.GRID_TEXT), RPP.from_text("0 2 4 / 2 4 6 / 4 6 8")]:
+    fillings += [RPP.from_text(FT.GRID_TEXT), RPP.from_text("0 2 4 / 2 4 6 / 4 6 8")]
+    # the classify workload's shapes and weights
+    rng = random.Random(2024)
+    for cols in ((3, 3, 3), (4, 3, 2, 1)):
+        d = YoungDiagram(cols)
+        fillings += [_filling_of_weight(rng, d, w) for w in range(6, 11) for _ in range(4)]
+    for n in fillings:
         assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n)), n
+
+
+def test_first_member_boxes_are_nondecreasing_along_the_indicator_list():
+    # the factorisation search branches on a contiguous block of this list
+    diagrams = diagrams_up_to(8)
+    assert len(diagrams) == 66
+    for d in diagrams:
+        firsts = [nu.values.index(1) for nu in indicators(d)]
+        assert firsts == sorted(firsts), d.cols
+
+
+def test_search_matches_tuple_subtraction_oracle_on_random_fillings():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    diagrams = diagrams_up_to(9)
+
+    @st.composite
+    def fillings(draw):
+        return _rising_filling(draw(st.sampled_from(diagrams)), lambda: draw(st.integers(0, 2)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(fillings())
+    def check(n):
+        hypothesis.assume(n.weight() <= rpphilb.rpp.MAX_FACTORIZATION_WEIGHT)
+        assert len(indicators(n.diagram)) <= rpphilb.rpp.MAX_FACTORIZATION_INDICATORS
+        assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n))
+
+    check()
 
 
 def test_indicator_table_is_built_once_per_diagram(monkeypatch):

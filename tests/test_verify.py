@@ -7,7 +7,7 @@ import pytest
 from rpphilb import DomainError, verify
 from rpphilb.diagram import YoungDiagram
 from rpphilb.poly import X, SparsePoly, divmod_in_x
-from rpphilb.rpp import enumerate_rpps, standard_factorization
+from rpphilb.rpp import Factorization, enumerate_rpps, standard_factorization
 from rpphilb.verify import (
     _exact_quotient,
     _random_nested_polynomials,
@@ -77,7 +77,7 @@ def test_check_random_instance_lists_no_failures():
 def test_non_nested_tuple_is_reported_as_a_divisibility_failure(monkeypatch):
     # x^d + (p+1)(x^(d-1) + ... + 1) at row-major position p: not nested, so
     # some division fails and leaves type II variables unassigned
-    def not_nested(rng, n):
+    def not_nested(rng, n, standard):
         return [[p + 1] * d + [1] for p, d in enumerate(n.values)]
 
     monkeypatch.setattr(verify, "_random_nested_polynomials", not_nested)
@@ -130,8 +130,9 @@ def test_nested_polynomials_match_the_sparse_builder():
         rng = random.Random(seed)
         instances = fillings + [random_instance(rng) for _ in range(30)]
         for n in instances:
+            standard = Factorization({}) if n.is_zero() else standard_factorization(n)
             state = rng.getstate()
-            fast = _random_nested_polynomials(rng, n)
+            fast = _random_nested_polynomials(rng, n, standard)
             after = rng.getstate()
             rng.setstate(state)
             slow = _sparse_nested_polynomials(rng, n)
