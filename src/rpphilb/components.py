@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import YoungDiagram
 from .errors import CapExceeded
-from .linalg import integer_normalize, kernel_basis, rref, solve_from_rref
+from .linalg import kernel_basis, rref, solve_from_rref
 from .rpp import RPP, Factorization, all_factorizations, indicators
 
 #: default cap on the lattice-point search in bijective_on_points
@@ -79,8 +78,7 @@ def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
     basis = kernel_basis(_support_matrix(T))
     if not basis:
         return True, None
-    witness = integer_normalize(basis[0])
-    coeffs = {ind: c for ind, c in zip(T.support, witness) if c}
+    coeffs = {ind: c for ind, c in zip(T.support, basis[0]) if c}
     _check_relation(T, coeffs)
     return False, coeffs
 
@@ -122,13 +120,8 @@ def bijective_on_points(
     for values in itertools.product(*(range(-mults[f], mults[f] + 1) for f in free)):
         if all(v == 0 for v in values):
             continue
-        vec = solve_from_rref(
-            reduced, pivots, {f: Fraction(v) for f, v in zip(free, values)}, len(support)
-        )
-        if any(v.denominator != 1 for v in vec):
-            continue
-        ints = [int(v) for v in vec]
-        if any(abs(m) > bound for m, bound in zip(ints, mults)):
+        ints = solve_from_rref(reduced, pivots, dict(zip(free, values)), len(support))
+        if ints is None or any(abs(m) > bound for m, bound in zip(ints, mults)):
             continue
         for v in ints:
             if v != 0:
@@ -175,18 +168,13 @@ def _lift_witness(diagram: YoungDiagram, coeffs: dict | None) -> tuple | None:
     return tuple(coeffs.get(ind, 0) for ind in indicators(diagram))
 
 
-def classify(
-    n: RPP,
-    max_weight: int | None = None,
-    max_indicators: int | None = None,
-    max_search: int = MAX_WITNESS_SEARCH,
-) -> list[ComponentReport]:
+def classify(n: RPP) -> list[ComponentReport]:
     """One report per factorisation, in enumeration order."""
     dim = component_dimension(n)
     reports = []
-    for T in all_factorizations(n, max_weight=max_weight, max_indicators=max_indicators):
+    for T in all_factorizations(n):
         inj, diff_witness = differential_injective(T)
-        bij, box_witness = bijective_on_points(T, max_search=max_search)
+        bij, box_witness = bijective_on_points(T)
         if not bij:
             witness = box_witness
         elif not inj:

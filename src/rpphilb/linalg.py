@@ -1,37 +1,34 @@
-"""Exact linear algebra over the rationals (no floats).
+"""Exact linear algebra over the integers (no floats, no rationals).
 
-Small dense matrices only: row reduction, rank, kernel bases, and integer
-normalisation of rational vectors.  Matrices are lists of rows whose
-entries are ints or Fractions; results are Fractions.
+Small dense integer matrices only: row reduction, rank, primitive integer
+kernel vectors and integer back-substitution.  Matrices are lists of rows
+of ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+
+def _primitive(vector: list[int]) -> list[int]:
+    """The vector divided by the gcd of its entries, signed so the first nonzero entry is positive."""
+    g = gcd(*vector)
+    if next(x for x in vector if x) < 0:
+        g = -g
+    return vector if g == 1 else [x // g for x in vector]
 
 
-def _integer_row(row) -> list[int]:
-    """The row scaled by the lcm of its denominators; scaling leaves the RREF unchanged."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    fracs = [Fraction(x) for x in row]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs]
+def rref(matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form, one primitive integer row per row, and the pivot columns.
 
-
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the pivot column indices.
-
-    Gauss-Jordan runs over Python ints: each rational row is first scaled
-    to an integer one, an update takes pivot * row - entry * pivot_row,
-    and the updated row is divided by the gcd of its entries, so no
-    Fraction is built until the output, where each pivot row is divided
-    by its pivot.  The RREF is unique, so this equals rational elimination.
+    Row r is the primitive integer multiple, with a positive pivot, of row r
+    of the rational RREF; dividing it by its pivot entry gives that row.
+    Gauss-Jordan runs over Python ints, fraction-free (cf. Bareiss, Math.
+    Comp. 22, 1968): an update takes pivot * row - entry * pivot_row and
+    divides the result by the gcd of its entries.  The rational RREF is
+    unique, so the rows do not depend on the elimination order.
     """
-    m = [_integer_row(row) for row in matrix]
+    m = [list(row) for row in matrix]
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -56,11 +53,9 @@ def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
         row += 1
         if row == n_rows:
             break
-    out = []
-    for r, p in enumerate(pivots):
-        pv = m[r][p]
-        out.append([_ZERO if not x else _ONE if x == pv else Fraction(x, pv) for x in m[r]])
-    out += [[_ZERO] * n_cols for _ in range(n_rows - len(pivots))]
+    # a pivot is the first nonzero entry of its row
+    out = [_primitive(m[r]) for r in range(len(pivots))]
+    out += [[0] * n_cols for _ in range(n_rows - len(pivots))]
     return out, pivots
 
 
@@ -68,11 +63,13 @@ def rank(matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column.
+def kernel_basis(matrix) -> list[list[int]]:
+    """Basis of the right kernel, one primitive integer vector per free column.
 
-    The vector for free column f has 1 at f and the solved pivot entries
-    elsewhere; vectors are ordered by free column index.
+    The vector for free column f is the primitive integer multiple, with
+    its first nonzero entry positive, of the rational kernel vector with 1
+    at f, 0 at the other free columns and the solved pivot entries;
+    vectors are ordered by free column index.
     """
     m, pivots = rref(matrix)
     if not m:
@@ -80,52 +77,36 @@ def kernel_basis(matrix) -> list[list[Fraction]]:
     n_cols = len(m[0])
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]
+    # pivot p solves to -m[r][f] / m[r][p], so scaling by the lcm of the pivots clears denominators
+    scale = lcm(*(m[r][p] for r, p in enumerate(pivots)))
     basis = []
     for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
+        vec = [0] * n_cols
+        vec[f] = scale
         for r, p in enumerate(pivots):
-            vec[p] = -m[r][f]
-        basis.append(vec)
+            vec[p] = -m[r][f] * (scale // m[r][p])
+        basis.append(_primitive(vec))
     return basis
 
 
-def integer_normalize(vector) -> list[int]:
-    """Scale a rational vector to a primitive integer vector.
-
-    Clears denominators, divides by the gcd, and flips signs so the first
-    nonzero entry is positive.  The zero vector maps to itself.
-    """
-    vec = [Fraction(v) for v in vector]
-    if all(v == 0 for v in vec):
-        return [0] * len(vec)
-    denom_lcm = 1
-    for v in vec:
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
-
-
 def solve_from_rref(
-    reduced: list[list[Fraction]],
+    reduced: list[list[int]],
     pivots: list[int],
-    free_values: dict[int, Fraction],
+    free_values: dict[int, int],
     n_cols: int,
-) -> list[Fraction]:
-    """Kernel vector with the given free-column values (all free columns required)."""
-    vec = [Fraction(0)] * n_cols
+) -> list[int] | None:
+    """Integer kernel vector with the given free-column values (all free columns required).
+
+    Each pivot entry is solved by exact division; returns None when one of
+    them is not an integer.
+    """
+    vec = [0] * n_cols
     for f, val in free_values.items():
-        vec[f] = Fraction(val)
+        vec[f] = val
     for r, p in enumerate(pivots):
-        vec[p] = -sum(reduced[r][f] * v for f, v in free_values.items())
+        row = reduced[r]
+        q, rem = divmod(-sum(row[f] * v for f, v in free_values.items()), row[p])
+        if rem:
+            return None
+        vec[p] = q
     return vec

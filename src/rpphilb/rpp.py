@@ -182,7 +182,7 @@ def zero_rpp(diagram: YoungDiagram) -> RPP:
 class Indicator(RPP):
     """0/1 filling of a nonempty edge-connected upper set — an irreducible RPP."""
 
-    __slots__ = ("upper_set",)
+    __slots__ = ()
 
     def __init__(self, upper_set: UpperSet):
         if not upper_set.members:
@@ -190,7 +190,6 @@ class Indicator(RPP):
         if not upper_set.is_connected():
             raise DomainError("disconnected-upper-set", "indicator needs a connected upper set", None)
         super().__init__(upper_set.diagram, upper_set.member_vector())
-        self.upper_set = upper_set
 
 
 def indicators(diagram: YoungDiagram) -> list[Indicator]:
@@ -252,9 +251,7 @@ class Factorization:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factorization):
             return NotImplemented
-        mine = {(ind.diagram.cols, ind.values): m for ind, m in self.terms.items()}
-        theirs = {(ind.diagram.cols, ind.values): m for ind, m in other.terms.items()}
-        return mine == theirs
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset((ind.values, m) for ind, m in self.terms.items()))

@@ -85,7 +85,7 @@ def _row_classify(row: dict) -> list:
     if len(reports) != len(expected["components"]):
         problems.append(f"{len(reports)} components != {len(expected['components'])}")
         return problems
-    facts = all_factorizations(n)
+    facts = [r.factorization for r in reports]
     std = facts.index(standard_factorization(n))
     if std != expected["standard_index"]:
         problems.append(f"standard factorisation at {std} != {expected['standard_index']}")

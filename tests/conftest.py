@@ -18,6 +18,22 @@ def diagrams_up_to(n_boxes):
     return [YoungDiagram(p) for n in range(1, n_boxes + 1) for p in parts(n, n)]
 
 
+def rising_filling(diagram, step):
+    """RPP whose labels rise by ``step()`` over the larger of the left and upper neighbours."""
+    vals = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
+    for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
+        vals[p] = max(vals[l], vals[u]) + step()
+    return RPP(diagram, vals[:-1])
+
+
+def filling_of_weight(rng, diagram, weight):
+    """A seeded rising filling of exactly the given weight."""
+    while True:
+        n = rising_filling(diagram, lambda: rng.choice((0, 0, 1, 1, 2)))
+        if n.weight() == weight:
+            return n
+
+
 @pytest.fixture
 def square_diagram():
     return YoungDiagram((2, 2))

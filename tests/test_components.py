@@ -1,8 +1,11 @@
 """Component classification: smoothness, point bijectivity, witnesses."""
 
+import itertools
+import random
+
 import pytest
 
-from rpphilb import RPP, CapExceeded
+from rpphilb import RPP, CapExceeded, YoungDiagram
 from rpphilb.components import (
     bijective_on_points,
     classify,
@@ -10,10 +13,10 @@ from rpphilb.components import (
     differential_injective,
     dimension_recursive,
 )
-from rpphilb.rpp import Factorization, enumerate_rpps, indicators
+from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
 import frozen_tables as FT
-from conftest import diagrams_up_to
+from conftest import diagrams_up_to, filling_of_weight
 
 
 def _report_rows(reports, diagram):
@@ -134,3 +137,37 @@ def test_small_weight_is_always_smooth():
         n = RPP.from_text(text)
         assert n.weight() <= 3
         assert all(rep.smooth for rep in classify(n))
+
+
+def _brute_force_bijective(T):
+    """bijective_on_points by trying every vector of the full multiplicity box."""
+    support = T.support
+    mults = [T.multiplicity(ind) for ind in support]
+    rows = range(support[0].diagram.size)
+    best = None
+    for m in itertools.product(*(range(-b, b + 1) for b in mults)):
+        if not any(m) or any(sum(c * ind.values[r] for c, ind in zip(m, support)) for r in rows):
+            continue
+        if next(c for c in m if c) < 0:
+            m = tuple(-c for c in m)
+        score = (sum(map(abs, m)), m)
+        best = score if best is None else min(best, score)
+    if best is None:
+        return True, None
+    return False, {ind: c for ind, c in zip(support, best[1]) if c}
+
+
+def test_witness_search_matches_the_full_multiplicity_box():
+    # the classify workload's shapes at weight <= 8, and the paper's two grids
+    fillings = [RPP.from_text(FT.GRID_TEXT), RPP.from_text("0 2 4 / 2 4 6 / 4 6 8")]
+    rng = random.Random(2024)
+    for cols in ((3, 3, 3), (4, 3, 2, 1)):
+        d = YoungDiagram(cols)
+        fillings += [filling_of_weight(rng, d, w) for w in range(4, 9) for _ in range(3)]
+    verdicts = []
+    for n in fillings:
+        for T in all_factorizations(n):
+            found = bijective_on_points(T)
+            assert found == _brute_force_bijective(T), (n.to_text(), T)
+            verdicts.append(found[0])
+    assert 0 < verdicts.count(False) < len(verdicts)

@@ -1,16 +1,15 @@
-"""Exact rational elimination: rref, rank, kernels, integer normalisation."""
+"""Exact integer elimination: rref, rank, kernels, back-substitution.
+
+The Fraction path below (Gauss-Jordan, kernel vectors, integer
+normalisation, back-substitution) is the oracle for the integer one.
+"""
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from rpphilb.linalg import (
-    integer_normalize,
-    kernel_basis,
-    rank,
-    rref,
-    solve_from_rref,
-)
+from rpphilb.linalg import kernel_basis, rank, rref, solve_from_rref
 
 
 def _fraction_rref(matrix):
@@ -43,11 +42,87 @@ def _fraction_rref(matrix):
     return m, pivots
 
 
+def integer_normalize(vector):
+    """Scale a rational vector to a primitive integer vector, first nonzero entry positive."""
+    vec = [Fraction(v) for v in vector]
+    if all(v == 0 for v in vec):
+        return [0] * len(vec)
+    denom_lcm = 1
+    for v in vec:
+        d = v.denominator
+        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    ints = [int(v * denom_lcm) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return ints
+
+
+def _fraction_kernel(reduced, pivots):
+    """One rational kernel vector per free column: 1 there, the solved pivots elsewhere."""
+    n_cols = len(reduced[0]) if reduced else 0
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _fraction_solve(reduced, pivots, free_values, n_cols):
+    """Kernel vector over the rationals with the given free-column values."""
+    vec = [Fraction(0)] * n_cols
+    for f, val in free_values.items():
+        vec[f] = Fraction(val)
+    for r, p in enumerate(pivots):
+        vec[p] = -sum(reduced[r][f] * v for f, v in free_values.items())
+    return vec
+
+
 def _assert_matches_oracle(matrix):
+    """rref, kernel_basis and solve_from_rref against the Fraction path.
+
+    Back-substitution is checked at every free-value vector in {-1..2}^free
+    when there are at most three free columns, else at 64 seeded random
+    vectors with entries in -3..3.
+    """
     reduced, pivots = rref(matrix)
     expected, expected_pivots = _fraction_rref(matrix)
-    assert (reduced, pivots) == (expected, expected_pivots), matrix
-    assert all(type(x) is Fraction for row in reduced for x in row), matrix
+    assert pivots == expected_pivots, matrix
+    assert all(type(x) is int for row in reduced for x in row), matrix
+    for r, row in enumerate(reduced):
+        if r < len(pivots):
+            assert row[pivots[r]] > 0 and gcd(*row) == 1, matrix
+            assert [Fraction(x, row[pivots[r]]) for x in row] == expected[r], matrix
+        else:
+            assert not any(row) and not any(expected[r]), matrix
+    assert kernel_basis(matrix) == [integer_normalize(v) for v in _fraction_kernel(expected, pivots)], matrix
+
+    n_cols = len(matrix[0]) if matrix else 0
+    free = [c for c in range(n_cols) if c not in pivots]
+    if len(free) <= 3:
+        vectors = product(range(-1, 3), repeat=len(free))
+    else:
+        rng = random.Random(repr(matrix))
+        vectors = [[rng.randint(-3, 3) for _ in free] for _ in range(64)]
+    for values in vectors:
+        free_values = dict(zip(free, values))
+        want = _fraction_solve(expected, pivots, free_values, n_cols)
+        got = solve_from_rref(reduced, pivots, free_values, n_cols)
+        if all(x.denominator == 1 for x in want):
+            assert got == want, (matrix, free_values)
+        else:
+            assert got is None, (matrix, free_values)
 
 
 def test_rref_matches_fraction_elimination_on_small_integer_matrices():
@@ -67,7 +142,10 @@ def test_rref_matches_fraction_elimination_on_random_matrices():
         n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
         ints = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n_cols)] for _ in range(n_rows)]
         _assert_matches_oracle(ints)
-        _assert_matches_oracle([[Fraction(x, rng.randint(1, 6)) for x in row] for row in ints])
+        # scaling a row by a nonzero integer leaves the reduced rows unchanged
+        scales = [rng.choice((-6, -3, -2, -1, 1, 2, 3, 5)) for _ in ints]
+        scaled = [[k * x for x in row] for k, row in zip(scales, ints)]
+        assert rref(scaled) == rref(ints), ints
         square = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
         _assert_matches_oracle(square)
     _assert_matches_oracle([])
@@ -103,18 +181,27 @@ def test_integer_normalize_clears_denominators_and_sign():
     assert integer_normalize([Fraction(2, 3), Fraction(-4, 3)]) == [1, -2]
     assert integer_normalize([Fraction(-1, 2), Fraction(1, 4)]) == [2, -1]
     assert integer_normalize([Fraction(0), Fraction(-3)]) == [0, 1]
+    # kernel_basis returns the same normalisation of its rational kernel vectors
+    assert kernel_basis([[2, 1]]) == [[1, -2]]
+    assert kernel_basis([[1, 4]]) == [[4, -1]]
+    assert kernel_basis([[1, 0], [0, 0]]) == [[0, 1]]
 
 
 def test_solve_from_rref_yields_kernel_vector():
     matrix = [[1, 0, 2], [0, 1, 3]]
     reduced, pivots = rref(matrix)
-    x = solve_from_rref(reduced, pivots, {2: Fraction(5)}, 3)
-    assert x == [Fraction(-10), Fraction(-15), Fraction(5)]
+    x = solve_from_rref(reduced, pivots, {2: 5}, 3)
+    assert x == [-10, -15, 5]
     for row in matrix:
         assert sum(r * v for r, v in zip(row, x)) == 0
 
 
-def test_rref_with_fraction_entries():
-    reduced, pivots = rref([[Fraction(1, 2), Fraction(1, 3)]])
-    assert reduced == [[1, Fraction(2, 3)]]
-    assert pivots == [0]
+def test_solve_from_rref_rejects_a_non_integral_pivot_entry():
+    reduced, pivots = rref([[2, 0, 1], [0, 3, 1]])
+    assert reduced == [[2, 0, 1], [0, 3, 1]]
+    assert solve_from_rref(reduced, pivots, {2: 1}, 3) is None
+    assert solve_from_rref(reduced, pivots, {2: 6}, 3) == [-3, -2, 6]
+
+
+def test_rref_is_invariant_under_row_scaling():
+    assert rref([[3, 2]]) == rref([[6, 4]]) == rref([[-3, -2]]) == ([[3, 2]], [0])

@@ -20,7 +20,7 @@ from rpphilb.rpp import (
 )
 
 import frozen_tables as FT
-from conftest import diagrams_up_to
+from conftest import diagrams_up_to, filling_of_weight, rising_filling
 
 
 def test_text_round_trip(square_rpp):
@@ -255,21 +255,6 @@ def _as_terms(facts):
     return [[(ind.values, m) for ind, m in f.terms.items()] for f in facts]
 
 
-def _rising_filling(diagram, step):
-    """RPP whose labels rise by ``step()`` over the larger of the left and upper neighbours."""
-    vals = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
-    for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
-        vals[p] = max(vals[l], vals[u]) + step()
-    return RPP(diagram, vals[:-1])
-
-
-def _filling_of_weight(rng, diagram, weight):
-    while True:
-        n = _rising_filling(diagram, lambda: rng.choice((0, 0, 1, 1, 2)))
-        if n.weight() == weight:
-            return n
-
-
 def test_guard_search_matches_tuple_subtraction_oracle():
     fillings = [r for d in diagrams_up_to(5) for r in enumerate_rpps(d, 4)]
     assert len(fillings) == 305
@@ -278,7 +263,7 @@ def test_guard_search_matches_tuple_subtraction_oracle():
     rng = random.Random(2024)
     for cols in ((3, 3, 3), (4, 3, 2, 1)):
         d = YoungDiagram(cols)
-        fillings += [_filling_of_weight(rng, d, w) for w in range(6, 11) for _ in range(4)]
+        fillings += [filling_of_weight(rng, d, w) for w in range(6, 11) for _ in range(4)]
     for n in fillings:
         assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n)), n
 
@@ -300,7 +285,7 @@ def test_search_matches_tuple_subtraction_oracle_on_random_fillings():
 
     @st.composite
     def fillings(draw):
-        return _rising_filling(draw(st.sampled_from(diagrams)), lambda: draw(st.integers(0, 2)))
+        return rising_filling(draw(st.sampled_from(diagrams)), lambda: draw(st.integers(0, 2)))
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(fillings())
