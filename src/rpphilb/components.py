@@ -83,9 +83,7 @@ def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
     return False, coeffs
 
 
-def bijective_on_points(
-    T: Factorization, max_search: int = MAX_WITNESS_SEARCH
-) -> tuple[bool, dict | None]:
+def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
     """Whether no integer relation fits inside the multiplicity box.
 
     Searches for a nonzero integer kernel vector m with |m_ν| ≤ n_ν for
@@ -109,10 +107,10 @@ def bijective_on_points(
     combos = 1
     for f in free:
         combos *= 2 * mults[f] + 1
-    if combos > max_search:
+    if combos > MAX_WITNESS_SEARCH:
         raise CapExceeded(
             "search-too-large",
-            f"witness box has {combos} lattice points, cap is {max_search}",
+            f"witness box has {combos} lattice points, cap is {MAX_WITNESS_SEARCH}",
             None,
         )
 

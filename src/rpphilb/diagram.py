@@ -269,7 +269,6 @@ def enumerate_upper_sets(
     diagram: YoungDiagram,
     connected_only: bool = False,
     nonempty_only: bool = False,
-    max_boxes: int | None = None,
 ) -> list[UpperSet]:
     """All upward-closed subsets of the diagram, canonically ordered.
 
@@ -278,11 +277,10 @@ def enumerate_upper_sets(
     set and the edge-disconnected ones.  Output is sorted descending-lex on
     the row-major 0/1 member vector.
     """
-    cap = MAX_DIAGRAM_BOXES if max_boxes is None else max_boxes
-    if diagram.size > cap:
+    if diagram.size > MAX_DIAGRAM_BOXES:
         raise CapExceeded(
             "diagram-too-large",
-            f"diagram has {diagram.size} boxes, cap is {cap}",
+            f"diagram has {diagram.size} boxes, cap is {MAX_DIAGRAM_BOXES}",
             list(diagram.cols),
         )
     out = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import rank
-from .poly import X, SparsePoly, VarId, divmod_in_x, var_a, var_b, var_c
+from .poly import SparsePoly, VarId, monic_divmod, poly_mul, var_a, var_b, var_c
 from .rpp import RPP
 
 
@@ -111,19 +111,14 @@ class IdealPresentation:
         }
 
 
-def _monic(d: int, var, box) -> SparsePoly:
-    """x^d + var(i,j,1)·x^(d-1) + … + var(i,j,d), the universal monic of degree d at a box."""
+def _monic(d: int, var, box) -> tuple:
+    """x^d + var(i,j,1)·x^(d-1) + … + var(i,j,d), the universal monic of degree d at a box.
+
+    The x-coefficient tuple, lowest power first, as ``poly_mul`` and
+    ``monic_divmod`` take it.
+    """
     i, j = box
-    terms = {((X, d - k), (var(i, j, k), 1)): 1 for k in range(1, d + 1)}
-    terms[((X, d),)] = 1
-    return SparsePoly(terms)
-
-
-def _top_coefficients(f: SparsePoly, d: int) -> list[SparsePoly]:
-    """The x-coefficients of f, of x-degree below d, zero-padded to d, highest power first."""
-    coeffs = f.x_coefficients()
-    coeffs += [SparsePoly.constant(0)] * (d - len(coeffs))
-    return coeffs[::-1]
+    return (*(SparsePoly.variable(var(i, j, k)) for k in range(d, 0, -1)), 1)
 
 
 def type_i_ideal(n: RPP) -> IdealPresentation:
@@ -145,7 +140,7 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
             d = v[q]  # 0 also when the neighbour is absent (q == -1)
             if d == 0:
                 continue
-            generators.extend(_top_coefficients(divmod_in_x(polys[p], polys[q])[1], d))
+            generators.extend(reversed(monic_divmod(polys[p], polys[q])[1]))
             groups.append({"box": tuple(box), "divisor_box": tuple(lam.boxes[q]), "size": d})
     return IdealPresentation(
         ambient_vars=ambient,
@@ -175,7 +170,7 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     row_deg = [v[p] - v[l] for p, l in enumerate(left)]
     col_deg = [v[p] - v[u] for p, u in enumerate(up)]
     # the factor of an absent neighbour, read at position -1, is the constant 1
-    one = SparsePoly.constant(1)
+    one = (1,)
     rows = [_monic(d, var_b, b) for d, b in zip(row_deg, lam.boxes)] + [one]
     cols = [_monic(d, var_c, b) for d, b in zip(col_deg, lam.boxes)] + [one]
 
@@ -202,9 +197,9 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
         D = v[p] - v[ul]
         if D == 0:
             continue
-        eq = rows[p] * cols[l] - cols[p] * rows[u]
-        assert eq.degree_in_x() < D, "monic leading terms must cancel"
-        generators.extend(_top_coefficients(eq, D))
+        lhs, rhs = poly_mul(rows[p], cols[l]), poly_mul(cols[p], rows[u])
+        assert len(lhs) == len(rhs) == D + 1, "both products are monic of degree D"
+        generators.extend(a - b for a, b in zip(reversed(lhs[:D]), reversed(rhs[:D])))
         groups.append({"box": tuple(box), "size": D})
     return IdealPresentation(
         ambient_vars=ambient,
@@ -243,7 +238,6 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     """
     assert check_grading(I), "tangent reduction requires a homogeneous presentation"
     var_order = list(I.ambient_vars)
-    var_pos = {v: p for p, v in enumerate(var_order)}
     lin_matrix = []
     for g in I.generators:
         lp = g.linear_part()

@@ -61,12 +61,12 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int, max_p: int = DEFAULT_MAX_P):
+    def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise DomainError("nonprime-modulus", f"modulus {p!r} is not prime", p)
-        if p > max_p:
+        if p > DEFAULT_MAX_P:
             raise CapExceeded(
-                "cap-exceeded", f"modulus {p} exceeds the field-size cap {max_p}", p
+                "cap-exceeded", f"modulus {p} exceeds the field-size cap {DEFAULT_MAX_P}", p
             )
         self.p = p
 
@@ -92,16 +92,14 @@ class PrimeField:
         return not any(rem[:da])
 
 
-def count_points(
-    n: RPP, p: int, budget: int | None = None, max_p: int = DEFAULT_MAX_P
-) -> int:
+def count_points(n: RPP, p: int, budget: int | None = None) -> int:
     """Number of nested tuples of monic polynomials over F_p shaped by n.
 
     One monic polynomial of degree n(box) per box, with the left and up
     neighbours dividing it.  The raw search space has p^|n| tuples; the
     call refuses to start when that exceeds the budget.
     """
-    field = PrimeField(p, max_p)
+    field = PrimeField(p)
     if budget is None:
         budget = configured_budget()
     cost = p**n.size

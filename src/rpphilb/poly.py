@@ -8,6 +8,12 @@ coefficients.
 
 The text format uses ``+ - * ^`` with explicit multiplication, e.g.
 ``x^3 - a_1_0_1*x^2 + 2``, and round-trips through ``parse_poly``.
+
+A univariate polynomial is a tuple of coefficients, lowest power first,
+whose entries are ints or SparsePolys.  ``poly_mul`` and ``monic_divmod``
+are the one product and the one monic division on such tuples: series
+coefficients in Z[L], the local equations' monics in x and the integer
+nested tuples of ``verify`` all use them.
 """
 
 from __future__ import annotations
@@ -195,10 +201,6 @@ class SparsePoly:
             coeffs[d][tuple(rest)] = coeffs[d].get(tuple(rest), 0) + c
         return [_raw(d) for d in coeffs]
 
-    def coefficient_of_x(self, k: int) -> "SparsePoly":
-        coeffs = self.x_coefficients()
-        return coeffs[k] if 0 <= k < len(coeffs) else SparsePoly.constant(0)
-
     # -- degrees, linear parts, substitution -----------------------------------
 
     def weighted_degree(self, grading) -> int | None:
@@ -299,25 +301,47 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return _sorted_monomial(exps.items())
 
 
+def poly_mul(f, g) -> tuple:
+    """Product of two coefficient tuples, lowest power first; entries are ints or SparsePolys."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def monic_divmod(f, g) -> tuple[tuple, tuple]:
+    """Quotient and remainder of coefficient tuples, lowest power first, by a monic g.
+
+    Entries are ints or SparsePolys.  The remainder has exactly len(g) − 1
+    entries, zero-padded however short f is.
+    """
+    if not g or g[-1] != 1:
+        raise DomainError("non-monic-divisor", "division requires a divisor monic in x", tuple(g))
+    dg = len(g) - 1
+    rest = list(f) + [0] * (dg - len(f))
+    quotient = [0] * (len(rest) - dg)
+    for k in reversed(range(len(quotient))):
+        c = quotient[k] = rest[k + dg]
+        for i in range(dg):
+            rest[k + i] -= c * g[i]
+    return tuple(quotient), tuple(rest[:dg])
+
+
 def divmod_in_x(f: SparsePoly, g: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
     """Quotient and remainder of f by g, viewing both as polynomials in x.
 
     The divisor must be monic in x (leading x-coefficient equal to 1), which
     keeps everything over the integers.
     """
-    dg = g.degree_in_x()
-    if dg < 0 or g.coefficient_of_x(dg) != SparsePoly.constant(1):
-        raise DomainError("non-monic-divisor", "division requires a divisor monic in x", str(g))
-    q = SparsePoly.constant(0)
-    r = f
-    while r.degree_in_x() >= dg:
-        dr = r.degree_in_x()
-        lead = r.coefficient_of_x(dr)
-        shift = lead * SparsePoly.x_power(dr - dg)
-        q = q + shift
-        r = r - shift * g
-        assert r.degree_in_x() < dr, "division must strictly reduce the x-degree"
-    return q, r
+    q, r = monic_divmod(f.x_coefficients(), g.x_coefficients())
+    return _from_x_coefficients(q), _from_x_coefficients(r)
+
+
+def _from_x_coefficients(coeffs) -> SparsePoly:
+    return sum((c * SparsePoly.x_power(k) for k, c in enumerate(coeffs)), SparsePoly.constant(0))
 
 
 # -- parser ------------------------------------------------------------------

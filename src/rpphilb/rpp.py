@@ -317,11 +317,7 @@ def _first_fault(diagram: YoungDiagram, vals: tuple[int, ...]) -> int | None:
     return None
 
 
-def all_factorizations(
-    n: RPP,
-    max_weight: int | None = None,
-    max_indicators: int | None = None,
-) -> list[Factorization]:
+def all_factorizations(n: RPP) -> list[Factorization]:
     """Exhaustive duplicate-free enumeration of the factorisations of ``n``.
 
     Depth-first subtraction over the canonical indicator list, with the
@@ -344,15 +340,17 @@ def all_factorizations(
     dropped branches are dead ends; the results and their order are
     unchanged.
     """
-    w_cap = MAX_FACTORIZATION_WEIGHT if max_weight is None else max_weight
-    i_cap = MAX_FACTORIZATION_INDICATORS if max_indicators is None else max_indicators
     w = n.weight()
-    if w > w_cap:
-        raise CapExceeded("search-too-large", f"weight {w} exceeds the cap {w_cap}", n.to_text())
-    inds = indicators(n.diagram)
-    if len(inds) > i_cap:
+    if w > MAX_FACTORIZATION_WEIGHT:
         raise CapExceeded(
-            "search-too-large", f"{len(inds)} indicators exceed the cap {i_cap}", n.to_text()
+            "search-too-large", f"weight {w} exceeds the cap {MAX_FACTORIZATION_WEIGHT}", n.to_text()
+        )
+    inds = indicators(n.diagram)
+    if len(inds) > MAX_FACTORIZATION_INDICATORS:
+        raise CapExceeded(
+            "search-too-large",
+            f"{len(inds)} indicators exceed the cap {MAX_FACTORIZATION_INDICATORS}",
+            n.to_text(),
         )
     if n.is_zero():
         return [Factorization({})]

@@ -7,7 +7,9 @@ zeta factors for the affine line and the projective line are all computed
 as truncated series: exponent vectors with total at most max_size mapping
 to coefficients in Z[L].  A coefficient is a tuple of ints indexed by the
 power of L, lowest first, with no trailing zeros, so L^2 + 1 is (1, 0, 1)
-and zero is the empty tuple, which is never stored.
+and zero is the empty tuple, which is never stored.  Coefficients are
+multiplied by ``poly.poly_mul``; the top entry of a product is a product of
+two nonzero ints, so a product needs no trimming.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from operator import add
 
 from .diagram import YoungDiagram
 from .errors import DomainError
+from .poly import poly_mul
 from .rpp import enumerate_rpps
 from .terms import format_terms
 
@@ -67,7 +70,7 @@ class TruncatedSeries:
                 if s1 + sum(e2) > self.max_size:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = _add(out.get(exp, ()), _mul(c1, c2))
+                out[exp] = _add(out.get(exp, ()), poly_mul(c1, c2))
         return TruncatedSeries(self.n_vars, self.max_size, out, self.single_variable)
 
     def _check_compatible(self, other) -> None:
@@ -138,17 +141,6 @@ def _add(a: tuple, b: tuple) -> tuple:
     return _coefficient(out)
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    # the top entry is a product of two nonzero ints, so nothing to trim
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _product(n_vars: int, max_size: int, factors, single_variable: bool = False) -> TruncatedSeries:
     """Π (1 − w·q^v)^k over the (v, w, k) factors, truncated.
 
@@ -175,7 +167,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
         w, k = _coefficient(weight), abs(power)
         updates, c, w_j = [], 1, (1,)
         for j in range(1, min(k, max_size // step) + 1):
-            c, w_j = c * (j - 1 - k) // j, _mul(w_j, w)
+            c, w_j = c * (j - 1 - k) // j, poly_mul(w_j, w)
             updates.append((j * step, tuple(j * e for e in v), tuple((c if power > 0 else -c) * x for x in w_j)))
         sizes = range(max_size - step + 1) if power < 0 else range(max_size - step, -1, -1)
         for t in sizes:
@@ -185,7 +177,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
                         break
                     target = graded[t + shift]
                     key = tuple(map(add, e, jv))
-                    s = _add(target.get(key, ()), _mul(cw, a))
+                    s = _add(target.get(key, ()), poly_mul(cw, a))
                     if s:
                         target[key] = s
                     else:

@@ -26,7 +26,7 @@ from .equations import (
     type_ii_ideal,
 )
 from .errors import CapExceeded, DomainError
-from .poly import parse_poly, var_a, var_b, var_c
+from .poly import monic_divmod, parse_poly, poly_mul, var_a, var_b, var_c
 from .pointcount import count_points
 from .rpp import (
     RPP,
@@ -296,41 +296,20 @@ def _random_nested_polynomials(rng: random.Random, n: RPP, standard: Factorizati
 
     ``standard`` is the standard factorisation of ``n`` (empty when ``n``
     is zero); each of its indicators draws one random monic factor.  Each
-    polynomial is an int coefficient list, lowest power first.
+    polynomial is an int coefficient tuple, lowest power first, as
+    ``poly.poly_mul`` and ``poly.monic_divmod`` take it.
     """
     factors = []
     for indicator, multiplicity in standard.terms.items():
-        factors.append((indicator, [rng.randint(-3, 3) for _ in range(multiplicity)] + [1]))
+        factors.append((indicator, (*[rng.randint(-3, 3) for _ in range(multiplicity)], 1)))
     tuples = []
     for pos in range(n.diagram.size):
-        product = [1]
+        product = (1,)
         for indicator, coeffs in factors:
             if indicator.values[pos]:
-                product = _convolve(product, coeffs)
+                product = poly_mul(product, coeffs)
         tuples.append(product)
     return tuples
-
-
-def _convolve(f: list, g: list) -> list:
-    """Product of two int coefficient lists."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def _exact_quotient(poly: list, divisor: list) -> list | None:
-    """Quotient of int coefficient lists by a monic divisor; None if it does not divide."""
-    assert divisor[-1] == 1, "the divisor must be monic"
-    rest = list(poly)
-    dd = len(divisor) - 1
-    quotient = [0] * max(len(poly) - dd, 0)
-    for k in range(len(quotient) - 1, -1, -1):
-        q = quotient[k] = rest[k + dd]
-        for i, d in enumerate(divisor):
-            rest[k + i] -= q * d
-    return None if any(rest) else quotient
 
 
 def check_random_instance(rng: random.Random) -> list:
@@ -384,13 +363,13 @@ def check_random_instance(rng: random.Random) -> list:
             break
     # index -1 reads the zero extension: degree 0, the constant polynomial 1
     degrees = (*n.values, 0)
-    polys = (*tuples, [1])
+    polys = (*tuples, (1,))
     assignment = {}
     divisible = True
     for p, box in enumerate(diagram.boxes):
         for kind, other, maker in (("left", diagram.left[p], var_b), ("up", diagram.up[p], var_c)):
-            quotient = _exact_quotient(polys[p], polys[other])
-            if quotient is None:
+            quotient, remainder = monic_divmod(polys[p], polys[other])
+            if any(remainder):
                 problems.append(f"{label}: nested tuple fails {kind} divisibility")
                 divisible = False
                 continue
@@ -439,6 +418,8 @@ def load_corpus(path: str | None = None) -> dict:
     rows = corpus.get("rows") if isinstance(corpus, dict) else None
     if not rows:
         raise DomainError("parse-error", "verify corpus has no rows", str(path))
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise DomainError("parse-error", "verify corpus rows must be JSON objects", str(path))
     return corpus
 
 
@@ -447,9 +428,10 @@ def run_corpus(corpus: dict) -> list:
     results = []
     for row in corpus["rows"]:
         name = row.get("name", "<unnamed>")
-        fn = _ROW_KINDS.get(row.get("kind"))
+        kind = row.get("kind")
+        fn = _ROW_KINDS.get(kind) if isinstance(kind, str) else None
         if fn is None:
-            results.append((name, False, f"unknown row kind {row.get('kind')!r}"))
+            results.append((name, False, f"unknown row kind {kind!r}"))
             continue
         try:
             problems = fn(row)

@@ -1,6 +1,7 @@
 import pytest
 
 from rpphilb import RPP, YoungDiagram
+from rpphilb.poly import SparsePoly
 
 import frozen_tables as FT
 
@@ -32,6 +33,25 @@ def filling_of_weight(rng, diagram, weight):
         n = rising_filling(diagram, lambda: rng.choice((0, 0, 1, 1, 2)))
         if n.weight() == weight:
             return n
+
+
+def shift_subtract_divmod(f, g):
+    """Quotient and remainder of SparsePolys f by g, monic in x, by shifted subtraction.
+
+    The oracle for ``poly.monic_divmod``: each step cancels the leading
+    x-term of the remainder with a shifted multiple of the whole divisor.
+    """
+    dg = g.degree_in_x()
+    assert dg >= 0 and g.x_coefficients()[dg] == 1, "the divisor must be monic in x"
+    q = SparsePoly.constant(0)
+    r = f
+    while r.degree_in_x() >= dg:
+        dr = r.degree_in_x()
+        shift = r.x_coefficients()[dr] * SparsePoly.x_power(dr - dg)
+        q = q + shift
+        r = r - shift * g
+        assert r.degree_in_x() < dr, "division must strictly reduce the x-degree"
+    return q, r
 
 
 @pytest.fixture

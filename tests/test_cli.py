@@ -219,6 +219,23 @@ def test_verify_empty_corpus_is_an_error(tmp_path):
     assert json.loads(err)["code"] == "parse-error"
 
 
+def test_verify_non_object_row_is_an_error(tmp_path):
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps({"rows": [1]}))
+    code, out, err = run_cli("verify", str(bad))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["code"] == "parse-error"
+
+
+def test_verify_non_string_kind_is_an_unknown_kind(tmp_path):
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps({"rows": [{"name": "listed", "kind": ["classify"]}]}))
+    code, out, _ = run_cli("verify", str(bad))
+    assert code == 2
+    assert "FAIL listed - unknown row kind ['classify']" in out
+
+
 # -- error objects and exit codes ---------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import rpphilb.diagram
 from rpphilb import CapExceeded, DomainError
 from rpphilb.diagram import (
     Box,
@@ -137,13 +138,14 @@ def test_subdiagram_heights_complement_upper_sets():
     ]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     wide = YoungDiagram((1,) * 31)
     with pytest.raises(CapExceeded) as err:
         enumerate_upper_sets(wide)
     assert err.value.code == "diagram-too-large"
-    # an explicit larger cap lifts the guard
-    assert len(enumerate_upper_sets(wide, max_boxes=40)) == 32
+    # a larger cap lifts the guard
+    monkeypatch.setattr(rpphilb.diagram, "MAX_DIAGRAM_BOXES", 40)
+    assert len(enumerate_upper_sets(wide)) == 32
 
 
 def test_connectivity_matches_connected_parts_oracle():

@@ -18,7 +18,7 @@ from rpphilb.rpp import enumerate_rpps
 from rpphilb.verify import check_random_instance
 
 import frozen_tables as FT
-from conftest import diagrams_up_to
+from conftest import diagrams_up_to, shift_subtract_divmod
 
 
 def test_divisibility_presentation_for_grid(grid_rpp):
@@ -85,9 +85,9 @@ def test_single_box_is_affine_space():
 
 def test_universal_monic_shape():
     p = _monic(5, var_a, (2, 1))  # the label 5 at box (2, 1) of the grid
-    assert p.degree_in_x() == 5
-    assert str(p.coefficient_of_x(5)) == "1"
-    assert str(p.coefficient_of_x(3)) == "a_2_1_2"
+    assert len(p) == 6  # x-coefficients, lowest power first
+    assert str(p[5]) == "1"
+    assert str(p[3]) == "a_2_1_2"
 
 
 def test_ideal_json_shape(square_rpp):
@@ -198,3 +198,44 @@ def test_type_ii_matches_coordinate_oracle():
             ideal = type_ii_ideal(n, minimal_border=minimal_border)
             got = (ideal.ambient_vars, ideal.generators, ideal.groups, ideal.condition_count)
             assert got == _type_ii_oracle(n, minimal_border), (n.to_text(), minimal_border)
+
+
+# -- x-power type I, kept as the oracle for the coefficient-tuple build ---------
+
+
+def _x_power_monic(n, box):
+    """x^d + a(i,j,1)·x^(d-1) + … + a(i,j,d) as one SparsePoly, d the label at box."""
+    i, j = box
+    d = n.value(box)
+    p = SparsePoly.x_power(d)
+    for k in range(1, d + 1):
+        p = p + SparsePoly.variable(var_a(i, j, k)) * SparsePoly.x_power(d - k)
+    return p
+
+
+def _type_i_oracle(n):
+    """(ambient vars, generators, groups, condition count) by dividing x-power monics."""
+    lam = n.diagram
+    ambient = tuple(var_a(b.i, b.j, k) for b in lam.boxes for k in range(1, n.value(b) + 1))
+    generators, groups, conditions = [], [], 0
+    for i, j in lam.boxes:
+        conditions += n.value((i - 1, j)) + n.value((i, j - 1)) - n.value((i - 1, j - 1))
+        for nb in ((i - 1, j), (i, j - 1)):
+            d = n.value(nb)  # 0 also off the diagram
+            if d == 0:
+                continue
+            _, r = shift_subtract_divmod(_x_power_monic(n, (i, j)), _x_power_monic(n, nb))
+            coeffs = r.x_coefficients()
+            coeffs += [SparsePoly.constant(0)] * (d - len(coeffs))
+            generators.extend(coeffs[::-1])
+            groups.append({"box": (i, j), "divisor_box": nb, "size": d})
+    return ambient, tuple(generators), tuple(groups), conditions
+
+
+def test_type_i_matches_x_power_oracle():
+    fillings = [n for d in diagrams_up_to(5) for n in enumerate_rpps(d, 4)]
+    assert len(fillings) == 305
+    for n in fillings:
+        ideal = type_i_ideal(n)
+        got = (ideal.ambient_vars, ideal.generators, ideal.groups, ideal.condition_count)
+        assert got == _type_i_oracle(n), n.to_text()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import rpphilb.pointcount
 from rpphilb import RPP, CapExceeded, DomainError
 from rpphilb.pointcount import (
     PrimeField,
@@ -22,14 +23,15 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
 
 
-def test_prime_field_guards():
+def test_prime_field_guards(monkeypatch):
     with pytest.raises(DomainError) as err:
         PrimeField(6)
     assert err.value.code == "nonprime-modulus"
     with pytest.raises(CapExceeded) as err:
         PrimeField(11)
     assert err.value.code == "cap-exceeded"
-    assert PrimeField(11, max_p=11).p == 11
+    monkeypatch.setattr(rpphilb.pointcount, "DEFAULT_MAX_P", 11)
+    assert PrimeField(11).p == 11
 
 
 def test_monic_enumeration():

@@ -11,6 +11,7 @@ from rpphilb.poly import (
     X,
     SparsePoly,
     divmod_in_x,
+    monic_divmod,
     parse_poly,
     parse_var_name,
     var_a,
@@ -18,6 +19,8 @@ from rpphilb.poly import (
     var_c,
 )
 from rpphilb.verify import load_corpus
+
+from conftest import shift_subtract_divmod
 
 
 def test_ring_identities():
@@ -71,6 +74,10 @@ def test_division_requires_monic_divisor():
     with pytest.raises(DomainError) as err:
         divmod_in_x(x * x, SparsePoly.constant(2) * x)
     assert err.value.code == "non-monic-divisor"
+    for g in ((), (1, 2), (0, SparsePoly.variable(var_a(0, 0, 1)))):
+        with pytest.raises(DomainError) as err:
+            monic_divmod((1, 0, 1), g)
+        assert err.value.code == "non-monic-divisor"
 
 
 def test_coefficient_extraction():
@@ -78,8 +85,9 @@ def test_coefficient_extraction():
     a = SparsePoly.variable(var_a(1, 1, 1))
     p = x * x * a + x + SparsePoly.constant(5)
     assert p.degree_in_x() == 2
-    assert str(p.coefficient_of_x(2)) == "a_1_1_1"
     assert [str(c) for c in p.x_coefficients()] == ["5", "1", "a_1_1_1"]
+    assert x.x_coefficients() == [0, 1]
+    assert SparsePoly.constant(0).x_coefficients() == []
     assert p.terms[()] == 5
 
 
@@ -158,3 +166,41 @@ def test_variable_sort_key_orders_kinds_consistently():
     ordered = sorted(ids, key=lambda v: v.sort_key())
     assert [v.kind for v in ordered] == ["a", "a", "b", "c"]
     assert ordered[0] == var_a(0, 0, 1)
+
+
+def _poly(coeffs):
+    """The SparsePoly with the given x-coefficients, lowest power first."""
+    return sum((c * SparsePoly.x_power(k) for k, c in enumerate(coeffs)), SparsePoly.constant(0))
+
+
+def test_monic_divmod_agrees_with_shift_subtract_division():
+    a = [SparsePoly.variable(var_a(0, 0, k)) for k in range(1, 4)]
+    rings = (
+        ("int", lambda rng: rng.randint(-3, 3), lambda c: c.terms.get((), 0)),
+        ("SparsePoly", lambda rng: rng.randint(-2, 2) * rng.choice(a) + rng.randint(-2, 2), lambda c: c),
+    )
+    for name, draw, entry in rings:
+        rng = random.Random(3)
+
+        def monic(degree):
+            return (*[draw(rng) for _ in range(degree)], 1)
+
+        pairs = []
+        for _ in range(300):
+            g = monic(rng.randint(0, 4))
+            f = tuple(entry(c) for c in (_poly(g) * _poly(monic(rng.randint(0, 4)))).x_coefficients())
+            pairs.append((f, g))  # divisible
+            if len(g) > 1:
+                r = [draw(rng) for _ in range(len(g) - 1)]
+                r[rng.randrange(len(r))] = rng.choice((-2, -1, 1, 2))
+                pairs.append(((*(x + y for x, y in zip(f, r)), *f[len(r) :]), g))  # remainder r
+            pairs.append((monic(rng.randint(0, 5)), g))  # either
+        divisible = 0
+        for f, g in pairs:
+            quotient, remainder = monic_divmod(f, g)
+            q, r = shift_subtract_divmod(_poly(f), _poly(g))
+            assert len(remainder) == len(g) - 1, (name, f, g)
+            assert _poly(quotient) == q and _poly(remainder) == r, (name, f, g)
+            divisible += r.is_zero()
+        assert 300 <= divisible < len(pairs), name
+

@@ -168,13 +168,14 @@ def test_all_factorizations_of_grid(grid_rpp):
     assert all(f.total() == grid_rpp for f in facts)
 
 
-def test_factorization_weight_cap():
+def test_factorization_weight_cap(monkeypatch):
     heavy = RPP.from_text("13")
     with pytest.raises(CapExceeded) as err:
         all_factorizations(heavy)
     assert err.value.code == "search-too-large"
     # raising the cap makes the enumeration legal again
-    assert len(all_factorizations(heavy, max_weight=13)) == 1
+    monkeypatch.setattr(rpphilb.rpp, "MAX_FACTORIZATION_WEIGHT", 13)
+    assert len(all_factorizations(heavy)) == 1
 
 
 def test_neighbour_table_matches_box_index_oracle():

@@ -6,10 +6,9 @@ import pytest
 
 from rpphilb import DomainError, verify
 from rpphilb.diagram import YoungDiagram
-from rpphilb.poly import X, SparsePoly, divmod_in_x
+from rpphilb.poly import SparsePoly
 from rpphilb.rpp import Factorization, enumerate_rpps, standard_factorization
 from rpphilb.verify import (
-    _exact_quotient,
     _random_nested_polynomials,
     check_random_instance,
     load_corpus,
@@ -116,11 +115,7 @@ def _sparse_nested_polynomials(rng, n):
 
 def _coefficients(poly):
     """Integer x-coefficients of a polynomial in x alone, lowest power first."""
-    return [c.terms.get((), 0) for c in poly.x_coefficients()]
-
-
-def _poly(coeffs):
-    return SparsePoly({((X, k),): c for k, c in enumerate(coeffs)})
+    return tuple(c.terms.get((), 0) for c in poly.x_coefficients())
 
 
 def test_nested_polynomials_match_the_sparse_builder():
@@ -140,30 +135,3 @@ def test_nested_polynomials_match_the_sparse_builder():
             assert fast == [_coefficients(p) for p in slow], n.to_text()
             assert [len(c) - 1 for c in fast] == list(n.values)
 
-
-def _random_monic(rng, degree):
-    return [rng.randint(-3, 3) for _ in range(degree)] + [1]
-
-
-def test_exact_quotient_agrees_with_divmod_in_x():
-    rng = random.Random(3)
-    pairs = []
-    for _ in range(300):
-        g = _random_monic(rng, rng.randint(0, 4))
-        h = _random_monic(rng, rng.randint(0, 4))
-        f = _coefficients(_poly(g) * _poly(h))
-        pairs.append((f, g))  # divisible
-        if len(g) > 1:
-            r = [rng.randint(-3, 3) for _ in range(len(g) - 1)]
-            r[rng.randrange(len(r))] = rng.choice((-2, -1, 1, 2))
-            pairs.append(([a + b for a, b in zip(f, r)] + f[len(r) :], g))  # remainder r
-        pairs.append((_random_monic(rng, rng.randint(0, 5)), g))  # either
-    divisible = 0
-    for f, g in pairs:
-        quotient = _exact_quotient(f, g)
-        q, r = divmod_in_x(_poly(f), _poly(g))
-        assert (quotient is None) == (not r.is_zero()), (f, g)
-        if quotient is not None:
-            divisible += 1
-            assert _poly(quotient) == q, (f, g)
-    assert 300 <= divisible < len(pairs)
