@@ -3,10 +3,12 @@
 The independent oracle for the motivic series: a point of the nested
 scheme over F_p is a tuple of monic polynomials, one per box, with the
 prescribed degrees and with each polynomial divisible by its left and
-up neighbours.  Counting the tuples directly ties the divisibility
-model to the series: the count equals the motivic coefficient at L = p
-box monomial by box monomial on shapes whose diagonals are all
-distinct, and diagonal total by diagonal total in general.
+up neighbours; the count builds one divisibility in and tests the other
+with ``poly``'s product and monic division.  Counting the tuples
+directly ties the divisibility model to the series: the count equals
+the motivic coefficient at L = p box monomial by box monomial on shapes
+whose diagonals are all distinct, and diagonal total by diagonal total
+in general.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 from itertools import product
 
 from .errors import CapExceeded, DomainError
+from .poly import monic_divmod, poly_mul
 from .rpp import RPP
 
 DEFAULT_BUDGET = 10**7
@@ -62,12 +65,14 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise DomainError("nonprime-modulus", f"modulus {p!r} is not prime", p)
-        if p > DEFAULT_MAX_P:
+        # the cap comes first: trial division of a huge modulus never ends
+        is_int = isinstance(p, int) and not isinstance(p, bool)
+        if is_int and p > DEFAULT_MAX_P:
             raise CapExceeded(
                 "cap-exceeded", f"modulus {p} exceeds the field-size cap {DEFAULT_MAX_P}", p
             )
+        if not is_int or not is_prime(p):
+            raise DomainError("nonprime-modulus", f"modulus {p!r} is not prime", p)
         self.p = p
 
     def monic_polynomials(self, degree: int):
@@ -75,29 +80,20 @@ class PrimeField:
         return product(range(self.p), repeat=degree)
 
     def divides(self, a: tuple, b: tuple) -> bool:
-        """Whether monic a divides monic b."""
-        da, db = len(a), len(b)
-        if da == 0:
-            return True
-        if db < da:
-            return False
-        p = self.p
-        rem = list(b) + [1]
-        for top in range(db, da - 1, -1):
-            f = rem[top]
-            if f:
-                rem[top] = 0
-                for i, c in enumerate(a):
-                    rem[top - da + i] = (rem[top - da + i] - f * c) % p
-        return not any(rem[:da])
+        """Whether monic a divides monic b; a monic divisor lets the division run over Z."""
+        return not a or not any([r % self.p for r in monic_divmod((*b, 1), (*a, 1))[1]])
 
 
 def count_points(n: RPP, p: int, budget: int | None = None) -> int:
     """Number of nested tuples of monic polynomials over F_p shaped by n.
 
     One monic polynomial of degree n(box) per box, with the left and up
-    neighbours dividing it.  The raw search space has p^|n| tuples; the
-    call refuses to start when that exceeds the budget.
+    neighbours dividing it.  Each box's candidates are its left
+    neighbour's polynomial times every monic q of degree n(box) − n(left),
+    so only the up divisibility is tested (in column 0 the up neighbour
+    takes the left's place and no test remains).  The budget still
+    bounds the raw search space of p^|n| tuples: the call refuses to
+    start when that exceeds it.
     """
     field = PrimeField(p)
     if budget is None:
@@ -111,20 +107,23 @@ def count_points(n: RPP, p: int, budget: int | None = None) -> int:
         )
 
     diagram = n.diagram
-    degrees = n.values
-    predecessors = [[q for q in (l, u) if q >= 0] for l, u in zip(diagram.left, diagram.up)]
-    assigned: list = [None] * diagram.size
+    # index -1 reads the zero extension: degree 0, the constant polynomial 1
+    degrees = (*n.values, 0)
+    assigned: list = [None] * diagram.size + [()]
 
     def dfs(k: int) -> int:
         if k == diagram.size:
             return 1
+        built, tested = diagram.left[k], diagram.up[k]
+        if built < 0:  # column 0: the left is the constant 1, so build the up neighbour in
+            built, tested = tested, built
+        factor, divisor = assigned[built], assigned[tested]
         total = 0
-        for candidate in field.monic_polynomials(degrees[k]):
-            if all(field.divides(assigned[q], candidate) for q in predecessors[k]):
+        for q in field.monic_polynomials(degrees[k] - degrees[built]):
+            candidate = tuple([c % p for c in poly_mul((*factor, 1), (*q, 1))[:-1]]) if factor else q
+            if field.divides(divisor, candidate):
                 assigned[k] = candidate
                 total += dfs(k + 1)
-        assigned[k] = None
         return total
 
     return dfs(0)
-

@@ -12,8 +12,8 @@ The text format uses ``+ - * ^`` with explicit multiplication, e.g.
 A univariate polynomial is a tuple of coefficients, lowest power first,
 whose entries are ints or SparsePolys.  ``poly_mul`` and ``monic_divmod``
 are the one product and the one monic division on such tuples: series
-coefficients in Z[L], the local equations' monics in x and the integer
-nested tuples of ``verify`` all use them.
+coefficients in Z[L], the local equations' monics in x, the integer
+nested tuples of ``verify`` and the F_p point count all use them.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def variables(self) -> list[VarId]:
         seen = {v for mono in self.terms for v, _ in mono}
@@ -203,19 +206,12 @@ class SparsePoly:
 
     # -- degrees, linear parts, substitution -----------------------------------
 
-    def weighted_degree(self, grading) -> int | None:
+    def weighted_degree(self, grading: dict) -> int | None:
         """Max over monomials of the grading-weighted degree; None if zero."""
-        g = grading if callable(grading) else (lambda v: grading[v])
-        best = None
-        for mono in self.terms:
-            w = sum(e * g(v) for v, e in mono)
-            best = w if best is None else max(best, w)
-        return best
+        return max((sum(e * grading[v] for v, e in mono) for mono in self.terms), default=None)
 
-    def is_homogeneous(self, grading) -> bool:
-        g = grading if callable(grading) else (lambda v: grading[v])
-        degrees = {sum(e * g(v) for v, e in mono) for mono in self.terms}
-        return len(degrees) <= 1
+    def is_homogeneous(self, grading: dict) -> bool:
+        return len({sum(e * grading[v] for v, e in mono) for mono in self.terms}) <= 1
 
     def linear_part(self) -> dict:
         """Coefficients of the degree-one monomials, as a VarId -> int dict."""
@@ -321,13 +317,13 @@ def monic_divmod(f, g) -> tuple[tuple, tuple]:
     if not g or g[-1] != 1:
         raise DomainError("non-monic-divisor", "division requires a divisor monic in x", tuple(g))
     dg = len(g) - 1
-    rest = list(f) + [0] * (dg - len(f))
-    quotient = [0] * (len(rest) - dg)
-    for k in reversed(range(len(quotient))):
-        c = quotient[k] = rest[k + dg]
+    rest = [*f, *(0,) * (dg - len(f))]
+    # top down, each entry at k + dg is final once read: it is the quotient's
+    for k in reversed(range(len(rest) - dg)):
+        c = rest[k + dg]
         for i in range(dg):
             rest[k + i] -= c * g[i]
-    return tuple(quotient), tuple(rest[:dg])
+    return tuple(rest[dg:]), tuple(rest[:dg])
 
 
 def divmod_in_x(f: SparsePoly, g: SparsePoly) -> tuple[SparsePoly, SparsePoly]:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from rpphilb import RPP, YoungDiagram
@@ -52,6 +54,50 @@ def shift_subtract_divmod(f, g):
         r = r - shift * g
         assert r.degree_in_x() < dr, "division must strictly reduce the x-degree"
     return q, r
+
+
+def long_division_divides(p, a, b):
+    """Whether monic a divides monic b over F_p, by long division reduced mod p.
+
+    The oracle for ``PrimeField.divides``: residue tuples for x^0 .. x^(d-1),
+    the leading 1 implicit, so the empty tuple is the constant 1.
+    """
+    da, db = len(a), len(b)
+    if da == 0:
+        return True
+    if db < da:
+        return False
+    rem = list(b) + [1]
+    for top in range(db, da - 1, -1):
+        f = rem[top]
+        if f:
+            rem[top] = 0
+            for i, c in enumerate(a):
+                rem[top - da + i] = (rem[top - da + i] - f * c) % p
+    return not any(rem[:da])
+
+
+def all_monics_count_points(n, p):
+    """Nested tuples over F_p shaped by n, trying every monic at every box.
+
+    The oracle for ``pointcount.count_points``: each box runs through all
+    p^n(box) monics and keeps those its left and up neighbours divide.
+    """
+    diagram = n.diagram
+    predecessors = [[q for q in (l, u) if q >= 0] for l, u in zip(diagram.left, diagram.up)]
+    assigned = [None] * diagram.size
+
+    def dfs(k):
+        if k == diagram.size:
+            return 1
+        total = 0
+        for candidate in product(range(p), repeat=n.values[k]):
+            if all(long_division_divides(p, assigned[q], candidate) for q in predecessors[k]):
+                assigned[k] = candidate
+                total += dfs(k + 1)
+        return total
+
+    return dfs(0)
 
 
 @pytest.fixture

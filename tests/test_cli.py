@@ -4,6 +4,7 @@ import io
 import contextlib
 import hashlib
 import json
+import time
 
 import jsonschema
 import pytest
@@ -284,6 +285,15 @@ def test_cap_errors_exit_2():
     check(payload, "error")
     assert payload["code"] == "budget-exceeded"
     code, _, err = run_cli("count-points", "1", "--p", "11")
+    assert code == 2
+    assert json.loads(err)["code"] == "cap-exceeded"
+
+
+def test_huge_modulus_is_refused_before_any_primality_test():
+    # trial division of an 18-digit prime would run for minutes
+    start = time.perf_counter()
+    code, _, err = run_cli("count-points", "1", "--p", "1000000000000000003")
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert json.loads(err)["code"] == "cap-exceeded"
 

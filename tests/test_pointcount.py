@@ -1,18 +1,27 @@
 """Brute-force divisibility counts over small prime fields."""
 
+from itertools import product
+
 import pytest
 
 import rpphilb.pointcount
-from rpphilb import RPP, CapExceeded, DomainError
+from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
 from rpphilb.pointcount import (
     PrimeField,
     configured_budget,
     count_points,
     is_prime,
 )
+from rpphilb.rpp import enumerate_rpps
 from rpphilb.series import evaluate_motive, motivic_series
 
 import frozen_tables as FT
+from conftest import (
+    all_monics_count_points,
+    diagrams_up_to,
+    long_division_divides,
+    rising_filling,
+)
 
 
 def test_is_prime_small_values():
@@ -30,6 +39,9 @@ def test_prime_field_guards(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         PrimeField(11)
     assert err.value.code == "cap-exceeded"
+    # the cap is checked before primality, so a nonprime above it is over the cap
+    with pytest.raises(CapExceeded):
+        PrimeField(12)
     monkeypatch.setattr(rpphilb.pointcount, "DEFAULT_MAX_P", 11)
     assert PrimeField(11).p == 11
 
@@ -48,6 +60,15 @@ def test_divisibility_over_f2():
     assert not F2.divides((0,), (1, 0))
     # the constant 1 divides everything
     assert F2.divides((), (1, 1))
+
+
+def test_divides_matches_long_division_oracle():
+    for p in (2, 3):
+        field = PrimeField(p)
+        monics = [m for d in range(4) for m in product(range(p), repeat=d)]
+        for a in monics:
+            for b in monics:
+                assert field.divides(a, b) == long_division_divides(p, a, b), (p, a, b)
 
 
 def test_single_box_counts_all_monic_polynomials():
@@ -90,6 +111,42 @@ def test_counts_match_box_prediction_when_diagonals_are_distinct():
         for p in (2, 3):
             predicted = evaluate_motive(affine.coefficient(tuple(n.values)), p)
             assert count_points(n, p) == predicted
+
+
+def test_counts_match_all_monics_oracle_on_random_fillings():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    diagrams = diagrams_up_to(5)
+
+    @st.composite
+    def cases(draw):
+        n = rising_filling(draw(st.sampled_from(diagrams)), lambda: draw(st.integers(0, 2)))
+        return n, draw(st.sampled_from((2, 3, 5)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        n, p = case
+        hypothesis.assume(p**n.size <= 5**4)
+        assert count_points(n, p) == all_monics_count_points(n, p)
+
+    check()
+
+
+@pytest.mark.parametrize("cols", [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 1, 1)])
+def test_p1_counts_match_p1_series_when_diagonals_are_distinct(cols):
+    # an F_p divisor on P1 is a monic f and a multiplicity at infinity, so the
+    # P1 count of n sums the A1 counts of r over the RPP splittings n = m + r
+    diagram = YoungDiagram(cols)
+    rpps = enumerate_rpps(diagram, 4)
+    projective = motivic_series(diagram, "P1", 4)
+    for p in (2, 3):
+        affine = {r.values: count_points(r, p) for r in rpps}
+        for n in rpps:
+            splittings = (tuple(a - b for a, b in zip(n.values, m.values)) for m in rpps)
+            counted = sum(affine.get(r, 0) for r in splittings)
+            assert counted == evaluate_motive(projective.coefficient(n.values), p), (n.values, p)
 
 
 def test_evaluate_motive():

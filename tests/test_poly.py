@@ -32,6 +32,14 @@ def test_ring_identities():
     assert (x * SparsePoly.constant(0)).is_zero()
 
 
+def test_zero_polynomial_is_falsy():
+    a = SparsePoly.variable(var_a(1, 1, 1))
+    assert not SparsePoly.constant(0) and a and SparsePoly.constant(-1)
+    # so ``any`` over a remainder of SparsePolys asks whether it is nonzero
+    assert not any(monic_divmod((a * a, 2 * a, 1), (a, 1))[1])
+    assert any(monic_divmod((a * a + 1, 2 * a, 1), (a, 1))[1])
+
+
 def test_parse_and_print_round_trip():
     for text in (
         "x^2 - a_1_1_1^2",
@@ -99,6 +107,7 @@ def test_grading_and_linear_part():
     assert g.linear_part() == {var_a(2, 1, 2): -1}
     skew = parse_poly("a_1_1_1^2 - a_2_1_2")
     assert not skew.is_homogeneous({var_a(1, 1, 1): 1, var_a(2, 1, 2): 3})
+    assert SparsePoly.constant(0).weighted_degree(grading) is None
 
 
 def test_substitute():
