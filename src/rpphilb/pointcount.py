@@ -25,14 +25,40 @@ DEFAULT_MAX_P = 7
 BUDGET_ENV_VAR = "RPPHILB_MAX_BUDGET"
 
 
+#: the first 13 primes; Miller-Rabin with these bases is exact below MAX_PRIME_TEST
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a modulus of MAX_PRIME_TEST or more is refused.
+
+    The bound is the least strong pseudoprime to the 13 fixed bases, so
+    below it they are exact; the first 12 bases alone admit the strong
+    pseudoprime 318665857834031151167461 (Sorenson and Webster, "Strong
+    pseudoprimes to twelve prime bases", 2017).
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MAX_PRIME_TEST:
+        raise CapExceeded(
+            "cap-exceeded", f"primality of {p} is only decided below {MAX_PRIME_TEST}", p
+        )
+    if any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -65,7 +91,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        # the cap comes first: trial division of a huge modulus never ends
+        # the cap comes first, so every modulus above it is refused as too large, prime or not
         is_int = isinstance(p, int) and not isinstance(p, bool)
         if is_int and p > DEFAULT_MAX_P:
             raise CapExceeded(

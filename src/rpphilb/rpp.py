@@ -70,7 +70,7 @@ class Filling:
         )
 
     def __hash__(self) -> int:
-        return hash((self.diagram.cols, self.values))
+        return hash(self.values)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.diagram.cols)}, {list(self.values)})"
@@ -401,6 +401,10 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
     """All RPPs on the diagram with label total <= max_size, duplicate-free.
 
     Sorted by (total, row-major value vector) for deterministic output.
+    Each label starts at the larger of its left and up neighbours (the
+    zero extension off the diagram), so every leaf is an RPP by
+    construction and is built without ``RPP.__init__``'s check, which
+    still validates every filling built any other way.
     """
     if max_size < 0:
         raise DomainError("negative-size", "max_size must be nonnegative", max_size)
@@ -410,7 +414,9 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
 
     def rec(pos: int, used: int) -> None:
         if pos == size:
-            out.append(RPP(diagram, vals[:size]))
+            rpp = object.__new__(RPP)
+            rpp.diagram, rpp.values = diagram, tuple(vals[:size])
+            out.append(rpp)
             return
         lower = max(vals[left[pos]], vals[up[pos]])
         for v in range(lower, max_size - used + 1):

@@ -10,6 +10,12 @@ power of L, lowest first, with no trailing zeros, so L^2 + 1 is (1, 0, 1)
 and zero is the empty tuple, which is never stored.  Coefficients are
 multiplied by ``poly.poly_mul``; the top entry of a product is a product of
 two nonzero ints, so a product needs no trimming.
+
+The public ``TruncatedSeries(...)`` (and ``substitute_L``) validates and
+normalises every term.  The products, the brute-force sum, ``__mul__`` and
+the diagonal collapse build normalised terms under max_size themselves
+(the last two drop coefficients that cancelled to zero), so they store
+them unchecked through the private ``TruncatedSeries._of``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,20 @@ class TruncatedSeries:
         self.coefficients = coeffs
 
     @classmethod
+    def _of(
+        cls, n_vars: int, max_size: int, coefficients: dict, single_variable: bool = False
+    ) -> "TruncatedSeries":
+        """A series from terms this module built, stored as given and checked for nothing.
+
+        Every key must be an int tuple of length n_vars, nonnegative, with
+        total at most max_size, and every value a nonzero coefficient tuple.
+        """
+        series = object.__new__(cls)
+        series.n_vars, series.max_size = n_vars, max_size
+        series.coefficients, series.single_variable = coefficients, single_variable
+        return series
+
+    @classmethod
     def one(cls, n_vars: int, max_size: int, single_variable: bool = False) -> "TruncatedSeries":
         return cls(n_vars, max_size, {(0,) * n_vars: 1}, single_variable)
 
@@ -71,7 +91,8 @@ class TruncatedSeries:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 out[exp] = _add(out.get(exp, ()), poly_mul(c1, c2))
-        return TruncatedSeries(self.n_vars, self.max_size, out, self.single_variable)
+        out = {exp: c for exp, c in out.items() if c}
+        return TruncatedSeries._of(self.n_vars, self.max_size, out, self.single_variable)
 
     def _check_compatible(self, other) -> None:
         if not isinstance(other, TruncatedSeries) or other.n_vars != self.n_vars:
@@ -183,7 +204,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
                     else:
                         target.pop(key, None)
     terms = {e: c for by_size in graded for e, c in by_size.items()}
-    return TruncatedSeries(n_vars, max_size, terms, single_variable)
+    return TruncatedSeries._of(n_vars, max_size, terms, single_variable)
 
 
 def hook_variable(diagram: YoungDiagram, box) -> tuple:
@@ -201,8 +222,8 @@ def factor_power(
 
 def rpp_series_bruteforce(diagram: YoungDiagram, max_size: int) -> TruncatedSeries:
     """Σ q^𝐧 over all RPPs with |𝐧| ≤ max_size, by direct enumeration."""
-    coeffs = {r.values: 1 for r in enumerate_rpps(diagram, max_size)}
-    return TruncatedSeries(diagram.size, max_size, coeffs)
+    coeffs = {r.values: (1,) for r in enumerate_rpps(diagram, max_size)}
+    return TruncatedSeries._of(diagram.size, max_size, coeffs)
 
 
 def hook_product(diagram: YoungDiagram, weights, power: int, max_size: int) -> TruncatedSeries:
@@ -270,4 +291,5 @@ def collapse_to_diagonals(diagram: YoungDiagram, series: TruncatedSeries) -> Tru
             collapsed[position[box.j - box.i]] += e
         key = tuple(collapsed)
         coeffs[key] = _add(coeffs.get(key, ()), c)
-    return TruncatedSeries(len(diagonals), series.max_size, coeffs)
+    coeffs = {key: c for key, c in coeffs.items() if c}
+    return TruncatedSeries._of(len(diagonals), series.max_size, coeffs)

@@ -32,6 +32,24 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_is_miller_rabin_with_a_bound():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if _trial_division_is_prime(n)
+    ]
+    # trial division up to the square root takes seconds to hours on these
+    assert is_prime(10**16 + 61) and is_prime(10**18 + 3)
+    # strong pseudoprimes to the first 11 and the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(CapExceeded) as err:
+        is_prime(rpphilb.pointcount.MAX_PRIME_TEST)
+    assert err.value.code == "cap-exceeded"
+
+
 def test_prime_field_guards(monkeypatch):
     with pytest.raises(DomainError) as err:
         PrimeField(6)

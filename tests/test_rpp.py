@@ -220,6 +220,16 @@ def test_enumerate_rpps_counts(square_diagram):
     assert len(enumerate_rpps(square_diagram, 4)) == sum(by_size)
 
 
+def test_enumerated_rpps_pass_the_validating_constructor():
+    for d in diagrams_up_to(5):
+        for max_size in range(7):
+            out = enumerate_rpps(d, max_size)
+            for r in out:
+                assert RPP(d, r.values) == r
+            keys = [(r.size, r.values) for r in out]
+            assert keys == sorted(set(keys))
+
+
 def _subtract_if_rpp(n_vals, ind_vals, diagram):
     """n - indicator as a value tuple, or None when the result is not an RPP."""
     out = tuple(a - b for a, b in zip(n_vals, ind_vals))

@@ -199,3 +199,37 @@ def test_format_coefficient_matches_polynomial_printing():
         for coefficient in product(range(-2, 3), repeat=length):
             expected = str(SparsePoly({((L, d),): c for d, c in enumerate(coefficient)}))
             assert format_coefficient(coefficient) == expected, coefficient
+
+
+def _assert_same_as_revalidated(s):
+    # the public constructor is the oracle for the series built unchecked
+    copy = TruncatedSeries(s.n_vars, s.max_size, s.coefficients, s.single_variable)
+    assert copy.coefficients == s.coefficients
+    assert () not in s.coefficients.values()
+    assert all(sum(exp) <= s.max_size for exp in s.coefficients)
+
+
+def test_built_series_equal_their_revalidated_copies():
+    for diagram in diagrams_up_to(5):
+        for max_size in range(7):
+            built = [
+                motivic_series(diagram, "A1", max_size),
+                motivic_series(diagram, "P1", max_size),
+                rpp_series_bruteforce(diagram, max_size),
+            ]
+            built.append(collapse_to_diagonals(diagram, built[-1]))
+            for chi in (-1, 1, 2):
+                built.append(euler_series(diagram, chi, max_size))
+                built.append(euler_series(diagram, chi, max_size, single_variable=True))
+            built.append(built[0] * built[4])
+            for s in built:
+                _assert_same_as_revalidated(s)
+
+
+def test_cancelled_coefficients_are_not_stored(square_diagram):
+    v = (0, 1)
+    cancelled = factor_power(v, (0, 1), 1, 2, 6) * factor_power(v, (0, 1), -1, 2, 6)
+    assert cancelled.coefficients == {(0, 0): (1,)}
+    # boxes (0, 0) and (1, 1) share diagonal 0, so these two terms cancel
+    series = TruncatedSeries(4, 2, {(1, 0, 0, 0): (0, 1), (0, 0, 0, 1): (0, -1), (0, 1, 0, 0): 2})
+    assert collapse_to_diagonals(square_diagram, series).coefficients == {(1, 0, 0): (2,)}
