@@ -17,7 +17,7 @@ from .components import (
     differential_injective,
     dimension_recursive,
 )
-from .diagram import Box, UpperSet, YoungDiagram, enumerate_upper_sets, principal_upper_set
+from .diagram import Box, YoungDiagram, enumerate_upper_sets
 from .equations import (
     AmbientSummary,
     IdealPresentation,
@@ -69,7 +69,6 @@ __all__ = [
     "RPP",
     "SparsePoly",
     "TruncatedSeries",
-    "UpperSet",
     "VarId",
     "YoungDiagram",
     "all_factorizations",
@@ -94,7 +93,6 @@ __all__ = [
     "is_prime",
     "motivic_series",
     "parse_poly",
-    "principal_upper_set",
     "rpp_series_bruteforce",
     "standard_factorization",
     "tangent_embedding",

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .components import classify
+from .components import classify, witness_texts
 from .diagram import YoungDiagram
 from .equations import tangent_embedding, type_i_ideal, type_ii_ideal
 from .errors import DomainError
@@ -147,11 +147,7 @@ def _cmd_classify(args) -> int:
             flags += ", bijective on points" if report.bijective_on_points else ", not bijective"
         line = f"T{k + 1}: dim {report.dimension}, {flags} — {_factorization_text(report.factorization)}"
         if report.relation_witness:
-            witness = {
-                ind.to_text(): c
-                for ind, c in zip(indicators(n.diagram), report.relation_witness)
-                if c
-            }
+            witness = witness_texts(n.diagram, report.relation_witness)
             terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{t}]" for t, c in witness.items())
             line += f" ; witness {terms}"
         lines.append(line)

@@ -166,6 +166,13 @@ def _lift_witness(diagram: YoungDiagram, coeffs: dict | None) -> tuple | None:
     return tuple(coeffs.get(ind, 0) for ind in indicators(diagram))
 
 
+def witness_texts(diagram: YoungDiagram, witness: tuple | None) -> dict | None:
+    """A lifted relation witness as {indicator text: coefficient}, zeros left out."""
+    if witness is None:
+        return None
+    return {ind.to_text(): c for ind, c in zip(indicators(diagram), witness) if c}
+
+
 def classify(n: RPP) -> list[ComponentReport]:
     """One report per factorisation, in enumeration order."""
     dim = component_dimension(n)

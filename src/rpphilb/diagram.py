@@ -6,7 +6,9 @@ box set is {(i, j) : j < cols[i]} and it is downward closed for the
 componentwise order.  On top of that this module provides hooks (the boxes
 weakly below or weakly to the right), the socle (maximal boxes), the
 subsocle (boxes whose right and down neighbours are present but whose
-diagonal neighbour is not), and upper sets with their edge-connected parts.
+diagonal neighbour is not), and upper sets.  An upper set is its row-major
+0/1 vector, the same tuple an indicator filling stores as its values;
+``upper_set_parts`` splits one into its edge-connected parts.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ MAX_DIAGRAM_BOXES = 30
 class Box(NamedTuple):
     i: int  # column, increasing rightward
     j: int  # row, increasing downward
-
-
-def partial_order_leq(a: Box, b: Box) -> bool:
-    """Componentwise order: a <= b iff a sits weakly up-left of b."""
-    return a[0] <= b[0] and a[1] <= b[1]
 
 
 class YoungDiagram:
@@ -153,9 +150,11 @@ class YoungDiagram:
 
     @classmethod
     def from_text(cls, text: str) -> "YoungDiagram":
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
+        parts = [p.strip() for p in text.split(",")]
+        if not any(parts):
             raise DomainError("parse-error", "empty diagram text", text)
+        if not all(parts):
+            raise DomainError("parse-error", f"empty column height in {text!r}", text)
         try:
             heights = [int(p) for p in parts]
         except ValueError:
@@ -179,103 +178,41 @@ def json_ints(raw, what: str) -> list[int]:
     return raw
 
 
-class UpperSet:
-    """Upward-closed subset of a diagram; complement of a subdiagram."""
+def upper_set_parts(diagram: YoungDiagram, vector: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Edge-connected parts of an upper set, each as a row-major 0/1 vector.
 
-    __slots__ = ("diagram", "members")
-
-    def __init__(self, diagram: YoungDiagram, members: Iterable[Box]):
-        self.diagram = diagram
-        self.members = frozenset(Box(*b) for b in members)
-        for b in self.members:
-            if b not in diagram:
-                raise DomainError("box-not-in-diagram", f"box {tuple(b)} outside diagram", list(diagram.cols))
-            for nb in (Box(b.i + 1, b.j), Box(b.i, b.j + 1)):
-                if nb in diagram and nb not in self.members:
-                    raise DomainError(
-                        "not-upward-closed", f"box {tuple(nb)} missing above {tuple(b)}", sorted(self.members)
-                    )
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, box) -> bool:
-        return Box(*box) in self.members
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UpperSet)
-            and self.diagram == other.diagram
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.diagram.cols, self.members))
-
-    def member_vector(self) -> tuple[int, ...]:
-        """0/1 vector over the diagram's row-major box order."""
-        return tuple(1 if b in self.members else 0 for b in self.diagram.boxes)
-
-    def is_connected(self) -> bool:
-        """Whether the skew shape λ/μ is edge-connected, μ the complement's heights.
-
-        Column i holds the rows μ_i ≤ j < λ_i, so λ/μ is connected exactly
-        when its nonempty columns are consecutive and each meets the next,
-        μ_i < λ_{i+1}.
-        """
-        cols = self.diagram.cols
-        counts = [0] * len(cols)
-        for b in self.members:
-            counts[b.i] += 1
-        nonempty = [i for i, c in enumerate(counts) if c]
-        return all(
-            k == i + 1 and cols[i] - counts[i] < cols[k] for i, k in zip(nonempty, nonempty[1:])
-        )
-
-    def __repr__(self) -> str:
-        return f"UpperSet({list(self.diagram.cols)}, {sorted(self.members)})"
-
-
-def connected_parts(upper: UpperSet) -> list[UpperSet]:
-    """Edge-connected components of an upper set, each again an upper set.
-
-    Sorted by the canonical descending-lex order on member vectors so the
-    output is deterministic.
+    An upper set is a skew shape λ/μ: column i holds the rows μ_i ≤ j < λ_i.
+    Its parts are the maximal runs of consecutive nonempty columns in which
+    each column meets the next, μ_i < λ_{i+1}.  A run starts on a higher row
+    than every run to its left, so right to left is descending-lex order.
     """
-    remaining = set(upper.members)
-    parts = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            b = frontier.pop()
-            for nb in (
-                Box(b.i + 1, b.j),
-                Box(b.i - 1, b.j),
-                Box(b.i, b.j + 1),
-                Box(b.i, b.j - 1),
-            ):
-                if nb in remaining:
-                    remaining.remove(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        parts.append(UpperSet(upper.diagram, comp))
-    parts.sort(key=lambda u: u.member_vector(), reverse=True)
-    return parts
+    cols = diagram.cols
+    counts = [0] * len(cols)
+    for (i, _), x in zip(diagram.boxes, vector):
+        counts[i] += x
+    run = [0] * len(cols)  # 1-based run of each nonempty column, 0 for an empty one
+    n_runs = 0
+    for i, c in enumerate(counts):
+        if c:
+            if not (i and counts[i - 1] and cols[i - 1] - counts[i - 1] < cols[i]):
+                n_runs += 1
+            run[i] = n_runs
+    return [
+        tuple(x if run[i] == r else 0 for (i, _), x in zip(diagram.boxes, vector))
+        for r in range(n_runs, 0, -1)
+    ]
 
 
 def enumerate_upper_sets(
     diagram: YoungDiagram,
     connected_only: bool = False,
     nonempty_only: bool = False,
-) -> list[UpperSet]:
-    """All upward-closed subsets of the diagram, canonically ordered.
+) -> list[tuple[int, ...]]:
+    """All upward-closed subsets of the diagram as row-major 0/1 vectors.
 
     Upper sets are generated as complements of subdiagrams, so upward
     closure holds by construction; the optional flags filter out the empty
-    set and the edge-disconnected ones.  Output is sorted descending-lex on
-    the row-major 0/1 member vector.
+    set and the edge-disconnected ones.  Output is sorted descending-lex.
     """
     if diagram.size > MAX_DIAGRAM_BOXES:
         raise CapExceeded(
@@ -285,19 +222,11 @@ def enumerate_upper_sets(
         )
     out = []
     for heights in diagram.subdiagram_heights():
-        members = [b for b in diagram.boxes if b.j >= heights[b.i]]
-        if nonempty_only and not members:
+        vector = tuple(int(j >= heights[i]) for i, j in diagram.boxes)
+        if nonempty_only and not any(vector):
             continue
-        upper = UpperSet(diagram, members)
-        if connected_only and members and not upper.is_connected():
+        if connected_only and len(upper_set_parts(diagram, vector)) > 1:
             continue
-        out.append(upper)
-    out.sort(key=lambda u: u.member_vector(), reverse=True)
+        out.append(vector)
+    out.sort(reverse=True)
     return out
-
-
-def principal_upper_set(diagram: YoungDiagram, box: Box) -> UpperSet:
-    """Boxes of the diagram weakly right-and-below ``box`` — has a unique minimum."""
-    if box not in diagram:
-        raise DomainError("box-not-in-diagram", f"box {tuple(box)} outside diagram", list(diagram.cols))
-    return UpperSet(diagram, (b for b in diagram.boxes if partial_order_leq(box, b)))

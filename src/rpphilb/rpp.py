@@ -7,7 +7,10 @@ the indicator fillings of nonempty edge-connected upper sets; every
 factorisation of a fixed RPP into indicators has the same length, its
 weight.  This module implements the arithmetic, the discrete mixed second
 difference (derivative) and weight, indicator enumeration, and the
-standard / complete / exhaustive factorisation constructions.
+standard / complete / exhaustive factorisation constructions.  An
+indicator is built from its upper set's row-major 0/1 vector, and the
+standard and complete factorisations build those vectors directly: level
+sets split into edge-connected parts, and principal upper sets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable
 
-from .diagram import Box, UpperSet, YoungDiagram, connected_parts, enumerate_upper_sets, json_ints
+from .diagram import Box, YoungDiagram, enumerate_upper_sets, json_ints, upper_set_parts
 from .errors import CapExceeded, DomainError
 
 #: caps for the exhaustive factorisation search
@@ -180,16 +183,24 @@ def zero_rpp(diagram: YoungDiagram) -> RPP:
 
 
 class Indicator(RPP):
-    """0/1 filling of a nonempty edge-connected upper set — an irreducible RPP."""
+    """0/1 filling of a nonempty edge-connected upper set — an irreducible RPP.
+
+    ``values`` is the upper set's row-major 0/1 vector.  RPP's check makes
+    it monotone, which for labels 0 and 1 is upward closure.
+    """
 
     __slots__ = ()
 
-    def __init__(self, upper_set: UpperSet):
-        if not upper_set.members:
-            raise DomainError("empty-upper-set", "indicator needs a nonempty upper set", None)
-        if not upper_set.is_connected():
-            raise DomainError("disconnected-upper-set", "indicator needs a connected upper set", None)
-        super().__init__(upper_set.diagram, upper_set.member_vector())
+    def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
+        super().__init__(diagram, values)
+        if any(v > 1 for v in self.values):
+            raise DomainError("parse-error", "indicator labels must be 0 or 1", list(self.values))
+        if not any(self.values):
+            raise DomainError("empty-upper-set", "indicator needs a nonempty upper set", list(self.values))
+        if len(upper_set_parts(diagram, self.values)) > 1:
+            raise DomainError(
+                "disconnected-upper-set", "indicator needs a connected upper set", list(self.values)
+            )
 
 
 def indicators(diagram: YoungDiagram) -> list[Indicator]:
@@ -199,8 +210,8 @@ def indicators(diagram: YoungDiagram) -> list[Indicator]:
     returns a fresh list of the same indicators.
     """
     if diagram._indicators is None:
-        uppers = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
-        diagram._indicators = tuple(Indicator(u) for u in uppers)
+        vectors = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
+        diagram._indicators = tuple(Indicator(diagram, v) for v in vectors)
     return list(diagram._indicators)
 
 
@@ -274,9 +285,8 @@ def standard_factorization(n: RPP) -> Factorization:
     terms: dict = {}
     prev = 0
     for k in levels:
-        members = [b for b, v in zip(n.diagram.boxes, n.values) if v >= k]
-        for part in connected_parts(UpperSet(n.diagram, members)):
-            ind = Indicator(part)
+        for part in upper_set_parts(n.diagram, tuple(int(v >= k) for v in n.values)):
+            ind = Indicator(n.diagram, part)
             terms[ind] = terms.get(ind, 0) + (k - prev)
         prev = k
     fact = Factorization(terms)
@@ -287,18 +297,18 @@ def standard_factorization(n: RPP) -> Factorization:
 def complete_factorization(n: RPP) -> Factorization | None:
     """Factorisation by principal upper sets; exists iff the derivative is >= 0.
 
-    When it exists it is unique, and each indicator in its support has a
-    unique minimal box.
+    When it exists it is unique, and each indicator in its support is the
+    principal upper set of a box where the derivative is positive: the
+    boxes weakly right of and below it, with it as unique minimal box.
     """
-    from .diagram import principal_upper_set
-
     deriv = n.derivative()
     if any(v < 0 for v in deriv.values):
         return None
     terms: dict = {}
     for box, dv in zip(n.diagram.boxes, deriv.values):
         if dv > 0:
-            terms[Indicator(principal_upper_set(n.diagram, box))] = dv
+            principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
+            terms[Indicator(n.diagram, principal)] = dv
     fact = Factorization(terms)
     assert fact.total() == n if terms else n.is_zero()
     return fact

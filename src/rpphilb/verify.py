@@ -16,7 +16,7 @@ import json
 import random
 from importlib import resources
 
-from .components import classify, differential_injective, dimension_recursive
+from .components import classify, differential_injective, dimension_recursive, witness_texts
 from .diagram import YoungDiagram
 from .equations import (
     ambient_and_bundle,
@@ -61,16 +61,6 @@ def _kind(name: str):
 # -- row implementations ------------------------------------------------------
 
 
-def _factorization_texts(factorization) -> dict:
-    return {ind.to_text(): m for ind, m in factorization.terms.items()}
-
-
-def _witness_texts(diagram, witness) -> dict | None:
-    if witness is None:
-        return None
-    return {ind.to_text(): c for ind, c in zip(indicators(diagram), witness) if c}
-
-
 @_kind("classify")
 def _row_classify(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
@@ -95,11 +85,8 @@ def _row_classify(row: dict) -> list:
         problems.append(f"complete factorisation at {comp_idx} != {expected['complete_index']}")
     for k, (report, want) in enumerate(zip(reports, expected["components"])):
         got = {
-            "factorization": _factorization_texts(report.factorization),
-            "smooth": report.smooth,
-            "bijective_on_points": report.bijective_on_points,
-            "differential_injective": report.differential_injective,
-            "witness": _witness_texts(n.diagram, report.relation_witness),
+            **report.to_json_obj(),
+            "witness": witness_texts(n.diagram, report.relation_witness),
         }
         for key, value in want.items():
             if got[key] != value:
@@ -269,12 +256,16 @@ def _row_random_properties(row: dict) -> list:
 
 # -- seeded random-instance property sweep ------------------------------------
 
+#: boxes of a random instance's diagram, and its largest label
+RANDOM_MAX_BOXES = 6
+RANDOM_MAX_ENTRY = 5
 
-def random_instance(rng: random.Random, max_boxes: int = 6, max_entry: int = 5) -> RPP:
+
+def random_instance(rng: random.Random) -> RPP:
     """A random RPP on a random diagram, conditioned to the search caps."""
     while True:
         cols = []
-        budget = rng.randint(1, max_boxes)
+        budget = rng.randint(1, RANDOM_MAX_BOXES)
         height = budget
         while budget > 0:
             h = rng.randint(1, min(height, budget))
@@ -285,7 +276,7 @@ def random_instance(rng: random.Random, max_boxes: int = 6, max_entry: int = 5) 
         values = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
         for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
             floor = max(values[l], values[u])
-            values[p] = min(max_entry, floor + rng.choice((0, 0, 1, 1, 2)))
+            values[p] = min(RANDOM_MAX_ENTRY, floor + rng.choice((0, 0, 1, 1, 2)))
         n = RPP(diagram, values[:-1])
         if n.weight() <= 12:
             return n

@@ -21,6 +21,29 @@ def diagrams_up_to(n_boxes):
     return [YoungDiagram(p) for n in range(1, n_boxes + 1) for p in parts(n, n)]
 
 
+def connected_parts(diagram, vector):
+    """Edge-connected parts of a 0/1 vector by depth-first search, descending-lex.
+
+    The oracle for ``diagram.upper_set_parts``: it grows each part from a
+    seed box through its left, right, upper and lower neighbours.
+    """
+    remaining = {b for b, x in zip(diagram.boxes, vector) if x}
+    parts = []
+    while remaining:
+        seed = remaining.pop()
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            i, j = frontier.pop()
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in remaining:
+                    remaining.remove(nb)
+                    comp.add(nb)
+                    frontier.append(nb)
+        parts.append(tuple(int(b in comp) for b in diagram.boxes))
+    return sorted(parts, reverse=True)
+
+
 def rising_filling(diagram, step):
     """RPP whose labels rise by ``step()`` over the larger of the left and upper neighbours."""
     vals = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension

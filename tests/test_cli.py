@@ -278,6 +278,18 @@ def test_domain_error_payload_schema(tmp_path):
             assert payload["code"] == "parse-error"
 
 
+def test_empty_column_heights_are_a_parse_error():
+    for text in ("2,,1", ",2", "2,1,"):
+        code, out, err = run_cli("indicators", text)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        check(payload, "error")
+        assert payload["code"] == "parse-error"
+    code, out, _ = run_cli("indicators", "2, 1")
+    assert code == 0
+    assert out == run_cli("indicators", "2,1")[1]
+
+
 def test_cap_errors_exit_2():
     code, _, err = run_cli("count-points", "30", "--p", "2")
     assert code == 2

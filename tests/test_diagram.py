@@ -1,19 +1,14 @@
 """Diagram geometry: boxes, hooks, socle, upper sets."""
 
+from itertools import product
+
 import pytest
 
 import rpphilb.diagram
-from rpphilb import CapExceeded, DomainError
-from rpphilb.diagram import (
-    Box,
-    YoungDiagram,
-    connected_parts,
-    enumerate_upper_sets,
-    partial_order_leq,
-    principal_upper_set,
-)
+from rpphilb import RPP, CapExceeded, DomainError, complete_factorization
+from rpphilb.diagram import Box, YoungDiagram, enumerate_upper_sets, upper_set_parts
 
-from conftest import diagrams_up_to
+from conftest import connected_parts, diagrams_up_to
 
 
 def test_box_order_is_row_major(grid_diagram):
@@ -57,15 +52,16 @@ def test_bad_column_heights(cols, code):
 
 
 def test_from_text_rejects_garbage():
-    with pytest.raises(DomainError) as err:
-        YoungDiagram.from_text("2,x")
-    assert err.value.code == "parse-error"
+    for text in ("2,x", "", "2,,1", ",2", "2,1,"):
+        with pytest.raises(DomainError) as err:
+            YoungDiagram.from_text(text)
+        assert err.value.code == "parse-error", text
+    assert YoungDiagram.from_text(" 2, 1 ") == YoungDiagram((2, 1))
 
 
 def test_partial_order_and_adjacency():
-    assert partial_order_leq(Box(0, 0), Box(1, 1))
-    assert not partial_order_leq(Box(1, 0), Box(0, 1))
-    # edge neighbours are the left/up entries of the table, the diagonal one is not
+    # the left/up entries of the table are the boxes a box covers in the
+    # componentwise order, its edge neighbours; the diagonal one is not
     square = YoungDiagram((2, 2))
     assert (square.left[1], square.up[2], square.up_left[3]) == (0, 0, 0)
     assert 0 not in (square.left[3], square.up[3])
@@ -110,21 +106,26 @@ def test_disconnected_upper_set_in_hook_shape():
     hook = YoungDiagram((2, 1))
     all_upper = enumerate_upper_sets(hook)
     assert len(all_upper) == 5
-    split = [u for u in all_upper if u.members and not u.is_connected()]
-    assert len(split) == 1
-    assert sorted(tuple(b) for b in split[0].members) == [(0, 1), (1, 0)]
-    parts = connected_parts(split[0])
-    assert [sorted(tuple(b) for b in p.members) for p in parts] == [[(1, 0)], [(0, 1)]]
+    split = [u for u in all_upper if len(upper_set_parts(hook, u)) > 1]
+    assert split == [(0, 1, 1)]
+    assert [b for b, x in zip(hook.boxes, split[0]) if x] == [(1, 0), (0, 1)]
+    parts = upper_set_parts(hook, split[0])
+    assert [[b for b, x in zip(hook.boxes, p) if x] for p in parts] == [[(1, 0)], [(0, 1)]]
 
 
 def test_principal_upper_set(grid_diagram):
-    up = principal_upper_set(grid_diagram, Box(1, 1))
-    assert sorted(tuple(b) for b in up.members) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert [b for b in up.members if not any(partial_order_leq(m, b) for m in up.members - {b})] == [
-        Box(1, 1)
-    ]
-    assert up.is_connected()
-    assert up.member_vector() == (0, 0, 0, 0, 1, 1, 0, 1, 1)
+    # a filling whose derivative is 1 at (1, 1) alone is completely factored
+    # by the principal upper set of (1, 1), once
+    n = RPP.from_rows([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
+    assert [b for b, x in zip(grid_diagram.boxes, n.derivative().values) if x] == [(1, 1)]
+    [(up, mult)] = complete_factorization(n).terms.items()
+    assert mult == 1
+    members = [b for b, x in zip(grid_diagram.boxes, up.values) if x]
+    assert sorted(members) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    minimal = [b for b in members if not any(m != b and m.i <= b.i and m.j <= b.j for m in members)]
+    assert minimal == [Box(1, 1)]
+    assert len(upper_set_parts(grid_diagram, up.values)) == 1
+    assert up.values == (0, 0, 0, 0, 1, 1, 0, 1, 1)
 
 
 def test_subdiagram_heights_complement_upper_sets():
@@ -149,7 +150,23 @@ def test_enumeration_cap(monkeypatch):
 
 
 def test_connectivity_matches_connected_parts_oracle():
-    uppers = [u for d in diagrams_up_to(10) for u in enumerate_upper_sets(d)]
+    uppers = [(d, u) for d in diagrams_up_to(10) for u in enumerate_upper_sets(d)]
     assert len(uppers) == 2887
-    for u in uppers:
-        assert u.is_connected() == (len(connected_parts(u)) <= 1), u
+    for d, u in uppers:
+        assert upper_set_parts(d, u) == connected_parts(d, u), (d, u)
+
+
+def test_upper_sets_are_the_monotone_zero_one_vectors():
+    # a 0/1 filling is an RPP exactly when its support is upward closed;
+    # product((1, 0), ...) runs through the vectors in descending-lex order
+    for d in diagrams_up_to(10):
+        monotone = []
+        for vector in product((1, 0), repeat=d.size):
+            try:
+                RPP(d, vector)
+            except DomainError:
+                continue
+            monotone.append(vector)
+        assert enumerate_upper_sets(d) == monotone, d
+        connected = [v for v in monotone if len(connected_parts(d, v)) == 1]
+        assert enumerate_upper_sets(d, connected_only=True, nonempty_only=True) == connected, d

@@ -10,6 +10,7 @@ from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
 from rpphilb.rpp import (
     Factorization,
     Filling,
+    Indicator,
     _first_fault,
     all_factorizations,
     complete_factorization,
@@ -20,7 +21,7 @@ from rpphilb.rpp import (
 )
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, filling_of_weight, rising_filling
+from conftest import connected_parts, diagrams_up_to, filling_of_weight, rising_filling
 
 
 def test_text_round_trip(square_rpp):
@@ -125,6 +126,43 @@ def test_standard_factorization_of_square(square_rpp):
     }
     assert f.length == square_rpp.weight()
     assert f.total() == square_rpp
+
+
+@pytest.mark.parametrize(
+    "cols, values, code",
+    [
+        ((2, 2), (0, 1, 1, 2), "parse-error"),
+        ((2, 2), (0, 0, 0, 0), "empty-upper-set"),
+        ((2, 1), (0, 1, 1), "disconnected-upper-set"),
+        ((2, 2), (1, 0, 1, 1), "not-monotone"),
+    ],
+)
+def test_indicator_refusals(cols, values, code):
+    with pytest.raises(DomainError) as err:
+        Indicator(YoungDiagram(cols), values)
+    assert (err.value.code, err.value.exit_code) == (code, 1)
+
+
+def test_indicator_of_a_connected_upper_set():
+    nu = Indicator(YoungDiagram((2, 2)), (0, 1, 1, 1))
+    assert nu.to_text() == "0 1 / 1 1"
+    assert nu.weight() == 1
+
+
+def test_standard_factorization_matches_connected_parts_oracle():
+    # level sets split by graph search, against the column runs the library uses
+    for d in diagrams_up_to(6):
+        for n in enumerate_rpps(d, 5):
+            if n.is_zero():
+                continue
+            terms = {}
+            prev = 0
+            for k in sorted({v for v in n.values if v > 0}):
+                for part in connected_parts(d, tuple(int(v >= k) for v in n.values)):
+                    nu = Indicator(d, part)
+                    terms[nu] = terms.get(nu, 0) + k - prev
+                prev = k
+            assert standard_factorization(n) == Factorization(terms), n
 
 
 def test_complete_factorization_of_square(square_rpp):
