@@ -29,7 +29,7 @@ class Box(NamedTuple):
 class YoungDiagram:
     """Partition as nonincreasing positive column heights."""
 
-    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left", "_indicators")
+    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left")
 
     def __init__(self, col_heights: Iterable[int]):
         try:
@@ -60,8 +60,6 @@ class YoungDiagram:
         self.left = tuple(index.get((i - 1, j), -1) for i, j in self.boxes)
         self.up = tuple(index.get((i, j - 1), -1) for i, j in self.boxes)
         self.up_left = tuple(index.get((i - 1, j - 1), -1) for i, j in self.boxes)
-        # the indicator fillings, built on first use by rpp.indicators
-        self._indicators = None
 
     # -- basic geometry ----------------------------------------------------
 

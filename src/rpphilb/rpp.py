@@ -16,6 +16,7 @@ sets split into edge-connected parts, and principal upper sets.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Iterable
 
 from .diagram import Box, YoungDiagram, enumerate_upper_sets, json_ints, upper_set_parts
@@ -206,13 +207,34 @@ class Indicator(RPP):
 def indicators(diagram: YoungDiagram) -> list[Indicator]:
     """All indicator fillings, descending-lex on the row-major 0/1 vector.
 
-    The table is built once per diagram instance and kept on it; each call
-    returns a fresh list of the same indicators.
+    The table is built once per shape per process, for a bounded number of
+    shapes, and shared by equal diagrams; each call returns a fresh list of
+    the same indicators.
     """
-    if diagram._indicators is None:
-        vectors = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
-        diagram._indicators = tuple(Indicator(diagram, v) for v in vectors)
-    return list(diagram._indicators)
+    return list(_shape_table(diagram.cols)[0])
+
+
+@lru_cache(maxsize=256)
+def _shape_table(cols: tuple[int, ...]) -> tuple:
+    """The indicators of a shape and the search tables of ``all_factorizations``.
+
+    Returns (indicators, members, guards, stop): per indicator its member
+    positions and its guard pairs, and stop[p], one past the last
+    indicator whose first member box is p.  A shape over the box cap
+    raises on every call, since the cache keeps no exception.
+    """
+    diagram = YoungDiagram(cols)
+    vectors = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
+    inds = tuple(Indicator(diagram, v) for v in vectors)
+    left, up = diagram.left, diagram.up
+    members = tuple(tuple(p for p, x in enumerate(v) if x) for v in vectors)
+    guards = tuple(
+        tuple((p, q) for p in ps for q in {left[p], up[p]} if q == -1 or not v[q])
+        for v, ps in zip(vectors, members)
+    )
+    firsts = [ps[0] for ps in members]
+    stop = tuple(bisect_right(firsts, p) for p in range(diagram.size))
+    return inds, members, guards, stop
 
 
 class Factorization:
@@ -365,15 +387,7 @@ def all_factorizations(n: RPP) -> list[Factorization]:
     if n.is_zero():
         return [Factorization({})]
 
-    left, up = n.diagram.left, n.diagram.up
-    members = [[p for p, x in enumerate(ind.values) if x] for ind in inds]
-    guards = [
-        [(p, q) for p in ps for q in {left[p], up[p]} if q == -1 or not ind.values[q]]
-        for ind, ps in zip(inds, members)
-    ]
-    # stop[p]: one past the last indicator whose first member box is p
-    firsts = [ps[0] for ps in members]
-    stop = [bisect_right(firsts, p) for p in range(n.diagram.size)]
+    _, members, guards, stop = _shape_table(n.diagram.cols)
     vals = [*n.values, 0]  # the remainder, decremented and restored in place
     results: list[Factorization] = []
     path: list[Indicator] = []

@@ -8,14 +8,17 @@ as truncated series: exponent vectors with total at most max_size mapping
 to coefficients in Z[L].  A coefficient is a tuple of ints indexed by the
 power of L, lowest first, with no trailing zeros, so L^2 + 1 is (1, 0, 1)
 and zero is the empty tuple, which is never stored.  Coefficients are
-multiplied by ``poly.poly_mul``; the top entry of a product is a product of
-two nonzero ints, so a product needs no trimming.
+multiplied by ``poly.poly_mul``, or shifted and scaled when one factor is
+a monomial c·L^d; the top entry of a product is a product of two nonzero
+ints, so a product needs no trimming.
 
 The public ``TruncatedSeries(...)`` (and ``substitute_L``) validates and
-normalises every term.  The products, the brute-force sum, ``__mul__`` and
-the diagonal collapse build normalised terms under max_size themselves
-(the last two drop coefficients that cancelled to zero), so they store
-them unchecked through the private ``TruncatedSeries._of``.
+normalises every term; an exponent or coefficient entry that is not an
+int (a bool is not one) is a parse-error, and so is a factor's exponent
+or weight entry.  The products, the brute-force sum, ``__mul__`` and the
+diagonal collapse build normalised terms under max_size themselves (the
+last two drop coefficients that cancelled to zero), so they store them
+unchecked through the private ``TruncatedSeries._of``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class TruncatedSeries:
         self.single_variable = single_variable
         coeffs = {}
         for exp, c in (coefficients or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = _ints(exp, "exponent vector")
             if len(exp) != n_vars:
                 raise DomainError("parse-error", f"exponent vector {exp} has wrong length", exp)
             if any(e < 0 for e in exp):
@@ -143,9 +146,23 @@ def evaluate_motive(coefficient: tuple, p: int) -> int:
     return sum(c * p**d for d, c in enumerate(coefficient))
 
 
+def _ints(raw, what: str) -> tuple:
+    """An iterable of ints as a tuple; anything else, a bool included, is a parse-error."""
+    try:
+        out = tuple(raw)
+    except TypeError:
+        out = None
+    if out is None or any(type(x) is not int for x in out):
+        raise DomainError("parse-error", f"{what} must be integers", raw)
+    return out
+
+
 def _coefficient(c) -> tuple:
     """An int, or ints by power of L, as a coefficient tuple."""
-    c = [c] if isinstance(c, int) else list(c)
+    return _trimmed([c] if type(c) is int else list(_ints(c, "coefficient")))
+
+
+def _trimmed(c: list) -> tuple:
     while c and not c[-1]:
         c.pop()
     return tuple(c)
@@ -159,7 +176,7 @@ def _add(a: tuple, b: tuple) -> tuple:
     out = list(a)
     for d, c in enumerate(b):
         out[d] += c
-    return _coefficient(out)
+    return _trimmed(out)
 
 
 def _product(n_vars: int, max_size: int, factors, single_variable: bool = False) -> TruncatedSeries:
@@ -177,7 +194,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     start = TruncatedSeries.one(n_vars, max_size, single_variable)
     graded = [start.coefficients] + [{} for _ in range(max_size)]
     for exponents, weight, power in factors:
-        v = tuple(int(e) for e in exponents)
+        v = _ints(exponents, "factor exponent vector")
         step = sum(v)
         if step == 0:
             raise DomainError("zero-input", "factor exponent vector must be nonzero", list(v))
@@ -186,23 +203,36 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
         if any(e < 0 for e in v):
             raise DomainError("parse-error", f"negative exponent in {v}", v)
         w, k = _coefficient(weight), abs(power)
+        # (shift, j·v, c_j·w^j, and for a monomial c·L^d its padding (0,)*d and c)
         updates, c, w_j = [], 1, (1,)
-        for j in range(1, min(k, max_size // step) + 1):
+        n_updates = min(k, max_size // step) if w else 0  # w = 0 makes the factor 1
+        for j in range(1, n_updates + 1):
             c, w_j = c * (j - 1 - k) // j, poly_mul(w_j, w)
-            updates.append((j * step, tuple(j * e for e in v), tuple((c if power > 0 else -c) * x for x in w_j)))
+            cw = tuple((c if power > 0 else -c) * x for x in w_j)
+            pad = (0,) * (len(cw) - 1) if not any(cw[:-1]) else None
+            updates.append((j * step, tuple(j * e for e in v), cw, pad, cw[-1]))
         sizes = range(max_size - step + 1) if power < 0 else range(max_size - step, -1, -1)
         for t in sizes:
             for e, a in graded[t].items():
-                for shift, jv, cw in updates:
+                for shift, jv, cw, pad, scale in updates:
                     if t + shift > max_size:
                         break
+                    # times a monomial, a coefficient is shifted and scaled
+                    if pad is None:
+                        term = poly_mul(cw, a)
+                    elif scale == 1:
+                        term = pad + a
+                    else:
+                        term = pad + tuple(scale * x for x in a)
                     target = graded[t + shift]
                     key = tuple(map(add, e, jv))
-                    s = _add(target.get(key, ()), poly_mul(cw, a))
-                    if s:
+                    old = target.get(key)
+                    if old is None:
+                        target[key] = term
+                    elif s := _add(old, term):
                         target[key] = s
                     else:
-                        target.pop(key, None)
+                        del target[key]
     terms = {e: c for by_size in graded for e, c in by_size.items()}
     return TruncatedSeries._of(n_vars, max_size, terms, single_variable)
 

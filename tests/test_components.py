@@ -1,10 +1,12 @@
 """Component classification: smoothness, point bijectivity, witnesses."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, YoungDiagram
 from rpphilb.components import (
     bijective_on_points,
@@ -171,3 +173,21 @@ def test_witness_search_matches_the_full_multiplicity_box():
             assert found == _brute_force_bijective(T), (n.to_text(), T)
             verdicts.append(found[0])
     assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():
+    # rebuilding the shape's table before every filling is the oracle
+    texts = [FT.GRID_TEXT, "0 2 4 / 2 4 6 / 4 6 8"]
+    rng = random.Random(15)
+    for cols in ((3, 3, 3), (4, 3, 2, 1)):
+        d = YoungDiagram(cols)
+        texts += [filling_of_weight(rng, d, rng.randint(6, 10)).to_text() for _ in range(20)]
+
+    def classify_json(text):
+        return json.dumps([r.to_json_obj() for r in classify(RPP.from_text(text))])
+
+    cold = []
+    for text in texts:
+        rpphilb.rpp._shape_table.cache_clear()
+        cold.append(classify_json(text))
+    assert [classify_json(text) for text in texts] == cold

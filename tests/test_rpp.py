@@ -7,6 +7,7 @@ import pytest
 
 import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
+from rpphilb.diagram import enumerate_upper_sets
 from rpphilb.rpp import (
     Factorization,
     Filling,
@@ -355,6 +356,7 @@ def test_indicator_table_is_built_once_per_diagram(monkeypatch):
         return enumerate_upper_sets(*args, **kwargs)
 
     monkeypatch.setattr(rpphilb.rpp, "enumerate_upper_sets", counting)
+    rpphilb.rpp._shape_table.cache_clear()
     d = YoungDiagram((3, 2, 1))
     first = indicators(d)
     texts = [nu.to_text() for nu in first]
@@ -364,6 +366,33 @@ def test_indicator_table_is_built_once_per_diagram(monkeypatch):
     second.append(second[0])
     assert len(indicators(d)) == len(texts)
     assert len(calls) == 1
-    # the table belongs to the instance: an equal diagram builds its own
+    # the table belongs to the shape: an equal diagram reuses it, another shape builds one
     indicators(YoungDiagram((3, 2, 1)))
+    assert len(calls) == 1
+    indicators(YoungDiagram((3, 2)))
     assert len(calls) == 2
+
+
+def test_shape_table_matches_a_fresh_build():
+    # a fresh enumeration and the search tables recomputed box by box are the oracle
+    diagrams = diagrams_up_to(10)
+    assert len(diagrams) == 138
+    for d in diagrams:
+        vectors = enumerate_upper_sets(d, connected_only=True, nonempty_only=True)
+        inds, members, guards, stop = rpphilb.rpp._shape_table(d.cols)
+        assert indicators(d) == list(inds) == [Indicator(d, v) for v in vectors]
+        assert [nu.values for nu in inds] == vectors
+        for v, ps, pairs in zip(vectors, members, guards):
+            assert ps == tuple(p for p in range(d.size) if v[p])
+            outside = {(p, q) for p in ps for q in (d.left[p], d.up[p]) if q == -1 or not v[q]}
+            assert sorted(pairs) == sorted(outside)
+        for p in range(d.size):
+            assert stop[p] == sum(1 for ps in members if ps[0] <= p)
+
+
+def test_refused_shape_raises_on_every_call():
+    d = YoungDiagram((31,))
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as err:
+            indicators(d)
+        assert err.value.code == "diagram-too-large"

@@ -186,6 +186,56 @@ def test_large_powers_match_the_binomial_convolution(square_diagram):
         assert hook_product(square_diagram, (0, 1), chi, 6) == _convolved([(v, 1, chi) for v in hooks], 4, 6)
 
 
+def _weighted_factor(v, weight, power, n_vars, max_size):
+    """(1 − w·q^v)^power for a weight w in Z[L], an int or ints by power of L, by the binomial theorem."""
+    weight = (weight,) if isinstance(weight, int) else weight
+    w = SparsePoly({((L, d),): c for d, c in enumerate(weight)})
+    coeffs = {}
+    for k in range(max_size // sum(v) + 1):
+        b = (-1) ** k * comb(power, k) if power >= 0 else comb(-power - 1 + k, k)
+        by_power = {dict(mono).get(L, 0): c for mono, c in (w**k * SparsePoly.constant(b)).terms.items()}
+        coeffs[tuple(k * e for e in v)] = tuple(by_power.get(d, 0) for d in range(max(by_power, default=-1) + 1))
+    return TruncatedSeries(n_vars, max_size, coeffs)
+
+
+def test_weights_that_are_not_monomials_match_the_binomial_convolution():
+    # a weight with two or more powers of L goes through the general product
+    max_size = 6
+    for d in diagrams_up_to(4):
+        hooks = [hook_variable(d, box) for box in d.boxes]
+        for weight in ((1, 1), (2, 0, -1), 3):
+            for power in (-2, -1, 1, 2):
+                factors = [_weighted_factor(v, weight, power, d.size, max_size) for v in hooks]
+                assert factor_power(hooks[0], weight, power, d.size, max_size) == factors[0]
+                expected = TruncatedSeries.one(d.size, max_size)
+                for f in factors:
+                    expected = expected * f
+                assert hook_product(d, weight, power, max_size) == expected, (d, weight, power)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries(1, 3, {(1.5,): 1}),
+        lambda: TruncatedSeries(1, 3, {(True,): 1}),
+        lambda: TruncatedSeries(1, 3, {1: 1}),
+        lambda: TruncatedSeries(1, 3, {(1,): True}),
+        lambda: TruncatedSeries(1, 3, {(1,): 1.5}),
+        lambda: TruncatedSeries(1, 3, {(1,): (1, 0.5)}),
+        lambda: TruncatedSeries(1, 3, {(1,): (False, 1)}),
+        lambda: factor_power((1.7,), 1, -1, 1, 3),
+        lambda: factor_power((True,), 1, -1, 1, 3),
+        lambda: factor_power((1,), 1.5, -1, 1, 3),
+        lambda: factor_power((1,), True, -1, 1, 3),
+        lambda: factor_power((1,), (0, True), -1, 1, 3),
+    ],
+)
+def test_series_refuse_entries_that_are_not_ints(build):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert err.value.code == "parse-error"
+
+
 def test_factor_power_rejects_negative_exponents():
     for v in ((-1, 0), (-1, 2)):
         with pytest.raises(DomainError) as err:
