@@ -18,9 +18,9 @@ def show(n: RPP) -> None:
     print(f"  {len(nus)} indicators on this shape")
 
     std = standard_factorization(n)
-    print("  standard factorization :", fmt(std))
+    print("  standard factorization :", std)
     comp = complete_factorization(n)
-    print("  complete factorization :", fmt(comp) if comp else "none (derivative has a negative entry)")
+    print("  complete factorization :", comp if comp else "none (derivative has a negative entry)")
 
     facts = all_factorizations(n)
     print(f"  {len(facts)} factorizations = {len(facts)} irreducible components")
@@ -32,7 +32,7 @@ def show(n: RPP) -> None:
             flags.append("not a bijection on points")
         elif not report.differential_injective:
             flags.append("bijective but differential drops rank")
-        print(f"  component {k}: {fmt(report.factorization)}  [{', '.join(flags)}]")
+        print(f"  component {k}: {report.factorization}  [{', '.join(flags)}]")
         if report.relation_witness:
             terms = [
                 f"{c:+d}*[{nus[i].to_text()}]"
@@ -41,13 +41,6 @@ def show(n: RPP) -> None:
             ]
             print(f"      witness relation: {' '.join(terms)} = 0")
     print()
-
-
-def fmt(factorization) -> str:
-    return " + ".join(
-        (f"{m}*" if m > 1 else "") + f"[{nu.to_text()}]"
-        for nu, m in factorization.terms.items()
-    )
 
 
 if __name__ == "__main__":

@@ -40,31 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("unsupported-option", message)
 
 
-def _load_structured(raw: str):
+def _arg(cls, raw: str):
+    """A ``cls`` (YoungDiagram or RPP) from its text form or from @file.json."""
+    obj = raw
     if raw.startswith("@"):
         path = raw[1:]
         try:
             with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+                obj = json.load(handle)
         except OSError as exc:
             raise DomainError("parse-error", f"cannot read {path}: {exc}", raw)
         except json.JSONDecodeError as exc:
             raise DomainError("parse-error", f"{path} is not valid JSON: {exc}", raw)
-    return raw
-
-
-def _diagram_arg(raw: str) -> YoungDiagram:
-    obj = _load_structured(raw)
-    if isinstance(obj, str):
-        return YoungDiagram.from_text(obj)
-    return YoungDiagram.from_json_obj(obj)
-
-
-def _rpp_arg(raw: str) -> RPP:
-    obj = _load_structured(raw)
-    if isinstance(obj, str):
-        return RPP.from_text(obj)
-    return RPP.from_json_obj(obj)
+    return cls.from_text(obj) if isinstance(obj, str) else cls.from_json_obj(obj)
 
 
 def _emit(args, json_obj, text_lines) -> None:
@@ -75,20 +63,11 @@ def _emit(args, json_obj, text_lines) -> None:
             print(line)
 
 
-def _factorization_text(fact) -> str:
-    if not fact.terms:
-        return "(empty)"
-    return " + ".join(
-        f"{m}*[{ind.to_text()}]" if m != 1 else f"[{ind.to_text()}]"
-        for ind, m in fact.terms.items()
-    )
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_indicators(args) -> int:
-    diagram = _diagram_arg(args.diagram)
+    diagram = _arg(YoungDiagram, args.diagram)
     inds = indicators(diagram)
     obj = {
         "cols": list(diagram.cols),
@@ -102,14 +81,14 @@ def _cmd_indicators(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    n = _rpp_arg(args.rpp)
+    n = _arg(RPP, args.rpp)
     obj = {"cols": list(n.diagram.cols), "rows": n.rows(), "weight": n.weight()}
     _emit(args, obj, [str(n.weight())])
     return 0
 
 
 def _cmd_factorizations(args) -> int:
-    n = _rpp_arg(args.rpp)
+    n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
     standard_index = None
     if not n.is_zero():
@@ -131,13 +110,13 @@ def _cmd_factorizations(args) -> int:
         marks = "".join(
             [" (standard)" if k == standard_index else "", " (complete)" if k == complete_index else ""]
         )
-        lines.append(f"{k + 1}: {_factorization_text(f)}{marks}")
+        lines.append(f"{k + 1}: {f}{marks}")
     _emit(args, obj, lines)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    n = _rpp_arg(args.rpp)
+    n = _arg(RPP, args.rpp)
     reports = classify(n)
     n_singular = sum(not r.smooth for r in reports)
     lines = [f"{len(reports)} components, {n_singular} singular"]
@@ -145,7 +124,7 @@ def _cmd_classify(args) -> int:
         flags = "smooth" if report.smooth else "singular"
         if not report.smooth:
             flags += ", bijective on points" if report.bijective_on_points else ", not bijective"
-        line = f"T{k + 1}: dim {report.dimension}, {flags} — {_factorization_text(report.factorization)}"
+        line = f"T{k + 1}: dim {report.dimension}, {flags} — {report.factorization}"
         if report.relation_witness:
             witness = witness_texts(n.diagram, report.relation_witness)
             terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{t}]" for t, c in witness.items())
@@ -156,7 +135,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equations(args) -> int:
-    n = _rpp_arg(args.rpp)
+    n = _arg(RPP, args.rpp)
     if args.type == "I":
         if args.minimal_border:
             raise DomainError(
@@ -181,7 +160,7 @@ def _cmd_equations(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    diagram = _diagram_arg(args.diagram)
+    diagram = _arg(YoungDiagram, args.diagram)
     if (args.curve is None) == (args.euler is None):
         raise DomainError(
             "unsupported-option", "choose exactly one of --curve and --euler", None
@@ -205,7 +184,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_count_points(args) -> int:
-    n = _rpp_arg(args.rpp)
+    n = _arg(RPP, args.rpp)
     count = count_points(n, args.p)
     coefficient = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
     motive = evaluate_motive(coefficient, args.p)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, ints
 
 #: default guard against combinatorial blowup in upper-set enumeration
 MAX_DIAGRAM_BOXES = 30
@@ -32,12 +32,7 @@ class YoungDiagram:
     __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left")
 
     def __init__(self, col_heights: Iterable[int]):
-        try:
-            cols = tuple(col_heights)
-        except TypeError:
-            raise DomainError("parse-error", "column heights must be integers", col_heights) from None
-        if any(type(h) is not int for h in cols):
-            raise DomainError("parse-error", "column heights must be integers", list(cols))
+        cols = ints(col_heights, "column heights")
         if not cols:
             raise DomainError("empty-diagram", "need at least one column", col_heights)
         if any(h <= 0 for h in cols):
@@ -164,16 +159,10 @@ class YoungDiagram:
 
     @classmethod
     def from_json_obj(cls, obj) -> "YoungDiagram":
-        if not isinstance(obj, dict) or "cols" not in obj:
+        # a non-list such as "" must not read as the empty diagram
+        if not isinstance(obj, dict) or not isinstance(obj.get("cols"), list):
             raise DomainError("parse-error", 'diagram JSON needs a "cols" list', obj)
-        return cls(json_ints(obj["cols"], 'diagram JSON "cols"'))
-
-
-def json_ints(raw, what: str) -> list[int]:
-    """A JSON list of integers as it stands; floats, strings and booleans are a parse-error."""
-    if not isinstance(raw, list) or any(type(x) is not int for x in raw):
-        raise DomainError("parse-error", f"{what} must be a list of integers", raw)
-    return raw
+        return cls(ints(obj["cols"], 'diagram JSON "cols"'))
 
 
 def upper_set_parts(diagram: YoungDiagram, vector: tuple[int, ...]) -> list[tuple[int, ...]]:

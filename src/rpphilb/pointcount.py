@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, ints
 from .poly import monic_divmod, poly_mul
 from .rpp import RPP
 
@@ -124,6 +124,7 @@ def count_points(n: RPP, p: int, budget: int | None = None) -> int:
     field = PrimeField(p)
     if budget is None:
         budget = configured_budget()
+    ints([budget], "budget")
     cost = p**n.size
     if cost > budget:
         raise CapExceeded(

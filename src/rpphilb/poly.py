@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ints
 from .terms import format_terms
 
 _KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4}
@@ -84,11 +84,10 @@ class SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
+        terms = terms or {}
+        ints(terms.values(), "coefficients")
         cleaned: dict = {}
-        for mono, coeff in (terms or {}).items():
-            c = int(coeff)
-            if c != coeff:
-                raise DomainError("parse-error", "coefficients must be integers", coeff)
+        for mono, c in terms.items():
             key = _sorted_monomial(mono)
             cleaned[key] = cleaned.get(key, 0) + c
         self.terms = {m: c for m, c in cleaned.items() if c}
@@ -155,6 +154,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "SparsePoly":
+        ints([e], "polynomial power")
         if e < 0:
             raise DomainError("parse-error", "negative polynomial power", e)
         result = SparsePoly.constant(1)
@@ -427,7 +427,10 @@ def parse_poly(text: str) -> SparsePoly:
 
     if not tokens:
         raise DomainError("parse-error", "empty polynomial text", text)
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise DomainError("parse-error", "polynomial nested too deeply", text) from None
     if pos != len(tokens):
         raise DomainError("parse-error", f"trailing tokens in polynomial {text!r}", text)
     return result

@@ -19,8 +19,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
-from .diagram import Box, YoungDiagram, enumerate_upper_sets, json_ints, upper_set_parts
-from .errors import CapExceeded, DomainError
+from .diagram import Box, YoungDiagram, enumerate_upper_sets, upper_set_parts
+from .errors import CapExceeded, DomainError, ints
 
 #: caps for the exhaustive factorisation search
 MAX_FACTORIZATION_WEIGHT = 12
@@ -33,9 +33,7 @@ class Filling:
     __slots__ = ("diagram", "values")
 
     def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
-        vals = tuple(values)
-        if any(type(v) is not int for v in vals):
-            raise DomainError("parse-error", "labels must be integers", list(vals))
+        vals = ints(values, "labels")
         if len(vals) != diagram.size:
             raise DomainError(
                 "parse-error",
@@ -173,8 +171,8 @@ class RPP(Filling):
     def from_json_obj(cls, obj) -> "RPP":
         if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
             raise DomainError("parse-error", 'RPP JSON needs a "rows" list of lists', obj)
-        rpp = cls.from_rows(json_ints(row, "each RPP JSON row") for row in obj["rows"])
-        if "cols" in obj and tuple(json_ints(obj["cols"], 'RPP JSON "cols"')) != rpp.diagram.cols:
+        rpp = cls.from_rows(ints(row, "each RPP JSON row") for row in obj["rows"])
+        if "cols" in obj and ints(obj["cols"], 'RPP JSON "cols"') != rpp.diagram.cols:
             raise DomainError("parse-error", 'RPP JSON "cols" disagree with "rows"', obj)
         return rpp
 
@@ -243,6 +241,7 @@ class Factorization:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
+        ints(terms.values(), "multiplicities")
         cleaned = {}
         diagram = None
         for ind, mult in terms.items():
@@ -254,7 +253,7 @@ class Factorization:
                 diagram = ind.diagram
             elif ind.diagram != diagram:
                 raise DomainError("diagram-mismatch", "all indicators must share one diagram", None)
-            cleaned[ind] = int(mult)
+            cleaned[ind] = mult
         # canonical support order: descending lex on the indicator vectors
         self.terms = dict(sorted(cleaned.items(), key=lambda kv: kv[0].values, reverse=True))
 
@@ -290,8 +289,9 @@ class Factorization:
         return hash(frozenset((ind.values, m) for ind, m in self.terms.items()))
 
     def __repr__(self) -> str:
-        parts = [f"{m}*[{ind.to_text()}]" for ind, m in self.terms.items()]
-        return " + ".join(parts) if parts else "0"
+        """The CLI form, e.g. ``2*[0 1 / 1 1] + [1 1 / 1 1]``, or ``(empty)``."""
+        parts = [(f"{m}*" if m > 1 else "") + f"[{ind.to_text()}]" for ind, m in self.terms.items()]
+        return " + ".join(parts) or "(empty)"
 
 
 def standard_factorization(n: RPP) -> Factorization:
@@ -430,6 +430,7 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
     construction and is built without ``RPP.__init__``'s check, which
     still validates every filling built any other way.
     """
+    ints([max_size], "max_size")
     if max_size < 0:
         raise DomainError("negative-size", "max_size must be nonnegative", max_size)
     size, left, up = diagram.size, diagram.left, diagram.up

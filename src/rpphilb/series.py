@@ -13,12 +13,12 @@ a monomial c·L^d; the top entry of a product is a product of two nonzero
 ints, so a product needs no trimming.
 
 The public ``TruncatedSeries(...)`` (and ``substitute_L``) validates and
-normalises every term; an exponent or coefficient entry that is not an
-int (a bool is not one) is a parse-error, and so is a factor's exponent
-or weight entry.  The products, the brute-force sum, ``__mul__`` and the
-diagonal collapse build normalised terms under max_size themselves (the
-last two drop coefficients that cancelled to zero), so they store them
-unchecked through the private ``TruncatedSeries._of``.
+normalises every term.  Its sizes, exponents and coefficient entries, and
+a factor's exponents, weight and power, pass ``errors.ints``, so a bool
+or a float there is a parse-error.  The products, the brute-force sum,
+``__mul__`` and the diagonal collapse build normalised terms under
+max_size themselves (the last two drop coefficients that cancelled to
+zero), so they store them unchecked through ``TruncatedSeries._of``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from operator import add
 
 from .diagram import YoungDiagram
-from .errors import DomainError
+from .errors import DomainError, ints
 from .poly import poly_mul
 from .rpp import enumerate_rpps
 from .terms import format_terms
@@ -44,6 +44,7 @@ class TruncatedSeries:
         coefficients: dict | None = None,
         single_variable: bool = False,
     ):
+        ints([n_vars, max_size], "n_vars and max_size")
         if max_size < 0:
             raise DomainError("negative-size", "max_size must be nonnegative", max_size)
         self.n_vars = n_vars
@@ -51,7 +52,7 @@ class TruncatedSeries:
         self.single_variable = single_variable
         coeffs = {}
         for exp, c in (coefficients or {}).items():
-            exp = _ints(exp, "exponent vector")
+            exp = ints(exp, "exponent vector")
             if len(exp) != n_vars:
                 raise DomainError("parse-error", f"exponent vector {exp} has wrong length", exp)
             if any(e < 0 for e in exp):
@@ -79,7 +80,10 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, n_vars: int, max_size: int, single_variable: bool = False) -> "TruncatedSeries":
-        return cls(n_vars, max_size, {(0,) * n_vars: 1}, single_variable)
+        # the constructor checks n_vars before (0,) * n_vars uses it
+        series = cls(n_vars, max_size, single_variable=single_variable)
+        series.coefficients[(0,) * n_vars] = (1,)
+        return series
 
     def coefficient(self, exponents) -> tuple:
         return self.coefficients.get(tuple(exponents), ())
@@ -146,20 +150,9 @@ def evaluate_motive(coefficient: tuple, p: int) -> int:
     return sum(c * p**d for d, c in enumerate(coefficient))
 
 
-def _ints(raw, what: str) -> tuple:
-    """An iterable of ints as a tuple; anything else, a bool included, is a parse-error."""
-    try:
-        out = tuple(raw)
-    except TypeError:
-        out = None
-    if out is None or any(type(x) is not int for x in out):
-        raise DomainError("parse-error", f"{what} must be integers", raw)
-    return out
-
-
 def _coefficient(c) -> tuple:
     """An int, or ints by power of L, as a coefficient tuple."""
-    return _trimmed([c] if type(c) is int else list(_ints(c, "coefficient")))
+    return _trimmed(list(ints(c if isinstance(c, (tuple, list)) else [c], "coefficient")))
 
 
 def _trimmed(c: list) -> tuple:
@@ -194,7 +187,8 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     start = TruncatedSeries.one(n_vars, max_size, single_variable)
     graded = [start.coefficients] + [{} for _ in range(max_size)]
     for exponents, weight, power in factors:
-        v = _ints(exponents, "factor exponent vector")
+        v = ints(exponents, "factor exponent vector")
+        ints([power], "factor power")
         step = sum(v)
         if step == 0:
             raise DomainError("zero-input", "factor exponent vector must be nonzero", list(v))
@@ -284,6 +278,7 @@ def euler_series(
     diagram: YoungDiagram, chi: int, max_size: int, single_variable: bool = False
 ) -> TruncatedSeries:
     """Π_□ (1 − p_□)^{-chi}; with single_variable, p_□ collapses to q^{hook length}."""
+    ints([chi], "chi")  # -chi would turn True into the power -1
     if single_variable:
         factors = [((diagram.hook_length(box),), 1, -chi) for box in diagram.boxes]
         return _product(1, max_size, factors, single_variable=True)

@@ -229,6 +229,16 @@ def test_verify_non_object_row_is_an_error(tmp_path):
     assert json.loads(err)["code"] == "parse-error"
 
 
+def test_verify_deeply_nested_generator_fails_its_row(tmp_path):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    row = {"name": "deep", "kind": "equations", "rpp": "0 1 / 1 2", "type": "I"}
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps({"rows": [{**row, "expected": {"first_generator": deep}}]}))
+    code, out, err = run_cli("verify", str(bad))
+    assert (code, err) == (2, "")
+    assert out.startswith("FAIL deep - parse-error: ")
+
+
 def test_verify_non_string_kind_is_an_unknown_kind(tmp_path):
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps({"rows": [{"name": "listed", "kind": ["classify"]}]}))
@@ -254,6 +264,7 @@ def test_domain_error_payload_schema(tmp_path):
             ("weight", {"rows": [[0, 1]], "cols": [True, True]}),
             ("indicators", {"cols": [2.5, 1]}),
             ("indicators", {"cols": "21"}),
+            ("indicators", {"cols": ""}),
             ("indicators", {"cols": [True]}),
         )
     ):

@@ -1,0 +1,74 @@
+"""The library's one integer check, at every integer parameter it gates."""
+
+import pytest
+
+from rpphilb import RPP, DomainError, YoungDiagram
+from rpphilb.errors import ints
+from rpphilb.pointcount import count_points
+from rpphilb.poly import X, SparsePoly
+from rpphilb.rpp import Factorization, Filling, Indicator, enumerate_rpps
+from rpphilb.series import TruncatedSeries, euler_series, factor_power, hook_product
+
+D = YoungDiagram((2, 1))
+ONE_BOX = YoungDiagram((1,))
+
+#: each gated integer parameter, as a call that takes the value x there
+GATES = {
+    "column height": lambda x: YoungDiagram([2, x]),
+    "diagram JSON cols": lambda x: YoungDiagram.from_json_obj({"cols": [x]}),
+    "label": lambda x: Filling(ONE_BOX, [x]),
+    "RPP label": lambda x: RPP(ONE_BOX, [x]),
+    "RPP JSON row": lambda x: RPP.from_json_obj({"rows": [[x]]}),
+    "multiplicity": lambda x: Factorization({Indicator(ONE_BOX, (1,)): x}),
+    "enumeration max_size": lambda x: enumerate_rpps(D, x),
+    "polynomial coefficient": lambda x: SparsePoly({(): x}),
+    "polynomial power": lambda x: SparsePoly.variable(X) ** x,
+    "series n_vars": lambda x: TruncatedSeries(x, 3, {}),
+    "series max_size": lambda x: TruncatedSeries(1, x, {}),
+    "series exponent": lambda x: TruncatedSeries(1, 3, {(x,): 1}),
+    "series coefficient": lambda x: TruncatedSeries(1, 3, {(1,): x}),
+    "factor exponent": lambda x: factor_power((x,), 1, -1, 1, 3),
+    "factor weight": lambda x: factor_power((1,), x, -1, 1, 3),
+    "factor power": lambda x: factor_power((1,), 1, x, 1, 3),
+    "factor n_vars": lambda x: factor_power((1,), 1, -1, x, 3),
+    "factor max_size": lambda x: factor_power((1,), 1, -1, 1, x),
+    "hook power": lambda x: hook_product(D, 1, x, 3),
+    "hook max_size": lambda x: hook_product(D, 1, -1, x),
+    "euler chi": lambda x: euler_series(D, x, 3),
+    "euler max_size": lambda x: euler_series(D, 1, x),
+    "single-variable euler chi": lambda x: euler_series(D, x, 3, single_variable=True),
+    "point-count budget": lambda x: count_points(RPP.from_text("0"), 2, budget=x),
+}
+
+
+def test_ints_accepts_exact_ints_only():
+    assert ints([0, -3, 10**30], "entries") == (0, -3, 10**30)
+    assert ints(iter([]), "entries") == ()
+    for raw in ([True], [1.0], ["1"], [None], 5, None):
+        with pytest.raises(DomainError) as err:
+            ints(raw, "entries")
+        assert err.value.code == "parse-error"
+        assert "entries" in err.value.message
+
+
+def test_every_gated_parameter_refuses_what_is_not_an_int():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(sorted(GATES)))
+    def check(gate):
+        for value in (True, 1.5, 2.0, "1", None):
+            if gate == "point-count budget" and value is None:
+                continue  # None is the budget's documented default
+            with pytest.raises(DomainError) as err:
+                GATES[gate](value)
+            assert err.value.code == "parse-error", (gate, value, err.value.code)
+
+    check()
+
+
+def test_every_gated_parameter_accepts_an_int():
+    # the gate stops only what is not an int: each call above succeeds at 1
+    for gate, call in GATES.items():
+        call(1)

@@ -50,7 +50,7 @@ def test_parse_and_print_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "x +", "1 ** 2", "a_1"):
+    for text in ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000):
         with pytest.raises(DomainError) as err:
             parse_poly(text)
         assert err.value.code == "parse-error"

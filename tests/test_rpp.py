@@ -54,9 +54,18 @@ def test_bad_fillings(text, code):
     assert err.value.code == code
 
 
+def multiplicity(diagram, values):
+    return Factorization({Indicator(diagram, (1,)): values[0]})
+
+
+def max_size(diagram, values):
+    return enumerate_rpps(diagram, values[0])
+
+
 @pytest.mark.parametrize("values", [[1.7], [True], ["1"], [1.0]])
-@pytest.mark.parametrize("cls", [Filling, RPP])
+@pytest.mark.parametrize("cls", [Filling, RPP, multiplicity, max_size])
 def test_labels_that_are_not_ints_are_refused(cls, values):
+    # a multiplicity or an enumeration bound passes the same integer check as a label
     with pytest.raises(DomainError) as err:
         cls(YoungDiagram((1,)), values)
     assert (err.value.code, err.value.exit_code) == ("parse-error", 1)

@@ -228,6 +228,12 @@ def test_weights_that_are_not_monomials_match_the_binomial_convolution():
         lambda: factor_power((1,), 1.5, -1, 1, 3),
         lambda: factor_power((1,), True, -1, 1, 3),
         lambda: factor_power((1,), (0, True), -1, 1, 3),
+        lambda: TruncatedSeries(1, 2.5, {(1,): 1}),
+        lambda: TruncatedSeries(True, 3, {(1,): 1}),
+        lambda: factor_power((1,), 1, 1.5, 1, 3),
+        lambda: factor_power((1,), 1, True, 1, 3),
+        lambda: euler_series(YoungDiagram((2, 1)), 1, True),
+        lambda: euler_series(YoungDiagram((2, 1)), True, 3),
     ],
 )
 def test_series_refuse_entries_that_are_not_ints(build):
