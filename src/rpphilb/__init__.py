@@ -13,7 +13,6 @@ from .components import (
     ComponentReport,
     bijective_on_points,
     classify,
-    component_dimension,
     differential_injective,
     dimension_recursive,
 )
@@ -33,14 +32,12 @@ from .poly import SparsePoly, VarId, divmod_in_x, parse_poly
 from .rpp import (
     RPP,
     Factorization,
-    Filling,
     Indicator,
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
     indicators,
     standard_factorization,
-    zero_rpp,
 )
 from .series import (
     TruncatedSeries,
@@ -62,7 +59,6 @@ __all__ = [
     "ComponentReport",
     "DomainError",
     "Factorization",
-    "Filling",
     "IdealPresentation",
     "Indicator",
     "PrimeField",
@@ -78,7 +74,6 @@ __all__ = [
     "classify",
     "collapse_to_diagonals",
     "complete_factorization",
-    "component_dimension",
     "count_points",
     "diagonal_support",
     "differential_injective",
@@ -98,5 +93,4 @@ __all__ = [
     "tangent_embedding",
     "type_i_ideal",
     "type_ii_ideal",
-    "zero_rpp",
 ]

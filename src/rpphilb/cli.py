@@ -82,8 +82,8 @@ def _cmd_indicators(args) -> int:
 
 def _cmd_weight(args) -> int:
     n = _arg(RPP, args.rpp)
-    obj = {"cols": list(n.diagram.cols), "rows": n.rows(), "weight": n.weight()}
-    _emit(args, obj, [str(n.weight())])
+    weight = n.weight()
+    _emit(args, {**n.to_json_obj(), "weight": weight}, [str(weight)])
     return 0
 
 
@@ -189,7 +189,7 @@ def _cmd_count_points(args) -> int:
     coefficient = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
     motive = evaluate_motive(coefficient, args.p)
     obj = {
-        "n": {"cols": list(n.diagram.cols), "rows": n.rows()},
+        "n": n.to_json_obj(),
         "p": args.p,
         "count": count,
         "motive_at_p": motive,

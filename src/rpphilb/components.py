@@ -22,11 +22,6 @@ from .rpp import RPP, Factorization, all_factorizations, indicators
 MAX_WITNESS_SEARCH = 10**6
 
 
-def component_dimension(n: RPP) -> int:
-    """Common dimension of all components: the weight of the RPP."""
-    return n.weight()
-
-
 def dimension_recursive(n: RPP) -> int:
     """Weight computed by socle-peeling induction instead of the derivative.
 
@@ -144,7 +139,6 @@ class ComponentReport:
     bijective_on_points: bool
     differential_injective: bool
     relation_witness: tuple | None  # full integer vector over indicators(λ)
-    normalization: tuple  # ((indicator, multiplicity), ...)
 
     def to_json_obj(self) -> dict:
         return {
@@ -155,7 +149,8 @@ class ComponentReport:
             "differential_injective": self.differential_injective,
             "relation_witness": list(self.relation_witness) if self.relation_witness else None,
             "normalization": [
-                {"indicator": ind.to_text(), "multiplicity": m} for ind, m in self.normalization
+                {"indicator": ind.to_text(), "multiplicity": m}
+                for ind, m in self.factorization.terms.items()
             ],
         }
 
@@ -175,7 +170,7 @@ def witness_texts(diagram: YoungDiagram, witness: tuple | None) -> dict | None:
 
 def classify(n: RPP) -> list[ComponentReport]:
     """One report per factorisation, in enumeration order."""
-    dim = component_dimension(n)
+    dim = n.weight()
     reports = []
     for T in all_factorizations(n):
         inj, diff_witness = differential_injective(T)
@@ -194,7 +189,6 @@ def classify(n: RPP) -> list[ComponentReport]:
                 bijective_on_points=bij,
                 differential_injective=inj,
                 relation_witness=_lift_witness(n.diagram, witness),
-                normalization=tuple(T.terms.items()),
             )
         )
     return reports

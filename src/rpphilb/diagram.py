@@ -62,14 +62,6 @@ class YoungDiagram:
     def size(self) -> int:
         return len(self.boxes)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.cols)
-
-    def height(self, i: int) -> int:
-        """Number of boxes in column i (0 outside the diagram)."""
-        return self.cols[i] if 0 <= i < len(self.cols) else 0
-
     def __contains__(self, box) -> bool:
         i, j = box
         return 0 <= i < len(self.cols) and 0 <= j < self.cols[i]

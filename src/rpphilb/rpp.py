@@ -6,11 +6,12 @@ a cancellative commutative monoid whose irreducible elements are exactly
 the indicator fillings of nonempty edge-connected upper sets; every
 factorisation of a fixed RPP into indicators has the same length, its
 weight.  This module implements the arithmetic, the discrete mixed second
-difference (derivative) and weight, indicator enumeration, and the
-standard / complete / exhaustive factorisation constructions.  An
-indicator is built from its upper set's row-major 0/1 vector, and the
-standard and complete factorisations build those vectors directly: level
-sets split into edge-connected parts, and principal upper sets.
+difference (derivative, an int tuple that may be negative) and weight,
+indicator enumeration, and the standard / complete / exhaustive
+factorisation constructions.  An indicator is built from its upper set's
+row-major 0/1 vector, and the standard and complete factorisations build
+those vectors directly: level sets split into edge-connected parts, and
+principal upper sets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
-from .diagram import Box, YoungDiagram, enumerate_upper_sets, upper_set_parts
+from .diagram import YoungDiagram, enumerate_upper_sets, upper_set_parts
 from .errors import CapExceeded, DomainError, ints
 
 #: caps for the exhaustive factorisation search
@@ -27,8 +28,8 @@ MAX_FACTORIZATION_WEIGHT = 12
 MAX_FACTORIZATION_INDICATORS = 64
 
 
-class Filling:
-    """Integer labels on the boxes of a diagram, row-major."""
+class RPP:
+    """Nonnegative integer labels on a diagram's boxes, row-major, nondecreasing rightward and downward."""
 
     __slots__ = ("diagram", "values")
 
@@ -42,19 +43,22 @@ class Filling:
             )
         self.diagram = diagram
         self.values = vals
+        pos = _first_fault(diagram, vals)
+        if pos is None:
+            return
+        box, v = diagram.boxes[pos], vals[pos]
+        if v < 0:
+            raise DomainError("negative-label", f"negative label {v} at {tuple(box)}", list(vals))
+        raise DomainError(
+            "not-monotone",
+            f"label {v} at {tuple(box)} is smaller than a left/up neighbour",
+            list(vals),
+        )
 
     @property
     def size(self) -> int:
         """Total of all labels."""
         return sum(self.values)
-
-    def value(self, box) -> int:
-        """Label at a box; 0 outside the diagram (zero extension)."""
-        if box not in self.diagram:
-            return 0
-        return self.values[self.diagram.box_index(Box(*box))]
-
-    __getitem__ = value
 
     def rows(self) -> list[list[int]]:
         out: list[list[int]] = []
@@ -66,7 +70,7 @@ class Filling:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Filling)
+            isinstance(other, RPP)
             and self.diagram == other.diagram
             and self.values == other.values
         )
@@ -80,26 +84,6 @@ class Filling:
     def to_text(self) -> str:
         return " / ".join(" ".join(str(v) for v in row) for row in self.rows())
 
-
-class RPP(Filling):
-    """Nonnegative filling, nondecreasing rightward and downward."""
-
-    __slots__ = ()
-
-    def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
-        super().__init__(diagram, values)
-        pos = _first_fault(diagram, self.values)
-        if pos is None:
-            return
-        box, v = diagram.boxes[pos], self.values[pos]
-        if v < 0:
-            raise DomainError("negative-label", f"negative label {v} at {tuple(box)}", list(self.values))
-        raise DomainError(
-            "not-monotone",
-            f"label {v} at {tuple(box)} is smaller than a left/up neighbour",
-            list(self.values),
-        )
-
     # -- monoid arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RPP") -> "RPP":
@@ -108,6 +92,7 @@ class RPP(Filling):
         return RPP(self.diagram, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def scale(self, k: int) -> "RPP":
+        ints([k], "scaling factor")
         if k < 0:
             raise DomainError("negative-scale", "scaling factor must be nonnegative", k)
         return RPP(self.diagram, tuple(k * v for v in self.values))
@@ -117,17 +102,17 @@ class RPP(Filling):
 
     # -- derivative and weight -------------------------------------------------
 
-    def derivative(self) -> Filling:
-        """Mixed second difference, with the filling extended by zero off the diagram."""
+    def derivative(self) -> tuple[int, ...]:
+        """Mixed second difference, row-major, with the filling extended by zero off the diagram."""
         d = self.diagram
         v = (*self.values, 0)
         triples = zip(d.left, d.up, d.up_left)
-        return Filling(d, (v[p] - v[l] - v[u] + v[ul] for p, (l, u, ul) in enumerate(triples)))
+        return tuple(v[p] - v[l] - v[u] + v[ul] for p, (l, u, ul) in enumerate(triples))
 
     def weight(self) -> int:
         """Total of the derivative; equals socle sum minus subsocle sum."""
         d = self.diagram
-        w = sum(self.derivative().values)
+        w = sum(self.derivative())
         socle, subsocle = d.socle(), d.subsocle()
         soc = sum(v for b, v in zip(d.boxes, self.values) if b in socle)
         sub = sum(v for b, v in zip(d.boxes, self.values) if b in subsocle)
@@ -175,10 +160,6 @@ class RPP(Filling):
         if "cols" in obj and ints(obj["cols"], 'RPP JSON "cols"') != rpp.diagram.cols:
             raise DomainError("parse-error", 'RPP JSON "cols" disagree with "rows"', obj)
         return rpp
-
-
-def zero_rpp(diagram: YoungDiagram) -> RPP:
-    return RPP(diagram, (0,) * diagram.size)
 
 
 class Indicator(RPP):
@@ -324,10 +305,10 @@ def complete_factorization(n: RPP) -> Factorization | None:
     boxes weakly right of and below it, with it as unique minimal box.
     """
     deriv = n.derivative()
-    if any(v < 0 for v in deriv.values):
+    if any(v < 0 for v in deriv):
         return None
     terms: dict = {}
-    for box, dv in zip(n.diagram.boxes, deriv.values):
+    for box, dv in zip(n.diagram.boxes, deriv):
         if dv > 0:
             principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
             terms[Indicator(n.diagram, principal)] = dv

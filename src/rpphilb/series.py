@@ -13,9 +13,9 @@ a monomial c·L^d; the top entry of a product is a product of two nonzero
 ints, so a product needs no trimming.
 
 The public ``TruncatedSeries(...)`` (and ``substitute_L``) validates and
-normalises every term.  Its sizes, exponents and coefficient entries, and
-a factor's exponents, weight and power, pass ``errors.ints``, so a bool
-or a float there is a parse-error.  The products, the brute-force sum,
+normalises every term.  Its sizes, exponents and coefficient entries, the
+L value, and a factor's exponents, weight and power pass ``errors.ints``,
+so a bool or a float there is a parse-error.  The products, the brute-force sum,
 ``__mul__`` and the diagonal collapse build normalised terms under
 max_size themselves (the last two drop coefficients that cancelled to
 zero), so they store them unchecked through ``TruncatedSeries._of``.
@@ -114,6 +114,7 @@ class TruncatedSeries:
 
     def substitute_L(self, value: int) -> "TruncatedSeries":
         """Specialise the motive symbol to an integer."""
+        ints([value], "L value")
         return TruncatedSeries(
             self.n_vars,
             self.max_size,

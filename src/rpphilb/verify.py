@@ -309,7 +309,7 @@ def check_random_instance(rng: random.Random) -> list:
     label = n.to_text()
     problems = []
     omega = n.weight()
-    if sum(n.derivative().values) != omega:
+    if sum(n.derivative()) != omega:
         problems.append(f"{label}: derivative total is not the weight")
     if dimension_recursive(n) != omega:
         problems.append(f"{label}: recursive dimension != weight")

@@ -44,6 +44,16 @@ def connected_parts(diagram, vector):
     return sorted(parts, reverse=True)
 
 
+def value(filling, box):
+    """Label of a filling at a box by its coordinates, 0 off the diagram (the zero extension).
+
+    The coordinate oracle for the library's position tables (``left``,
+    ``up``, ``up_left``), which read labels by row-major position instead.
+    """
+    d = filling.diagram
+    return filling.values[d.box_index(box)] if box in d else 0
+
+
 def rising_filling(diagram, step):
     """RPP whose labels rise by ``step()`` over the larger of the left and upper neighbours."""
     vals = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension

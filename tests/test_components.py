@@ -11,14 +11,13 @@ from rpphilb import RPP, CapExceeded, YoungDiagram
 from rpphilb.components import (
     bijective_on_points,
     classify,
-    component_dimension,
     differential_injective,
     dimension_recursive,
 )
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, filling_of_weight
+from conftest import diagrams_up_to, filling_of_weight, value
 
 
 def _report_rows(reports, diagram):
@@ -68,16 +67,14 @@ def test_witness_is_a_support_relation(grid_rpp):
             continue
         for box in diagram.boxes:
             total = sum(
-                c * nus[k].value(box)
+                c * value(nus[k], box)
                 for k, c in enumerate(rep.relation_witness)
             )
             assert total == 0
 
 
 def test_dimension_equals_weight(square_rpp, grid_rpp):
-    assert component_dimension(square_rpp) == 4
     assert dimension_recursive(square_rpp) == 4
-    assert component_dimension(grid_rpp) == FT.GRID_WEIGHT
     assert dimension_recursive(grid_rpp) == FT.GRID_WEIGHT
 
 

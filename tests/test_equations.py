@@ -18,7 +18,7 @@ from rpphilb.rpp import enumerate_rpps
 from rpphilb.verify import check_random_instance
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, shift_subtract_divmod
+from conftest import diagrams_up_to, shift_subtract_divmod, value
 
 
 def test_divisibility_presentation_for_grid(grid_rpp):
@@ -139,10 +139,10 @@ def _difference_factor(n, box, kind):
     if i < 0 or j < 0:
         return SparsePoly.constant(1)
     if kind == "b":
-        d = n.value(box) - n.value((i - 1, j))
+        d = value(n, box) - value(n, (i - 1, j))
         mk = var_b
     else:
-        d = n.value(box) - n.value((i, j - 1))
+        d = value(n, box) - value(n, (i, j - 1))
         mk = var_c
     p = SparsePoly.x_power(d)
     for k in range(1, d + 1):
@@ -164,20 +164,20 @@ def _type_ii_oracle(n, minimal_border):
         var_b(b.i, b.j, k)
         for b in lam.boxes
         if keep_b(b)
-        for k in range(1, n.value(b) - n.value((b.i - 1, b.j)) + 1)
+        for k in range(1, value(n, b) - value(n, (b.i - 1, b.j)) + 1)
     ]
     c_vars = [
         var_c(b.i, b.j, k)
         for b in lam.boxes
         if keep_c(b)
-        for k in range(1, n.value(b) - n.value((b.i, b.j - 1)) + 1)
+        for k in range(1, value(n, b) - value(n, (b.i, b.j - 1)) + 1)
     ]
     ambient = tuple(sorted(b_vars + c_vars, key=lambda v: v.sort_key()))
     generators, groups = [], []
     for box in lam.boxes:
         if minimal_border and (box.i == 0 or box.j == 0):
             continue
-        D = n.value(box) - n.value((box.i - 1, box.j - 1))
+        D = value(n, box) - value(n, (box.i - 1, box.j - 1))
         if D == 0:
             continue
         eq = _difference_factor(n, box, "b") * _difference_factor(
@@ -206,7 +206,7 @@ def test_type_ii_matches_coordinate_oracle():
 def _x_power_monic(n, box):
     """x^d + a(i,j,1)·x^(d-1) + … + a(i,j,d) as one SparsePoly, d the label at box."""
     i, j = box
-    d = n.value(box)
+    d = value(n, box)
     p = SparsePoly.x_power(d)
     for k in range(1, d + 1):
         p = p + SparsePoly.variable(var_a(i, j, k)) * SparsePoly.x_power(d - k)
@@ -216,12 +216,12 @@ def _x_power_monic(n, box):
 def _type_i_oracle(n):
     """(ambient vars, generators, groups, condition count) by dividing x-power monics."""
     lam = n.diagram
-    ambient = tuple(var_a(b.i, b.j, k) for b in lam.boxes for k in range(1, n.value(b) + 1))
+    ambient = tuple(var_a(b.i, b.j, k) for b in lam.boxes for k in range(1, value(n, b) + 1))
     generators, groups, conditions = [], [], 0
     for i, j in lam.boxes:
-        conditions += n.value((i - 1, j)) + n.value((i, j - 1)) - n.value((i - 1, j - 1))
+        conditions += value(n, (i - 1, j)) + value(n, (i, j - 1)) - value(n, (i - 1, j - 1))
         for nb in ((i - 1, j), (i, j - 1)):
-            d = n.value(nb)  # 0 also off the diagram
+            d = value(n, nb)  # 0 also off the diagram
             if d == 0:
                 continue
             _, r = shift_subtract_divmod(_x_power_monic(n, (i, j)), _x_power_monic(n, nb))

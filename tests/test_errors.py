@@ -6,7 +6,7 @@ from rpphilb import RPP, DomainError, YoungDiagram
 from rpphilb.errors import ints
 from rpphilb.pointcount import count_points
 from rpphilb.poly import X, SparsePoly
-from rpphilb.rpp import Factorization, Filling, Indicator, enumerate_rpps
+from rpphilb.rpp import Factorization, Indicator, enumerate_rpps
 from rpphilb.series import TruncatedSeries, euler_series, factor_power, hook_product
 
 D = YoungDiagram((2, 1))
@@ -16,9 +16,9 @@ ONE_BOX = YoungDiagram((1,))
 GATES = {
     "column height": lambda x: YoungDiagram([2, x]),
     "diagram JSON cols": lambda x: YoungDiagram.from_json_obj({"cols": [x]}),
-    "label": lambda x: Filling(ONE_BOX, [x]),
     "RPP label": lambda x: RPP(ONE_BOX, [x]),
     "RPP JSON row": lambda x: RPP.from_json_obj({"rows": [[x]]}),
+    "RPP scaling factor": lambda x: RPP(ONE_BOX, [1]).scale(x),
     "multiplicity": lambda x: Factorization({Indicator(ONE_BOX, (1,)): x}),
     "enumeration max_size": lambda x: enumerate_rpps(D, x),
     "polynomial coefficient": lambda x: SparsePoly({(): x}),
@@ -27,6 +27,7 @@ GATES = {
     "series max_size": lambda x: TruncatedSeries(1, x, {}),
     "series exponent": lambda x: TruncatedSeries(1, 3, {(x,): 1}),
     "series coefficient": lambda x: TruncatedSeries(1, 3, {(1,): x}),
+    "series L value": lambda x: TruncatedSeries(1, 3, {(1,): (0, 1)}).substitute_L(x),
     "factor exponent": lambda x: factor_power((x,), 1, -1, 1, 3),
     "factor weight": lambda x: factor_power((1,), x, -1, 1, 3),
     "factor power": lambda x: factor_power((1,), 1, x, 1, 3),
