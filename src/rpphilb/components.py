@@ -32,7 +32,7 @@ def dimension_recursive(n: RPP) -> int:
     next socle row can be removed at the cost of the label difference.
     """
     lam, v = n.diagram, n.values
-    soc = sorted(lam.socle())
+    soc = sorted(b for b, x in zip(lam.boxes, lam.socle()) if x)
     if len(soc) == 1:
         return v[-1]  # the corner of a rectangle is its last box
     i1, j1 = soc[0]

@@ -6,9 +6,10 @@ box set is {(i, j) : j < cols[i]} and it is downward closed for the
 componentwise order.  On top of that this module provides hooks (the boxes
 weakly below or weakly to the right), the socle (maximal boxes), the
 subsocle (boxes whose right and down neighbours are present but whose
-diagonal neighbour is not), and upper sets.  An upper set is its row-major
-0/1 vector, the same tuple an indicator filling stores as its values;
-``upper_set_parts`` splits one into its edge-connected parts.
+diagonal neighbour is not), and upper sets.  Every such box set is its
+row-major 0/1 vector, the same tuple an indicator filling stores as its
+values; ``upper_set_parts`` splits an upper set into its edge-connected
+parts.
 """
 
 from __future__ import annotations
@@ -84,31 +85,25 @@ class YoungDiagram:
 
     # -- distinguished box sets ---------------------------------------------
 
-    def socle(self) -> frozenset[Box]:
-        """Maximal boxes: no neighbour to the right nor below."""
-        return frozenset(
-            b for b in self.boxes if (b.i + 1, b.j) not in self and (b.i, b.j + 1) not in self
-        )
+    def socle(self) -> tuple[int, ...]:
+        """Maximal boxes: the last box of a column that the next column does not reach."""
+        cols = (*self.cols, 0)
+        return tuple(int(j == cols[i] - 1 >= cols[i + 1]) for i, j in self.boxes)
 
-    def subsocle(self) -> frozenset[Box]:
-        """Boxes with right and down neighbours present but the diagonal one missing."""
-        return frozenset(
-            b
-            for b in self.boxes
-            if (b.i + 1, b.j) in self and (b.i, b.j + 1) in self and (b.i + 1, b.j + 1) not in self
-        )
+    def subsocle(self) -> tuple[int, ...]:
+        """Boxes whose right neighbour ends its column and that have a box below."""
+        cols = (*self.cols, 0)
+        return tuple(int(cols[i + 1] == j + 1 < cols[i]) for i, j in self.boxes)
 
-    def hook(self, box: Box) -> frozenset[Box]:
+    def hook(self, box: Box) -> tuple[int, ...]:
         """Boxes of the diagram weakly below or weakly to the right of ``box``."""
         i, j = box
         if box not in self:
             raise DomainError("box-not-in-diagram", f"box {tuple(box)} outside diagram", list(self.cols))
-        arm = {Box(l, j) for l in range(i, len(self.cols)) if (l, j) in self}
-        leg = {Box(i, k) for k in range(j, self.cols[i])}
-        return frozenset(arm | leg)
+        return tuple(int((l == i and k >= j) or (k == j and l >= i)) for l, k in self.boxes)
 
     def hook_length(self, box: Box) -> int:
-        return len(self.hook(box))
+        return sum(self.hook(box))
 
     # -- subdiagrams and serialisation ---------------------------------------
 
@@ -135,6 +130,8 @@ class YoungDiagram:
 
     @classmethod
     def from_text(cls, text: str) -> "YoungDiagram":
+        if not isinstance(text, str):
+            raise DomainError("parse-error", "diagram text must be a string", text)
         parts = [p.strip() for p in text.split(",")]
         if not any(parts):
             raise DomainError("parse-error", "empty diagram text", text)
@@ -182,16 +179,11 @@ def upper_set_parts(diagram: YoungDiagram, vector: tuple[int, ...]) -> list[tupl
     ]
 
 
-def enumerate_upper_sets(
-    diagram: YoungDiagram,
-    connected_only: bool = False,
-    nonempty_only: bool = False,
-) -> list[tuple[int, ...]]:
+def enumerate_upper_sets(diagram: YoungDiagram) -> list[tuple[int, ...]]:
     """All upward-closed subsets of the diagram as row-major 0/1 vectors.
 
     Upper sets are generated as complements of subdiagrams, so upward
-    closure holds by construction; the optional flags filter out the empty
-    set and the edge-disconnected ones.  Output is sorted descending-lex.
+    closure holds by construction.  Output is sorted descending-lex.
     """
     if diagram.size > MAX_DIAGRAM_BOXES:
         raise CapExceeded(
@@ -199,13 +191,5 @@ def enumerate_upper_sets(
             f"diagram has {diagram.size} boxes, cap is {MAX_DIAGRAM_BOXES}",
             list(diagram.cols),
         )
-    out = []
-    for heights in diagram.subdiagram_heights():
-        vector = tuple(int(j >= heights[i]) for i, j in diagram.boxes)
-        if nonempty_only and not any(vector):
-            continue
-        if connected_only and len(upper_set_parts(diagram, vector)) > 1:
-            continue
-        out.append(vector)
-    out.sort(reverse=True)
-    return out
+    vectors = (tuple(int(j >= h[i]) for i, j in diagram.boxes) for h in diagram.subdiagram_heights())
+    return sorted(vectors, reverse=True)

@@ -113,9 +113,8 @@ class RPP:
         """Total of the derivative; equals socle sum minus subsocle sum."""
         d = self.diagram
         w = sum(self.derivative())
-        socle, subsocle = d.socle(), d.subsocle()
-        soc = sum(v for b, v in zip(d.boxes, self.values) if b in socle)
-        sub = sum(v for b, v in zip(d.boxes, self.values) if b in subsocle)
+        soc = sum(v * x for v, x in zip(self.values, d.socle()))
+        sub = sum(v * x for v, x in zip(self.values, d.subsocle()))
         assert w == soc - sub, f"weight formulas disagree: {w} vs {soc - sub}"
         return w
 
@@ -136,6 +135,8 @@ class RPP:
 
     @classmethod
     def from_text(cls, text: str) -> "RPP":
+        if not isinstance(text, str):
+            raise DomainError("parse-error", "RPP text must be a string", text)
         rows = []
         for chunk in text.split("/"):
             parts = chunk.split()
@@ -203,7 +204,8 @@ def _shape_table(cols: tuple[int, ...]) -> tuple:
     raises on every call, since the cache keeps no exception.
     """
     diagram = YoungDiagram(cols)
-    vectors = enumerate_upper_sets(diagram, connected_only=True, nonempty_only=True)
+    # the empty upper set has no parts, so this keeps the nonempty connected ones
+    vectors = [v for v in enumerate_upper_sets(diagram) if len(upper_set_parts(diagram, v)) == 1]
     inds = tuple(Indicator(diagram, v) for v in vectors)
     left, up = diagram.left, diagram.up
     members = tuple(tuple(p for p, x in enumerate(v) if x) for v in vectors)

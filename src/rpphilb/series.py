@@ -232,12 +232,6 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     return TruncatedSeries._of(n_vars, max_size, terms, single_variable)
 
 
-def hook_variable(diagram: YoungDiagram, box) -> tuple:
-    """Row-major 0/1 exponent vector of the hook of a box."""
-    hook = diagram.hook(box)
-    return tuple(1 if b in hook else 0 for b in diagram.boxes)
-
-
 def factor_power(
     exponents, weight, power: int, n_vars: int, max_size: int, single_variable: bool = False
 ) -> TruncatedSeries:
@@ -256,7 +250,7 @@ def hook_product(diagram: YoungDiagram, weights, power: int, max_size: int) -> T
 
     The weight w is an int or a coefficient; L is (0, 1).
     """
-    factors = ((hook_variable(diagram, box), weights, power) for box in diagram.boxes)
+    factors = ((diagram.hook(box), weights, power) for box in diagram.boxes)
     return _product(diagram.size, max_size, factors)
 
 
@@ -269,8 +263,7 @@ def motivic_series(diagram: YoungDiagram, curve: str, max_size: int) -> Truncate
     if curve == "A1":
         return hook_product(diagram, (0, 1), -1, max_size)
     if curve == "P1":
-        hooks = [hook_variable(diagram, box) for box in diagram.boxes]
-        factors = [(v, w, -1) for v in hooks for w in ((0, 1), 1)]
+        factors = [(v, w, -1) for v in map(diagram.hook, diagram.boxes) for w in ((0, 1), 1)]
         return _product(diagram.size, max_size, factors)
     raise DomainError("unsupported-curve", f"no zeta factor for curve {curve!r} (use A1 or P1)", curve)
 

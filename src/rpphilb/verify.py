@@ -25,7 +25,7 @@ from .equations import (
     type_i_ideal,
     type_ii_ideal,
 )
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, ints
 from .poly import monic_divmod, parse_poly, poly_mul, var_a, var_b, var_c
 from .pointcount import count_points
 from .rpp import (
@@ -99,11 +99,14 @@ def _row_classify(row: dict) -> list:
 @_kind("equations")
 def _row_equations(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
-    if row["type"] == "I":
-        ideal = type_i_ideal(n)
-    else:
-        ideal = type_ii_ideal(n, minimal_border=row.get("minimal_border", False))
-    expected = row["expected"]
+    kind, minimal, expected = row["type"], row.get("minimal_border", False), row["expected"]
+    if kind not in ("I", "II"):
+        raise DomainError("parse-error", f'"type" must be "I" or "II", not {kind!r}', kind)
+    if type(minimal) is not bool:
+        raise DomainError("parse-error", '"minimal_border" must be a JSON boolean', minimal)
+    if not isinstance(expected, dict):
+        raise DomainError("parse-error", 'equations "expected" must be an object', expected)
+    ideal = type_i_ideal(n) if kind == "I" else type_ii_ideal(n, minimal_border=minimal)
     problems = []
     for key, got in [
         ("n_vars", ideal.n_vars),
@@ -249,7 +252,10 @@ def _diagonal_totals(diagram, series, p: int) -> dict:
 
 @_kind("random-properties")
 def _row_random_properties(row: dict) -> list:
-    failures, cases = run_random_properties(row["seed"], row["n_cases"])
+    seed, n_cases = ints([row["seed"], row["n_cases"]], 'random-properties "seed" and "n_cases"')
+    if n_cases < 1:
+        raise DomainError("parse-error", '"n_cases" must be at least 1', n_cases)
+    failures, cases = run_random_properties(seed, n_cases)
     problems = [f"{len(failures)} of {cases} cases failed"] if failures else []
     return problems + failures[:3]
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import rpphilb.diagram
-from rpphilb import RPP, CapExceeded, DomainError, complete_factorization
+from rpphilb import RPP, CapExceeded, DomainError, complete_factorization, indicators
 from rpphilb.diagram import Box, YoungDiagram, enumerate_upper_sets, upper_set_parts
 
 from conftest import connected_parts, diagrams_up_to
@@ -65,18 +65,42 @@ def test_partial_order_and_adjacency():
 
 
 def test_socle_and_subsocle():
+    # box sets are row-major 0/1 vectors: (0, 0), (1, 0), (0, 1), ...
     square = YoungDiagram((2, 2))
-    assert square.socle() == frozenset({Box(1, 1)})
-    assert square.subsocle() == frozenset()
+    assert square.socle() == (0, 0, 0, 1)
+    assert square.subsocle() == (0, 0, 0, 0)
     hook = YoungDiagram((2, 1))
-    assert hook.socle() == frozenset({Box(1, 0), Box(0, 1)})
-    assert hook.subsocle() == frozenset({Box(0, 0)})
+    assert hook.socle() == (0, 1, 1)
+    assert hook.subsocle() == (1, 0, 0)
+
+
+def test_box_set_vectors_match_their_coordinate_definitions():
+    # the oracle reads each definition off a plain set of (i, j) pairs
+    diagrams = diagrams_up_to(10)
+    assert len(diagrams) == 138
+    for d in diagrams:
+        boxes = set(d.boxes)
+
+        def vector(members):
+            return tuple(int(b in members) for b in d.boxes)
+
+        maximal = {(i, j) for i, j in boxes if (i + 1, j) not in boxes and (i, j + 1) not in boxes}
+        assert d.socle() == vector(maximal), d
+        corners = {
+            (i, j)
+            for i, j in boxes
+            if (i + 1, j) in boxes and (i, j + 1) in boxes and (i + 1, j + 1) not in boxes
+        }
+        assert d.subsocle() == vector(corners), d
+        for a, b in d.boxes:
+            arm = {(i, b) for i in range(a, len(d.cols)) if (i, b) in boxes}
+            leg = {(a, j) for j in range(b, d.cols[a])}
+            assert d.hook((a, b)) == vector(arm | leg), (d, (a, b))
+            assert d.hook_length((a, b)) == len(arm) + len(leg) - 1
 
 
 def test_hooks_of_the_square(square_diagram):
-    assert square_diagram.hook(Box(0, 0)) == frozenset(
-        {Box(0, 0), Box(1, 0), Box(0, 1)}
-    )
+    assert square_diagram.hook(Box(0, 0)) == (1, 1, 1, 0)
     assert sorted(square_diagram.hook_length(b) for b in square_diagram.boxes) == [
         1,
         2,
@@ -93,10 +117,10 @@ def test_upper_set_counts():
     # edge connected, so the connected count is the total minus the empty set
     square = YoungDiagram((2, 2))
     assert len(enumerate_upper_sets(square)) == 6
-    assert len(enumerate_upper_sets(square, connected_only=True, nonempty_only=True)) == 5
+    assert len(indicators(square)) == 5
     grid = YoungDiagram((3, 3, 3))
     assert len(enumerate_upper_sets(grid)) == 20
-    assert len(enumerate_upper_sets(grid, connected_only=True, nonempty_only=True)) == 19
+    assert len(indicators(grid)) == 19
 
 
 def test_disconnected_upper_set_in_hook_shape():
@@ -166,4 +190,4 @@ def test_upper_sets_are_the_monotone_zero_one_vectors():
             monotone.append(vector)
         assert enumerate_upper_sets(d) == monotone, d
         connected = [v for v in monotone if len(connected_parts(d, v)) == 1]
-        assert enumerate_upper_sets(d, connected_only=True, nonempty_only=True) == connected, d
+        assert [nu.values for nu in indicators(d)] == connected, d

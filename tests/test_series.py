@@ -16,7 +16,6 @@ from rpphilb.series import (
     factor_power,
     format_coefficient,
     hook_product,
-    hook_variable,
     motivic_series,
     rpp_series_bruteforce,
 )
@@ -26,10 +25,11 @@ from conftest import diagrams_up_to
 
 
 def test_hook_variable_exponents(square_diagram):
-    assert hook_variable(square_diagram, (0, 0)) == (1, 1, 1, 0)
-    assert hook_variable(square_diagram, (1, 0)) == (0, 1, 0, 1)
-    assert hook_variable(square_diagram, (0, 1)) == (0, 0, 1, 1)
-    assert hook_variable(square_diagram, (1, 1)) == (0, 0, 0, 1)
+    # a hook's row-major 0/1 vector is the exponent vector of its hook variable
+    assert square_diagram.hook((0, 0)) == (1, 1, 1, 0)
+    assert square_diagram.hook((1, 0)) == (0, 1, 0, 1)
+    assert square_diagram.hook((0, 1)) == (0, 0, 1, 1)
+    assert square_diagram.hook((1, 1)) == (0, 0, 0, 1)
 
 
 def test_geometric_inverse_is_geometric():
@@ -160,7 +160,7 @@ def test_graded_passes_match_the_binomial_convolution():
     diagrams = diagrams_up_to(4)
     assert len(diagrams) == 11
     for d in diagrams:
-        hooks = [hook_variable(d, box) for box in d.boxes]
+        hooks = [d.hook(box) for box in d.boxes]
         lengths = [(d.hook_length(box),) for box in d.boxes]
         for chi in (-2, -1, 0, 1, 2, 3):
             multi = _convolved([(v, 0, -chi) for v in hooks], d.size, max_size)
@@ -176,7 +176,7 @@ def test_graded_passes_match_the_binomial_convolution():
 
 def test_large_powers_match_the_binomial_convolution(square_diagram):
     # each factor costs at most max_size // |v| updates per term, whatever |chi|
-    hooks = [hook_variable(square_diagram, box) for box in square_diagram.boxes]
+    hooks = [square_diagram.hook(box) for box in square_diagram.boxes]
     lengths = [(square_diagram.hook_length(box),) for box in square_diagram.boxes]
     for chi in (-(10**9), -20000, 20000, 10**9):
         multi = _convolved([(v, 0, -chi) for v in hooks], 4, 6)
@@ -202,7 +202,7 @@ def test_weights_that_are_not_monomials_match_the_binomial_convolution():
     # a weight with two or more powers of L goes through the general product
     max_size = 6
     for d in diagrams_up_to(4):
-        hooks = [hook_variable(d, box) for box in d.boxes]
+        hooks = [d.hook(box) for box in d.boxes]
         for weight in ((1, 1), (2, 0, -1), 3):
             for power in (-2, -1, 1, 2):
                 factors = [_weighted_factor(v, weight, power, d.size, max_size) for v in hooks]

@@ -46,6 +46,34 @@ def test_stale_counterexample_is_caught():
     assert not ok
 
 
+#: what a row field is swapped for in the mutation sweep below
+SUBSTITUTES = (None, True, 2.5, "x", [], {}, -1, 0)
+
+#: per (kind, field), whether a substitute is a value the row may accept
+ACCEPTS = {
+    ("equations", "type"): lambda x: x in ("I", "II"),
+    ("equations", "minimal_border"): lambda x: type(x) is bool,
+    ("equations", "expected"): lambda x: isinstance(x, dict),
+    ("random-properties", "seed"): lambda x: type(x) is int,
+    ("random-properties", "n_cases"): lambda x: type(x) is int and x >= 1,
+}
+
+
+def test_mutated_rows_fail_as_rows_and_never_raise():
+    checked = 0
+    for row in load_corpus()["rows"]:
+        for field in row.keys() - {"name", "kind"}:
+            accepts = ACCEPTS.get((row["kind"], field))
+            for sub in SUBSTITUTES:
+                [(name, ok, detail)] = run_corpus({"rows": [{**row, field: sub}]})
+                assert name == row["name"]
+                if accepts is not None and not accepts(sub):
+                    assert not ok and detail.startswith("parse-error"), (name, field, sub, detail)
+                    checked += 1
+    # every type, n_cases and non-object expected; non-bool minimal_border; non-int seed
+    assert checked == 4 * 8 + 8 + 4 * 7 + 7 + 6
+
+
 def test_missing_corpus_file():
     with pytest.raises(DomainError) as err:
         load_corpus("/nonexistent/corpus.json")
