@@ -7,90 +7,61 @@ theory, smooth/singular classification of the components cut out by a
 factorisation, explicit local defining equations in two presentations,
 truncated motivic and Euler generating series over the boxes, and a
 finite-field point count that cross-checks the series.
+
+The public names load lazily: ``import rpphilb`` runs no submodule, and
+the first use of a name imports only its home module and what that
+imports.  A resolved name is not cached here, so a name always reads its
+home module's current binding.
 """
 
-from .components import (
-    ComponentReport,
-    bijective_on_points,
-    classify,
-    differential_injective,
-    dimension_recursive,
-)
-from .diagram import Box, YoungDiagram, enumerate_upper_sets
-from .equations import (
-    AmbientSummary,
-    IdealPresentation,
-    ambient_and_bundle,
-    check_grading,
-    tangent_embedding,
-    type_i_ideal,
-    type_ii_ideal,
-)
-from .errors import CapExceeded, DomainError
-from .pointcount import PrimeField, count_points, is_prime
-from .poly import SparsePoly, VarId, divmod_in_x, parse_poly
-from .rpp import (
-    RPP,
-    Factorization,
-    Indicator,
-    all_factorizations,
-    complete_factorization,
-    enumerate_rpps,
-    indicators,
-    standard_factorization,
-)
-from .series import (
-    TruncatedSeries,
-    collapse_to_diagonals,
-    diagonal_support,
-    euler_series,
-    evaluate_motive,
-    hook_product,
-    motivic_series,
-    rpp_series_bruteforce,
-)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientSummary",
-    "Box",
-    "CapExceeded",
-    "ComponentReport",
-    "DomainError",
-    "Factorization",
-    "IdealPresentation",
-    "Indicator",
-    "PrimeField",
-    "RPP",
-    "SparsePoly",
-    "TruncatedSeries",
-    "VarId",
-    "YoungDiagram",
-    "all_factorizations",
-    "ambient_and_bundle",
-    "bijective_on_points",
-    "check_grading",
-    "classify",
-    "collapse_to_diagonals",
-    "complete_factorization",
-    "count_points",
-    "diagonal_support",
-    "differential_injective",
-    "dimension_recursive",
-    "divmod_in_x",
-    "enumerate_rpps",
-    "enumerate_upper_sets",
-    "euler_series",
-    "evaluate_motive",
-    "hook_product",
-    "indicators",
-    "is_prime",
-    "motivic_series",
-    "parse_poly",
-    "rpp_series_bruteforce",
-    "standard_factorization",
-    "tangent_embedding",
-    "type_i_ideal",
-    "type_ii_ideal",
-]
+#: every submodule and the public names it defines
+_EXPORTS = {
+    "cli": (),
+    "components": (
+        "ComponentReport", "bijective_on_points", "classify", "differential_injective", "dimension_recursive"
+    ),
+    "diagram": ("Box", "YoungDiagram", "enumerate_upper_sets"),
+    "equations": (
+        "AmbientSummary", "IdealPresentation", "ambient_and_bundle", "check_grading",
+        "tangent_embedding", "type_i_ideal", "type_ii_ideal",
+    ),
+    "errors": ("CapExceeded", "DomainError"),
+    "linalg": (),
+    "pointcount": ("PrimeField", "count_points", "is_prime"),
+    "poly": ("SparsePoly", "VarId", "divmod_in_x", "parse_poly"),
+    "rpp": (
+        "RPP", "Factorization", "Indicator", "all_factorizations", "complete_factorization",
+        "enumerate_rpps", "indicators", "standard_factorization",
+    ),
+    "series": (
+        "TruncatedSeries", "collapse_to_diagonals", "diagonal_support", "euler_series",
+        "evaluate_motive", "hook_product", "motivic_series", "rpp_series_bruteforce",
+    ),
+    "terms": (),
+    "verify": (),
+}
+
+#: public name -> qualified name of its home module
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is not None:
+        # sys.modules first: callers may read these names inside hot loops
+        return getattr(sys.modules.get(home) or import_module(home), name)
+    if name in _EXPORTS:
+        # importing a submodule binds it here, as for an eager package
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_EXPORTS})

@@ -17,20 +17,7 @@ import argparse
 import json
 import sys
 
-from .components import classify, witness_texts
-from .diagram import YoungDiagram
-from .equations import tangent_embedding, type_i_ideal, type_ii_ideal
 from .errors import DomainError
-from .pointcount import count_points
-from .rpp import (
-    RPP,
-    all_factorizations,
-    complete_factorization,
-    indicators,
-    standard_factorization,
-)
-from .series import euler_series, evaluate_motive, format_coefficient, motivic_series
-from .verify import load_corpus, run_corpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,9 +51,13 @@ def _emit(args, json_obj, text_lines) -> None:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each handler imports the modules it runs, so a subcommand loads only its layers.
 
 
 def _cmd_indicators(args) -> int:
+    from .diagram import YoungDiagram
+    from .rpp import indicators
+
     diagram = _arg(YoungDiagram, args.diagram)
     inds = indicators(diagram)
     obj = {
@@ -81,6 +72,8 @@ def _cmd_indicators(args) -> int:
 
 
 def _cmd_weight(args) -> int:
+    from .rpp import RPP
+
     n = _arg(RPP, args.rpp)
     weight = n.weight()
     _emit(args, {**n.to_json_obj(), "weight": weight}, [str(weight)])
@@ -88,6 +81,8 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_factorizations(args) -> int:
+    from .rpp import RPP, all_factorizations, complete_factorization, standard_factorization
+
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
     standard_index = None
@@ -116,6 +111,9 @@ def _cmd_factorizations(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .components import classify, witness_texts
+    from .rpp import RPP
+
     n = _arg(RPP, args.rpp)
     reports = classify(n)
     n_singular = sum(not r.smooth for r in reports)
@@ -135,6 +133,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equations(args) -> int:
+    from .equations import tangent_embedding, type_i_ideal, type_ii_ideal
+    from .rpp import RPP
+
     n = _arg(RPP, args.rpp)
     if args.type == "I":
         if args.minimal_border:
@@ -160,6 +161,9 @@ def _cmd_equations(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .diagram import YoungDiagram
+    from .series import euler_series, format_coefficient, motivic_series
+
     diagram = _arg(YoungDiagram, args.diagram)
     if (args.curve is None) == (args.euler is None):
         raise DomainError(
@@ -184,6 +188,10 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_count_points(args) -> int:
+    from .pointcount import count_points
+    from .rpp import RPP
+    from .series import evaluate_motive, motivic_series
+
     n = _arg(RPP, args.rpp)
     count = count_points(n, args.p)
     coefficient = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
@@ -201,6 +209,8 @@ def _cmd_count_points(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import load_corpus, run_corpus
+
     corpus = load_corpus(args.corpus)
     results = run_corpus(corpus)
     n_pass = sum(ok for _, ok, _ in results)

@@ -58,6 +58,24 @@ def _kind(name: str):
     return register
 
 
+# -- row fields ----------------------------------------------------------------
+
+
+def _max_size(row: dict) -> int:
+    """The row's ``max_size``: an int of at least 1, since at 0 every series is the constant 1."""
+    [max_size] = ints([row["max_size"]], '"max_size"')
+    if max_size < 1:
+        raise DomainError("parse-error", '"max_size" must be at least 1', max_size)
+    return max_size
+
+
+def _flag(value, key: str) -> bool:
+    """A row's JSON boolean field ``key``; 0 and 1 are not booleans."""
+    if type(value) is not bool:
+        raise DomainError("parse-error", f'"{key}" must be a JSON boolean', value)
+    return value
+
+
 # -- row implementations ------------------------------------------------------
 
 
@@ -99,11 +117,10 @@ def _row_classify(row: dict) -> list:
 @_kind("equations")
 def _row_equations(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
-    kind, minimal, expected = row["type"], row.get("minimal_border", False), row["expected"]
+    kind, expected = row["type"], row["expected"]
     if kind not in ("I", "II"):
         raise DomainError("parse-error", f'"type" must be "I" or "II", not {kind!r}', kind)
-    if type(minimal) is not bool:
-        raise DomainError("parse-error", '"minimal_border" must be a JSON boolean', minimal)
+    minimal = _flag(row.get("minimal_border", False), "minimal_border")
     if not isinstance(expected, dict):
         raise DomainError("parse-error", 'equations "expected" must be an object', expected)
     ideal = type_i_ideal(n) if kind == "I" else type_ii_ideal(n, minimal_border=minimal)
@@ -151,13 +168,13 @@ def _row_ambient(row: dict) -> list:
 @_kind("gansner-box")
 def _row_gansner_box(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
-    max_size = row["max_size"]
+    max_size, expected_equal = _max_size(row), _flag(row["expected_equal"], "expected_equal")
     lhs = rpp_series_bruteforce(diagram, max_size)
     rhs = hook_product(diagram, 1, -1, max_size)
     problems = []
-    if (lhs == rhs) != row["expected_equal"]:
+    if (lhs == rhs) != expected_equal:
         problems.append(f"box-level equality is {lhs == rhs}")
-    if not row["expected_equal"]:
+    if not expected_equal:
         lhs_only = tuple(row["lhs_only"])
         rhs_only = tuple(row["rhs_only"])
         if not (lhs.coefficient(lhs_only) == (1,) and not rhs.coefficient(lhs_only)):
@@ -170,7 +187,7 @@ def _row_gansner_box(row: dict) -> list:
 @_kind("gansner-diagonal")
 def _row_gansner_diagonal(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
-    max_size = row["max_size"]
+    max_size = _max_size(row)
     lhs = collapse_to_diagonals(diagram, rpp_series_bruteforce(diagram, max_size))
     rhs = collapse_to_diagonals(diagram, hook_product(diagram, 1, -1, max_size))
     if lhs != rhs:
@@ -181,7 +198,7 @@ def _row_gansner_diagonal(row: dict) -> list:
 @_kind("euler-single")
 def _row_euler_single(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
-    max_size = row["max_size"]
+    max_size = _max_size(row)
     series = euler_series(diagram, row["chi"], max_size, single_variable=True)
     problems = []
     if "hook_lengths" in row["expected"]:
@@ -203,7 +220,7 @@ def _row_euler_single(row: dict) -> list:
 @_kind("motivic-specialization")
 def _row_motivic_specialization(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
-    max_size = row["max_size"]
+    max_size = _max_size(row)
     problems = []
     if motivic_series(diagram, "A1", max_size).substitute_L(1) != euler_series(diagram, 1, max_size):
         problems.append("affine-line series at L=1 is not the chi=1 Euler series")
@@ -215,7 +232,7 @@ def _row_motivic_specialization(row: dict) -> list:
 @_kind("count-points")
 def _row_count_points(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
-    p = row["p"]
+    p, expected_match = row["p"], _flag(row["expected_match"], "expected_match")
     count = count_points(n, p)
     coeff = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
     motive = evaluate_motive(coeff, p)
@@ -224,7 +241,7 @@ def _row_count_points(row: dict) -> list:
         problems.append(f"count {count} != {row['expected_count']}")
     if motive != row["expected_motive_box"]:
         problems.append(f"box coefficient {motive} != {row['expected_motive_box']}")
-    if (count == motive) != row["expected_match"]:
+    if (count == motive) != expected_match:
         problems.append(f"match is {count == motive}")
     return problems
 
@@ -233,7 +250,7 @@ def _row_count_points(row: dict) -> list:
 def _row_count_points_diagonal(row: dict) -> list:
     diagram = YoungDiagram(row["cols"])
     p = row["p"]
-    max_size = row["max_size"]
+    max_size = _max_size(row)
     counts = {rpp.values: count_points(rpp, p) for rpp in enumerate_rpps(diagram, max_size)}
     counted = _diagonal_totals(diagram, TruncatedSeries(diagram.size, max_size, counts), p)
     predicted = _diagonal_totals(diagram, motivic_series(diagram, "A1", max_size), p)

@@ -1,14 +1,22 @@
-"""The package surface: the public names and the names the benchmark traces."""
+"""The package surface: the public names, what each entry point imports,
+and the names the benchmark traces."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rpphilb
 import rpphilb.cli
 import rpphilb.verify
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TRACING = ROOT / "bench" / "tracing.py"
+SUBMODULES = sorted(path.stem for path in (SRC / "rpphilb").glob("*.py") if path.stem != "__init__")
 
 
 def test_every_public_name_resolves_once():
@@ -18,6 +26,77 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from rpphilb import *", namespace)
     assert set(rpphilb.__all__) <= set(namespace)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in rpphilb.__all__:
+        obj = getattr(rpphilb, name)
+        assert obj.__module__.startswith("rpphilb."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_unknown_names_behave_as_on_a_plain_module():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rpphilb.no_such_name
+    assert not hasattr(rpphilb, "__wrapped__")
+    assert set(rpphilb.__all__) | set(SUBMODULES) <= set(dir(rpphilb))
+
+
+# -- imports: each case runs in a fresh interpreter ------------------------------
+
+
+def _loaded_by(code: str) -> set:
+    """Modules that ``code`` loads in a fresh interpreter, beyond start-up's own."""
+    script = "\n".join(
+        [
+            "import sys",
+            "before = set(sys.modules)",
+            code,
+            "print(*sorted(set(sys.modules) - before))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _loaded_by("import rpphilb")
+    assert "rpphilb" in loaded
+    assert sorted(name for name in loaded if name.startswith("rpphilb.")) == []
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    names = ", ".join(repr(name) for name in SUBMODULES)
+    code = f"import rpphilb\nassert all(getattr(rpphilb, m).__name__ == 'rpphilb.' + m for m in ({names}))"
+    assert {f"rpphilb.{name}" for name in SUBMODULES} <= _loaded_by(code)
+
+
+def _cli_loads(*argv) -> set:
+    return _loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--curve", "A1", "--max-size", "3", "2,1"),
+        ("series", "--curve", "P1", "--max-size", "3", "2,1"),
+        ("series", "--euler", "1", "--max-size", "3", "2,1"),
+        ("weight", "0 2 / 2 4"),
+        ("indicators", "2,2"),
+        ("factorizations", "0 2 / 2 4"),
+    ],
+)
+def test_light_subcommands_skip_the_classifier_and_dataclasses(argv):
+    loaded = _cli_loads(*argv)
+    assert loaded & {"rpphilb.components", "rpphilb.equations", "rpphilb.verify", "dataclasses"} == set()
+
+
+def test_classify_skips_equations_pointcount_and_verify():
+    loaded = _cli_loads("classify", "0 2 / 2 4")
+    assert "rpphilb.components" in loaded
+    assert loaded & {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify"} == set()
 
 
 def _load_tracing(monkeypatch):

@@ -56,6 +56,18 @@ ACCEPTS = {
     ("equations", "expected"): lambda x: isinstance(x, dict),
     ("random-properties", "seed"): lambda x: type(x) is int,
     ("random-properties", "n_cases"): lambda x: type(x) is int and x >= 1,
+    ("gansner-box", "expected_equal"): lambda x: type(x) is bool,
+    ("count-points", "expected_match"): lambda x: type(x) is bool,
+    **{
+        (kind, "max_size"): lambda x: type(x) is int and x >= 1
+        for kind in (
+            "gansner-box",
+            "gansner-diagonal",
+            "euler-single",
+            "motivic-specialization",
+            "count-points-diagonal",
+        )
+    },
 }
 
 
@@ -70,8 +82,10 @@ def test_mutated_rows_fail_as_rows_and_never_raise():
                 if accepts is not None and not accepts(sub):
                     assert not ok and detail.startswith("parse-error"), (name, field, sub, detail)
                     checked += 1
-    # every type, n_cases and non-object expected; non-bool minimal_border; non-int seed
-    assert checked == 4 * 8 + 8 + 4 * 7 + 7 + 6
+    # every type, n_cases and non-object expected; non-bool minimal_border; non-int seed;
+    # every max_size of the ten rows that have one (0 included: it leaves
+    # every series the constant 1); non-bool expected_equal and expected_match
+    assert checked == 4 * 8 + 8 + 4 * 7 + 7 + 6 + 10 * 8 + 3 * 7 + 4 * 7
 
 
 def test_missing_corpus_file():
