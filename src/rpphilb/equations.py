@@ -7,10 +7,11 @@ Type II tracks monic difference factors along rows (L) and columns (U) and
 imposes, per box, that the two ways around the commuting square agree; its
 generators are the x-coefficients of L_{i,j}·U_{i-1,j} − U_{i,j}·L_{i,j-1}.
 
-Both ideals are homogeneous for the grading deg a/b/c(i,j,k) = k, which
-allows a deterministic reduction onto the tangent space at the origin:
-variables that occur linearly with unit coefficient and nowhere else in
-some generator are eliminated by substitution.
+Both ideals are homogeneous when a/b/c(i,j,k) has weight k, its depth
+``VarId.k``; no other grading is stored.  Homogeneity allows a
+deterministic reduction onto the tangent space at the origin: variables
+that occur linearly with unit coefficient and nowhere else in some
+generator are eliminated by substitution.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def ambient_and_bundle(n: RPP) -> AmbientSummary:
 class IdealPresentation:
     ambient_vars: tuple
     generators: tuple
-    grading: dict
     groups: tuple = ()
     condition_count: int | None = None
 
@@ -73,7 +73,7 @@ class IdealPresentation:
         for g in self.generators:
             stray = [v for v in g.variables() if v not in allowed]
             assert not stray, f"generator uses variables outside the ambient ring: {stray}"
-        assert all(d > 0 for d in self.grading.values()), "grading must be strictly positive"
+        assert all(v.k >= 1 for v in self.ambient_vars), "every ambient variable has k ≥ 1"
 
     @property
     def n_vars(self) -> int:
@@ -88,14 +88,12 @@ class IdealPresentation:
 
     def generator_degrees(self) -> list[int]:
         """Weighted degrees of the nonzero generators, sorted."""
-        return sorted(
-            g.weighted_degree(self.grading) for g in self.generators if not g.is_zero()
-        )
+        return sorted(g.weighted_degree() for g in self.generators if g)
 
     def to_json_obj(self) -> dict:
         return {
             "ambient_vars": [str(v) for v in self.ambient_vars],
-            "grading": {str(v): d for v, d in self.grading.items()},
+            "grading": {str(v): v.k for v in self.ambient_vars},
             "generators": [str(g) for g in self.generators],
             "groups": [
                 {
@@ -145,7 +143,6 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
     return IdealPresentation(
         ambient_vars=ambient,
         generators=tuple(generators),
-        grading={w: w.k for w in ambient},
         groups=tuple(groups),
         condition_count=conditions,
     )
@@ -204,15 +201,14 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     return IdealPresentation(
         ambient_vars=ambient,
         generators=tuple(generators),
-        grading={w: w.k for w in ambient},
         groups=tuple(groups),
         condition_count=len(generators),
     )
 
 
 def check_grading(I: IdealPresentation) -> bool:
-    """True when every generator is homogeneous for the stored grading."""
-    return all(g.is_homogeneous(I.grading) for g in I.generators)
+    """True when every generator is homogeneous when each variable weighs its depth k."""
+    return all(g.is_homogeneous() for g in I.generators)
 
 
 def _occurs_outside_linear(g: SparsePoly, v: VarId) -> bool:
@@ -230,7 +226,7 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
 
     The tangent dimension is #variables minus the rank of the generators'
     linear parts.  The reduction repeatedly eliminates the variable of
-    smallest weighted degree (ties by canonical variable order) that occurs
+    smallest depth k (ties by canonical variable order) that occurs
     in some generator linearly with coefficient ±1 and in no other term of
     that generator; the generator is solved for it and the solution is
     substituted everywhere.  Raises when generators with surviving linear
@@ -245,14 +241,14 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     lin_rank = rank(lin_matrix) if lin_matrix else 0
     tangent_dim = len(var_order) - lin_rank
 
-    gens = [g for g in I.generators if not g.is_zero()]
+    gens = [g for g in I.generators if g]
     remaining = list(var_order)
     while True:
         best = None
         for gi, g in enumerate(gens):
             for v, coeff in g.linear_part().items():
                 if coeff in (1, -1) and not _occurs_outside_linear(g, v):
-                    key = (I.grading[v], v.sort_key(), gi)
+                    key = (v.k, v.sort_key(), gi)
                     if best is None or key < best[0]:
                         best = (key, v, coeff, gi)
         if best is None:
@@ -261,17 +257,11 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
         g = gens[gi]
         replacement = -s * (g - s * SparsePoly.variable(v))
         gens = [h.substitute({v: replacement}) for idx, h in enumerate(gens) if idx != gi]
-        gens = [h for h in gens if not h.is_zero()]
+        gens = [h for h in gens if h]
         remaining.remove(v)
 
     # a generator repeated verbatim adds nothing to the ideal
-    seen = set()
-    deduped = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            deduped.append(g)
-    gens = deduped
+    gens = list(dict.fromkeys(gens))
 
     for g in gens:
         if g.linear_part():
@@ -284,7 +274,6 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     reduced = IdealPresentation(
         ambient_vars=tuple(remaining),
         generators=tuple(gens),
-        grading={v: I.grading[v] for v in remaining},
         groups=(),
         condition_count=None,
     )

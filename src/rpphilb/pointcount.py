@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .errors import CapExceeded, DomainError, ints
+from .errors import CapExceeded, DomainError
 from .poly import monic_divmod, poly_mul
 from .rpp import RPP
 
@@ -110,21 +110,19 @@ class PrimeField:
         return not a or not any([r % self.p for r in monic_divmod((*b, 1), (*a, 1))[1]])
 
 
-def count_points(n: RPP, p: int, budget: int | None = None) -> int:
+def count_points(n: RPP, p: int) -> int:
     """Number of nested tuples of monic polynomials over F_p shaped by n.
 
     One monic polynomial of degree n(box) per box, with the left and up
     neighbours dividing it.  Each box's candidates are its left
     neighbour's polynomial times every monic q of degree n(box) − n(left),
     so only the up divisibility is tested (in column 0 the up neighbour
-    takes the left's place and no test remains).  The budget still
-    bounds the raw search space of p^|n| tuples: the call refuses to
+    takes the left's place and no test remains).  The configured budget
+    still bounds the raw search space of p^|n| tuples: the call refuses to
     start when that exceeds it.
     """
     field = PrimeField(p)
-    if budget is None:
-        budget = configured_budget()
-    ints([budget], "budget")
+    budget = configured_budget()
     cost = p**n.size
     if cost > budget:
         raise CapExceeded(

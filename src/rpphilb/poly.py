@@ -2,9 +2,10 @@
 
 Variables are tagged tuples (kind, i, j, k): the main variable ``x``, the
 coefficient families ``a``/``b``/``c`` indexed by a box (i=column, j=row)
-and a depth k, and the motive symbol ``L``.  Polynomials are dicts from
-monomials (sorted tuples of (variable, exponent) pairs) to integer
-coefficients.
+and a depth k, and the motive symbol ``L``.  A variable's weight in
+``weighted_degree`` and ``is_homogeneous`` is its depth k (0 for x and
+L).  Polynomials are dicts from monomials (sorted tuples of (variable,
+exponent) pairs) to integer coefficients.
 
 The text format uses ``+ - * ^`` with explicit multiplication, e.g.
 ``x^3 - a_1_0_1*x^2 + 2``, and round-trips through ``parse_poly``.
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ints
-from .terms import format_terms
 
 _KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4}
 
@@ -100,13 +100,6 @@ class SparsePoly:
     def variable(cls, v: VarId) -> "SparsePoly":
         return cls({((v, 1),): 1})
 
-    @classmethod
-    def x_power(cls, k: int) -> "SparsePoly":
-        return cls({((X, k),): 1}) if k else cls.constant(1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -176,42 +169,15 @@ class SparsePoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    # -- x as the main variable ------------------------------------------------
-
-    def degree_in_x(self) -> int:
-        """Largest power of x, or -1 for the zero polynomial."""
-        deg = -1
-        for mono in self.terms:
-            d = 0
-            for v, e in mono:
-                if v == X:
-                    d = e
-            deg = max(deg, d)
-        return deg
-
-    def x_coefficients(self) -> list["SparsePoly"]:
-        """Coefficients of x^0, x^1, ... as polynomials in the other variables."""
-        deg = self.degree_in_x()
-        coeffs = [dict() for _ in range(deg + 1)] if deg >= 0 else []
-        for mono, c in self.terms.items():
-            d = 0
-            rest = []
-            for v, e in mono:
-                if v == X:
-                    d = e
-                else:
-                    rest.append((v, e))
-            coeffs[d][tuple(rest)] = coeffs[d].get(tuple(rest), 0) + c
-        return [_raw(d) for d in coeffs]
-
     # -- degrees, linear parts, substitution -----------------------------------
 
-    def weighted_degree(self, grading: dict) -> int | None:
-        """Max over monomials of the grading-weighted degree; None if zero."""
-        return max((sum(e * grading[v] for v, e in mono) for mono in self.terms), default=None)
+    def weighted_degree(self) -> int | None:
+        """Largest monomial degree, each variable weighing its depth k; None if zero."""
+        return max((sum(e * v.k for v, e in mono) for mono in self.terms), default=None)
 
-    def is_homogeneous(self, grading: dict) -> bool:
-        return len({sum(e * grading[v] for v, e in mono) for mono in self.terms}) <= 1
+    def is_homogeneous(self) -> bool:
+        """Whether all monomials have one degree when each variable weighs its depth k."""
+        return len({sum(e * v.k for v, e in mono) for mono in self.terms}) <= 1
 
     def linear_part(self) -> dict:
         """Coefficients of the degree-one monomials, as a VarId -> int dict."""
@@ -274,6 +240,24 @@ class SparsePoly:
     __repr__ = __str__
 
 
+def format_terms(terms: Iterable[tuple[int, list[str]]]) -> str:
+    """``(coefficient, factors)`` pairs, nonzero and in print order, as text.
+
+    Factors join with ``*``, led by the magnitude unless it is 1 and factors
+    follow, e.g. ``x^3 - 2*a_1_0_1*x^2 + 1``; no terms print as ``0``.
+    ``SparsePoly`` and series coefficients print through it.
+    """
+    pieces = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
+
+
 def _raw(terms: dict) -> SparsePoly:
     p = SparsePoly.__new__(SparsePoly)
     p.terms = terms
@@ -332,12 +316,19 @@ def divmod_in_x(f: SparsePoly, g: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
     The divisor must be monic in x (leading x-coefficient equal to 1), which
     keeps everything over the integers.
     """
-    q, r = monic_divmod(f.x_coefficients(), g.x_coefficients())
-    return _from_x_coefficients(q), _from_x_coefficients(r)
+    x = SparsePoly.variable(X)
+    q, r = monic_divmod(_split_x(f), _split_x(g))
+    return tuple(sum((c * x**k for k, c in enumerate(h)), SparsePoly.constant(0)) for h in (q, r))
 
 
-def _from_x_coefficients(coeffs) -> SparsePoly:
-    return sum((c * SparsePoly.x_power(k) for k, c in enumerate(coeffs)), SparsePoly.constant(0))
+def _split_x(p: SparsePoly) -> tuple:
+    """Coefficients of x^0, x^1, ... of p as polynomials in the other variables."""
+    coeffs: list[dict] = []
+    for mono, c in p.terms.items():
+        d = mono[0][1] if mono and mono[0][0] == X else 0  # x sorts first
+        coeffs += [{} for _ in range(d + 1 - len(coeffs))]
+        coeffs[d][mono[1:] if d else mono] = c
+    return tuple(_raw(t) for t in coeffs)
 
 
 # -- parser ------------------------------------------------------------------

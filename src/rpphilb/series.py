@@ -27,9 +27,8 @@ from operator import add
 
 from .diagram import YoungDiagram
 from .errors import DomainError, ints
-from .poly import poly_mul
+from .poly import format_terms, poly_mul
 from .rpp import enumerate_rpps
-from .terms import format_terms
 
 
 class TruncatedSeries:

@@ -141,7 +141,7 @@ def _row_equations(row: dict) -> list:
         got = str(ideal.generators[0])
         if got != expected["first_generator"]:
             problems.append(f"first generator {got!r}")
-        if parse_poly(expected["first_generator"]) != ideal.generators[0]:
+        if parse_poly(got) != ideal.generators[0]:
             problems.append("first generator does not round-trip")
     if "tangent" in expected:
         dim, reduced = tangent_embedding(ideal)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from rpphilb import RPP, YoungDiagram
-from rpphilb.poly import SparsePoly
+from rpphilb.poly import X, SparsePoly
 
 import frozen_tables as FT
 
@@ -70,22 +70,44 @@ def filling_of_weight(rng, diagram, weight):
             return n
 
 
+def x_power(k):
+    """x^k as a SparsePoly; x^0 is the constant 1."""
+    return SparsePoly({((X, k),): 1}) if k else SparsePoly.constant(1)
+
+
+def degree_in_x(p):
+    """Largest power of x in a SparsePoly, or -1 for the zero polynomial."""
+    return max((dict(mono).get(X, 0) for mono in p.terms), default=-1)
+
+
+def x_coefficients(p):
+    """Coefficients of x^0, x^1, ... of a SparsePoly, as polynomials in the other variables.
+
+    Term by term, the oracle for the splitter behind ``poly.divmod_in_x``.
+    """
+    coeffs = [SparsePoly.constant(0)] * (degree_in_x(p) + 1)
+    for mono, c in p.terms.items():
+        d = dict(mono).get(X, 0)
+        coeffs[d] = coeffs[d] + SparsePoly({tuple((v, e) for v, e in mono if v != X): c})
+    return coeffs
+
+
 def shift_subtract_divmod(f, g):
     """Quotient and remainder of SparsePolys f by g, monic in x, by shifted subtraction.
 
     The oracle for ``poly.monic_divmod``: each step cancels the leading
     x-term of the remainder with a shifted multiple of the whole divisor.
     """
-    dg = g.degree_in_x()
-    assert dg >= 0 and g.x_coefficients()[dg] == 1, "the divisor must be monic in x"
+    dg = degree_in_x(g)
+    assert dg >= 0 and x_coefficients(g)[dg] == 1, "the divisor must be monic in x"
     q = SparsePoly.constant(0)
     r = f
-    while r.degree_in_x() >= dg:
-        dr = r.degree_in_x()
-        shift = r.x_coefficients()[dr] * SparsePoly.x_power(dr - dg)
+    while degree_in_x(r) >= dg:
+        dr = degree_in_x(r)
+        shift = x_coefficients(r)[dr] * x_power(dr - dg)
         q = q + shift
         r = r - shift * g
-        assert r.degree_in_x() < dr, "division must strictly reduce the x-degree"
+        assert degree_in_x(r) < dr, "division must strictly reduce the x-degree"
     return q, r
 
 

@@ -236,7 +236,7 @@ def test_verify_deeply_nested_generator_fails_its_row(tmp_path):
     bad.write_text(json.dumps({"rows": [{**row, "expected": {"first_generator": deep}}]}))
     code, out, err = run_cli("verify", str(bad))
     assert (code, err) == (2, "")
-    assert out.startswith("FAIL deep - parse-error: ")
+    assert out.startswith("FAIL deep - first generator ")
 
 
 def test_verify_non_string_kind_is_an_unknown_kind(tmp_path):

@@ -15,10 +15,10 @@ from rpphilb.equations import (
 )
 from rpphilb.poly import SparsePoly, parse_poly, var_a, var_b, var_c
 from rpphilb.rpp import enumerate_rpps
-from rpphilb.verify import check_random_instance
+from rpphilb.verify import check_random_instance, load_corpus
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, shift_subtract_divmod, value
+from conftest import diagrams_up_to, shift_subtract_divmod, value, x_coefficients, x_power
 
 
 def test_divisibility_presentation_for_grid(grid_rpp):
@@ -108,13 +108,26 @@ def test_ideal_json_shape(square_rpp):
         assert str(parse_poly(text)) == text
 
 
+def test_grading_is_each_variables_depth():
+    rows = [row for row in load_corpus()["rows"] if row["kind"] == "equations"]
+    assert rows
+    for row in rows:
+        n = RPP.from_text(row["rpp"])
+        ideals = [type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True)]
+        for ideal in ideals + [tangent_embedding(ideal)[1] for ideal in ideals]:
+            grading = ideal.to_json_obj()["grading"]
+            assert grading == {str(v): v.k for v in ideal.ambient_vars}, row["name"]
+            # the depth is the last index of the printed name, a/b/c_i_j_k
+            assert all(int(name.rsplit("_", 1)[1]) == k for name, k in grading.items())
+            assert check_grading(ideal), row["name"]
+
+
 def test_tangent_reduction_reports_stall():
     # a presentation whose only linear coefficient is not a unit cannot be
     # eliminated over the integers
     base = type_i_ideal(RPP.from_text("1 / 2"))
     stuck = type(base)(
         ambient_vars=base.ambient_vars,
-        grading=base.grading,
         generators=[parse_poly("2*a_0_1_2 - a_0_0_1^2")],
         groups=[("block", 1)],
         condition_count=1,
@@ -144,9 +157,9 @@ def _difference_factor(n, box, kind):
     else:
         d = value(n, box) - value(n, (i, j - 1))
         mk = var_c
-    p = SparsePoly.x_power(d)
+    p = x_power(d)
     for k in range(1, d + 1):
-        p = p + SparsePoly.variable(mk(i, j, k)) * SparsePoly.x_power(d - k)
+        p = p + SparsePoly.variable(mk(i, j, k)) * x_power(d - k)
     return p
 
 
@@ -183,7 +196,7 @@ def _type_ii_oracle(n, minimal_border):
         eq = _difference_factor(n, box, "b") * _difference_factor(
             n, (box.i - 1, box.j), "c"
         ) - _difference_factor(n, box, "c") * _difference_factor(n, (box.i, box.j - 1), "b")
-        coeffs = eq.x_coefficients()
+        coeffs = x_coefficients(eq)
         coeffs += [SparsePoly.constant(0)] * (D - len(coeffs))
         generators.extend(coeffs[deg] for deg in range(D - 1, -1, -1))
         groups.append({"box": tuple(box), "size": D})
@@ -207,9 +220,9 @@ def _x_power_monic(n, box):
     """x^d + a(i,j,1)·x^(d-1) + … + a(i,j,d) as one SparsePoly, d the label at box."""
     i, j = box
     d = value(n, box)
-    p = SparsePoly.x_power(d)
+    p = x_power(d)
     for k in range(1, d + 1):
-        p = p + SparsePoly.variable(var_a(i, j, k)) * SparsePoly.x_power(d - k)
+        p = p + SparsePoly.variable(var_a(i, j, k)) * x_power(d - k)
     return p
 
 
@@ -225,7 +238,7 @@ def _type_i_oracle(n):
             if d == 0:
                 continue
             _, r = shift_subtract_divmod(_x_power_monic(n, (i, j)), _x_power_monic(n, nb))
-            coeffs = r.x_coefficients()
+            coeffs = x_coefficients(r)
             coeffs += [SparsePoly.constant(0)] * (d - len(coeffs))
             generators.extend(coeffs[::-1])
             groups.append({"box": (i, j), "divisor_box": nb, "size": d})

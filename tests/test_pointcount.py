@@ -172,12 +172,13 @@ def test_evaluate_motive():
     assert evaluate_motive((1, 2), 2) == 5
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         count_points(RPP.from_text("30"), 2)
     assert err.value.code == "budget-exceeded"
-    # an explicit budget overrides the default
-    assert count_points(RPP.from_text("20"), 2, budget=2 ** 20) == 2 ** 20
+    # a configured budget overrides the default
+    monkeypatch.setenv("RPPHILB_MAX_BUDGET", str(2 ** 20))
+    assert count_points(RPP.from_text("20"), 2) == 2 ** 20
 
 
 def test_budget_env_override(monkeypatch):

@@ -1,6 +1,7 @@
 """Self-check corpus: loading, row evaluation, negative controls."""
 
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,8 @@ from rpphilb.verify import (
     run_random_properties,
 )
 
+from conftest import x_coefficients, x_power
+
 
 def test_bundled_corpus_passes_completely():
     corpus = load_corpus()
@@ -24,6 +27,18 @@ def test_bundled_corpus_passes_completely():
     assert len(results) == len(corpus["rows"]) == 22
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert failures == []
+
+
+def test_huge_first_generator_text_fails_without_expanding_it():
+    # the row round-trips the printed generator, never the corpus text, so
+    # a power that would take hours to expand fails as a plain mismatch
+    huge = "(a_0_0_1 + a_0_1_1 + 1)^1000"
+    row = {"name": "huge", "kind": "equations", "rpp": "0 1 / 1 2", "type": "I"}
+    start = time.perf_counter()
+    [(name, ok, detail)] = run_corpus({"rows": [{**row, "expected": {"first_generator": huge}}]})
+    assert time.perf_counter() - start < 5
+    assert not ok
+    assert detail.startswith("first generator ")
 
 
 def test_perturbed_expectation_is_caught():
@@ -141,9 +156,9 @@ def _sparse_nested_polynomials(rng, n):
     factorization = standard_factorization(n)
     factors = []
     for indicator, multiplicity in factorization.terms.items():
-        poly = SparsePoly.x_power(multiplicity)
+        poly = x_power(multiplicity)
         for k in range(multiplicity):
-            poly = poly + SparsePoly.x_power(k) * rng.randint(-3, 3)
+            poly = poly + x_power(k) * rng.randint(-3, 3)
         factors.append((indicator, poly))
     tuples = []
     for pos in range(n.diagram.size):
@@ -157,7 +172,7 @@ def _sparse_nested_polynomials(rng, n):
 
 def _coefficients(poly):
     """Integer x-coefficients of a polynomial in x alone, lowest power first."""
-    return tuple(c.terms.get((), 0) for c in poly.x_coefficients())
+    return tuple(c.terms.get((), 0) for c in x_coefficients(poly))
 
 
 def test_nested_polynomials_match_the_sparse_builder():
