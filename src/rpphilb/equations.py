@@ -16,6 +16,7 @@ generator are eliminated by substitution.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -211,53 +212,39 @@ def check_grading(I: IdealPresentation) -> bool:
     return all(g.is_homogeneous() for g in I.generators)
 
 
-def _occurs_outside_linear(g: SparsePoly, v: VarId) -> bool:
-    linear_mono = ((v, 1),)
-    for mono in g.terms:
-        if mono == linear_mono:
-            continue
-        if any(w == v for w, _ in mono):
-            return True
-    return False
-
-
 def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     """Embedding dimension at the origin and the reduced presentation.
 
     The tangent dimension is #variables minus the rank of the generators'
     linear parts.  The reduction repeatedly eliminates the variable of
-    smallest depth k (ties by canonical variable order) that occurs
-    in some generator linearly with coefficient ±1 and in no other term of
-    that generator; the generator is solved for it and the solution is
-    substituted everywhere.  Raises when generators with surviving linear
+    smallest depth k (ties by canonical variable order, then generator
+    order) whose only monomial in some generator is its linear term, with
+    coefficient ±1; that generator is solved for it and the solution is
+    substituted into the rest.  Raises when generators with surviving linear
     parts stall before that rank is exhausted.
     """
     assert check_grading(I), "tangent reduction requires a homogeneous presentation"
     var_order = list(I.ambient_vars)
-    lin_matrix = []
-    for g in I.generators:
-        lp = g.linear_part()
-        lin_matrix.append([lp.get(v, 0) for v in var_order])
-    lin_rank = rank(lin_matrix) if lin_matrix else 0
-    tangent_dim = len(var_order) - lin_rank
+    lin_matrix = [[lp.get(v, 0) for v in var_order] for lp in (g.linear_part() for g in I.generators)]
+    tangent_dim = len(var_order) - rank(lin_matrix)
 
     gens = [g for g in I.generators if g]
     remaining = list(var_order)
     while True:
-        best = None
-        for gi, g in enumerate(gens):
-            for v, coeff in g.linear_part().items():
-                if coeff in (1, -1) and not _occurs_outside_linear(g, v):
-                    key = (v.k, v.sort_key(), gi)
-                    if best is None or key < best[0]:
-                        best = (key, v, coeff, gi)
-        if best is None:
+        # v is eliminable from g when its one monomial in g is the linear term ±v
+        candidates = [
+            (v.k, v.sort_key(), gi, v)
+            for gi, g in enumerate(gens)
+            for v, count in Counter(v for mono in g.terms for v, _ in mono).items()
+            if count == 1 and g.terms.get(((v, 1),)) in (1, -1)
+        ]
+        if not candidates:
             break
-        _, v, s, gi = best
-        g = gens[gi]
+        *_, gi, v = min(candidates)
+        g = gens.pop(gi)
+        s = g.terms[((v, 1),)]
         replacement = -s * (g - s * SparsePoly.variable(v))
-        gens = [h.substitute({v: replacement}) for idx, h in enumerate(gens) if idx != gi]
-        gens = [h for h in gens if h]
+        gens = [h for h in (h.substitute({v: replacement}) for h in gens) if h]
         remaining.remove(v)
 
     # a generator repeated verbatim adds nothing to the ideal

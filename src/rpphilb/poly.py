@@ -160,7 +160,7 @@ class SparsePoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is not a constant
             other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -189,19 +189,17 @@ class SparsePoly:
 
     def substitute(self, assignments: dict) -> "SparsePoly":
         """Replace variables by polynomials (unlisted variables stay)."""
-        result = SparsePoly.constant(0)
+        out: dict = {}
         for mono, c in self.terms.items():
             if not any(v in assignments for v, _ in mono):
-                result = result + _raw({mono: c})  # untouched: its own image
+                out[mono] = out.get(mono, 0) + c  # untouched: its own image
                 continue
             term = SparsePoly.constant(c)
             for v, e in mono:
-                if v in assignments:
-                    term = term * (_coerce(assignments[v]) ** e)
-                else:
-                    term = term * _raw({((v, e),): 1})
-            result = result + term
-        return result
+                term = term * (_coerce(assignments[v]) ** e if v in assignments else _raw({((v, e),): 1}))
+            for m, t in term.terms.items():
+                out[m] = out.get(m, 0) + t
+        return _raw({m: c for m, c in out.items() if c})
 
     def evaluate(self, values: dict) -> int:
         """Value at a point that assigns an int to every variable."""

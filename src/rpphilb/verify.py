@@ -106,6 +106,8 @@ def _row_classify(row: dict) -> list:
             **report.to_json_obj(),
             "witness": witness_texts(n.diagram, report.relation_witness),
         }
+        if not isinstance(want, dict):
+            raise DomainError("parse-error", f"component {k} expectation must be an object", want)
         for key, value in want.items():
             if got[key] != value:
                 problems.append(f"component {k}: {key} {got[key]!r} != {value!r}")
@@ -137,7 +139,9 @@ def _row_equations(row: dict) -> list:
         problems.append("vars minus conditions is not the weight")
     if not check_grading(ideal):
         problems.append("presentation is not homogeneous")
-    if "first_generator" in expected:
+    if "first_generator" in expected and not ideal.generators:
+        problems.append("first generator expected, but there are no generators")
+    elif "first_generator" in expected:
         got = str(ideal.generators[0])
         if got != expected["first_generator"]:
             problems.append(f"first generator {got!r}")
@@ -442,6 +446,9 @@ def run_corpus(corpus: dict) -> list:
     results = []
     for row in corpus["rows"]:
         name = row.get("name", "<unnamed>")
+        if not isinstance(name, str):
+            results.append((repr(name), False, f'parse-error: "name" must be a string, not {name!r}'))
+            continue
         kind = row.get("kind")
         fn = _ROW_KINDS.get(kind) if isinstance(kind, str) else None
         if fn is None:

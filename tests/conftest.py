@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 
 from rpphilb import RPP, YoungDiagram
+from rpphilb.equations import IdealPresentation
+from rpphilb.linalg import rank
 from rpphilb.poly import X, SparsePoly
 
 import frozen_tables as FT
@@ -109,6 +111,52 @@ def shift_subtract_divmod(f, g):
         r = r - shift * g
         assert degree_in_x(r) < dr, "division must strictly reduce the x-degree"
     return q, r
+
+
+def substitute_by_sums(p, assignments):
+    """p with variables replaced by polynomials, one polynomial sum per monomial.
+
+    The oracle for ``SparsePoly.substitute``: each monomial's image,
+    untouched or multiplied out, is added to the running result.
+    """
+    result = SparsePoly.constant(0)
+    for mono, c in p.terms.items():
+        term = SparsePoly.constant(c)
+        for v, e in mono:
+            term = term * (assignments[v] ** e if v in assignments else SparsePoly({((v, e),): 1}))
+        result = result + term
+    return result
+
+
+def tangent_by_linear_parts(I):
+    """(tangent dimension, reduced presentation), choosing from each generator's linear part.
+
+    The oracle for ``equations.tangent_embedding``: every round scans every
+    generator's linear part for a ±1 coefficient on a variable that no
+    other monomial of that generator contains, and eliminates the least by
+    (depth, variable order, generator order) with ``substitute_by_sums``.
+    """
+    lin_rank = rank([[g.linear_part().get(v, 0) for v in I.ambient_vars] for g in I.generators])
+    gens = [g for g in I.generators if g]
+    remaining = list(I.ambient_vars)
+    while True:
+        best = None
+        for gi, g in enumerate(gens):
+            for v, coeff in g.linear_part().items():
+                elsewhere = any(v in dict(mono) for mono in g.terms if mono != ((v, 1),))
+                key = (v.k, v.sort_key(), gi)
+                if coeff in (1, -1) and not elsewhere and (best is None or key < best[0]):
+                    best = (key, v, coeff)
+        if best is None:
+            break
+        (_, _, gi), v, s = best
+        g = gens.pop(gi)
+        replacement = -s * (g - s * SparsePoly.variable(v))
+        gens = [h for h in (substitute_by_sums(h, {v: replacement}) for h in gens) if h]
+        remaining.remove(v)
+    assert not any(g.linear_part() for g in gens), "the reduction stalled"
+    reduced = IdealPresentation(tuple(remaining), tuple(dict.fromkeys(gens)))
+    return len(I.ambient_vars) - lin_rank, reduced
 
 
 def long_division_divides(p, a, b):

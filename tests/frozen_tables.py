@@ -228,11 +228,15 @@ AMBIENT_EXPECTED_DIM = 5
 
 TANGENT_DIM = 9
 TANGENT_DEGREES = [4, 4, 5, 5]
+# The even grid: its type I reduction keeps 16 generators.
+EVEN_GRID_TEXT = "0 2 4 / 2 4 6 / 4 6 8"
 # SHA-256 of the text stdout of `rpphilb equations --type T --tangent` on the
-# grid example, pinning the reduced generators byte for byte.
+# grid example and the even grid, pinning the reduced generators byte for byte.
 TANGENT_STDOUT_SHA256 = {
-    "I": "b377aced744d281f1f3acadd65929267cbbb7ba5578f17d77900ade8c81ef5de",
-    "II": "2a8e179e0e067ddcdf7aee337c0bb75c9a71aa999995ca74c62260c10064e3fc",
+    (GRID_TEXT, "I"): "b377aced744d281f1f3acadd65929267cbbb7ba5578f17d77900ade8c81ef5de",
+    (GRID_TEXT, "II"): "2a8e179e0e067ddcdf7aee337c0bb75c9a71aa999995ca74c62260c10064e3fc",
+    (EVEN_GRID_TEXT, "I"): "d8e04a33d305b6c792242d98569daa60083172bedca2369cc673db1428154938",
+    (EVEN_GRID_TEXT, "II"): "01a96e8e64cb359f90d3af70b89aa79a4e53b730ead35d85d02067b2f0d373e7",
 }
 
 # Single-variable counts of fillings of the square by total size 0..10 and

@@ -116,10 +116,10 @@ def test_equations_tangent_payload():
 
 
 def test_equations_tangent_stdout_is_frozen():
-    for kind, digest in FT.TANGENT_STDOUT_SHA256.items():
-        code, out, _ = run_cli("equations", "--type", kind, "--tangent", FT.GRID_TEXT)
+    for (text, kind), digest in FT.TANGENT_STDOUT_SHA256.items():
+        code, out, _ = run_cli("equations", "--type", kind, "--tangent", text)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (text, kind)
 
 
 def test_equations_without_generators_say_so():
@@ -245,6 +245,24 @@ def test_verify_non_string_kind_is_an_unknown_kind(tmp_path):
     code, out, _ = run_cli("verify", str(bad))
     assert code == 2
     assert "FAIL listed - unknown row kind ['classify']" in out
+
+
+def test_verify_malformed_rows_fail_and_keep_the_schema(tmp_path):
+    one_component = {"n_indicators": 1, "weight": 1, "standard_index": 0, "complete_index": 0}
+    rows = [
+        {"name": "oops", "kind": "classify", "rpp": "1", "expected": {**one_component, "components": ["oops"]}},
+        {"name": "free", "kind": "equations", "rpp": "1", "type": "I", "expected": {"first_generator": "x"}},
+        *({"name": name, "kind": "ambient", "rpp": "1", "expected": {}} for name in (None, 5, ["x"])),
+    ]
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps({"rows": rows}))
+    code, out, err = run_cli("verify", str(bad), "--format", "json")
+    assert (code, err) == (2, "")
+    obj = json.loads(out)
+    check(obj, "verify")
+    assert obj["failed"] == 5
+    assert [row["name"] for row in obj["rows"]] == ["oops", "free", "None", "5", "['x']"]
+    assert obj["rows"][0]["detail"] == "parse-error: component 0 expectation must be an object"
 
 
 # -- error objects and exit codes ---------------------------------------------

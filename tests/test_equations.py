@@ -18,7 +18,14 @@ from rpphilb.rpp import enumerate_rpps
 from rpphilb.verify import check_random_instance, load_corpus
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, shift_subtract_divmod, value, x_coefficients, x_power
+from conftest import (
+    diagrams_up_to,
+    shift_subtract_divmod,
+    tangent_by_linear_parts,
+    value,
+    x_coefficients,
+    x_power,
+)
 
 
 def test_divisibility_presentation_for_grid(grid_rpp):
@@ -135,6 +142,16 @@ def test_tangent_reduction_reports_stall():
     with pytest.raises(DomainError) as err:
         tangent_embedding(stuck)
     assert err.value.code == "no-eliminable-variable"
+
+
+def test_tangent_reduction_matches_linear_part_oracle():
+    fillings = [n for d in diagrams_up_to(5) for n in enumerate_rpps(d, 4)]
+    assert len(fillings) == 305
+    for n in fillings + [RPP.from_text(FT.EVEN_GRID_TEXT)]:
+        for ideal in (type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True)):
+            dim, reduced = tangent_embedding(ideal)
+            want_dim, want = tangent_by_linear_parts(ideal)
+            assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj()), n.to_text()
 
 
 def test_both_ideals_vanish_on_random_nested_witnesses():

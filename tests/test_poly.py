@@ -21,7 +21,7 @@ from rpphilb.poly import (
 )
 from rpphilb.verify import load_corpus
 
-from conftest import degree_in_x, shift_subtract_divmod, x_coefficients, x_power
+from conftest import degree_in_x, shift_subtract_divmod, substitute_by_sums, x_coefficients, x_power
 
 
 def test_ring_identities():
@@ -138,6 +138,25 @@ def _random_poly(rng, variables):
         mono = tuple((v, rng.randint(1, 3)) for v in variables if rng.random() < 0.4)
         terms[mono] = rng.randint(-5, 5)
     return SparsePoly(terms)
+
+
+def test_substitute_matches_sum_oracle():
+    rng = random.Random(10)
+    variables = [X, var_a(1, 1, 1), var_a(2, 0, 3), var_b(0, 1, 1), var_c(1, 0, 2)]
+    for _ in range(300):
+        g = _random_poly(rng, variables)
+        chosen = rng.sample(variables, rng.randint(0, 3))
+        assignments = {v: _random_poly(rng, variables) for v in chosen}
+        got = g.substitute(assignments)
+        assert got.terms == substitute_by_sums(g, assignments).terms
+        assert all(got.terms.values()), "zero coefficients are dropped"
+
+
+def test_equality_with_a_bool_answers():
+    one = SparsePoly.constant(1)
+    assert one == 1 and not one == True  # noqa: E712
+    assert one != True and SparsePoly.constant(0) != False  # noqa: E712
+    assert (True == one) is False  # noqa: E712
 
 
 def _evaluate_by_substitution(g, point):

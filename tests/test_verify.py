@@ -64,8 +64,9 @@ def test_stale_counterexample_is_caught():
 #: what a row field is swapped for in the mutation sweep below
 SUBSTITUTES = (None, True, 2.5, "x", [], {}, -1, 0)
 
-#: per (kind, field), whether a substitute is a value the row may accept
+#: per (kind, field), or per field in every kind, whether a substitute is a value the row may accept
 ACCEPTS = {
+    "name": lambda x: isinstance(x, str),
     ("equations", "type"): lambda x: x in ("I", "II"),
     ("equations", "minimal_border"): lambda x: type(x) is bool,
     ("equations", "expected"): lambda x: isinstance(x, dict),
@@ -86,21 +87,64 @@ ACCEPTS = {
 }
 
 
+def _nested_mutants(row, sub):
+    """Copies of a row with one nested expectation swapped for ``sub``, each with its failure.
+
+    One copy per component, which must fail as a parse-error unless ``sub``
+    is an object (an empty one expects nothing), and one for the tangent,
+    which must fail; the failure is the detail's required prefix, or None.
+    """
+    expected = row.get("expected", {})
+    for k in range(len(expected.get("components", ()))):
+        components = list(expected["components"])
+        components[k] = sub
+        yield {**row, "expected": {**expected, "components": components}}, (
+            None if isinstance(sub, dict) else "parse-error"
+        )
+    if "tangent" in expected:
+        yield {**row, "expected": {**expected, "tangent": sub}}, ""
+
+
+#: equations rows whose presentation has no generators at all
+GENERATOR_FREE = [
+    {"name": "free-i", "kind": "equations", "rpp": "1", "type": "I"},
+    {"name": "free-ii", "kind": "equations", "rpp": "0", "type": "II"},
+]
+
+
 def test_mutated_rows_fail_as_rows_and_never_raise():
     checked = 0
     for row in load_corpus()["rows"]:
-        for field in row.keys() - {"name", "kind"}:
-            accepts = ACCEPTS.get((row["kind"], field))
+        for field in row.keys() - {"kind"}:
+            accepts = ACCEPTS.get(field, ACCEPTS.get((row["kind"], field)))
             for sub in SUBSTITUTES:
                 [(name, ok, detail)] = run_corpus({"rows": [{**row, field: sub}]})
-                assert name == row["name"]
+                renamed = sub if isinstance(sub, str) else repr(sub)
+                assert name == (renamed if field == "name" else row["name"])
                 if accepts is not None and not accepts(sub):
                     assert not ok and detail.startswith("parse-error"), (name, field, sub, detail)
                     checked += 1
     # every type, n_cases and non-object expected; non-bool minimal_border; non-int seed;
     # every max_size of the ten rows that have one (0 included: it leaves
-    # every series the constant 1); non-bool expected_equal and expected_match
-    assert checked == 4 * 8 + 8 + 4 * 7 + 7 + 6 + 10 * 8 + 3 * 7 + 4 * 7
+    # every series the constant 1); non-bool expected_equal and expected_match;
+    # every non-string name of the 22 rows
+    assert checked == 4 * 8 + 8 + 4 * 7 + 7 + 6 + 10 * 8 + 3 * 7 + 4 * 7 + 22 * 7
+    nested = 0
+    for sub in SUBSTITUTES:
+        for row in load_corpus()["rows"]:
+            for mutant, failure in _nested_mutants(row, sub):
+                [(name, ok, detail)] = run_corpus({"rows": [mutant]})
+                assert name == row["name"]
+                if failure is not None:
+                    assert not ok and detail.startswith(failure), (name, sub, detail)
+                    nested += 1
+        for row in GENERATOR_FREE:
+            [(name, ok, detail)] = run_corpus({"rows": [{**row, "expected": {"first_generator": sub}}]})
+            assert not ok and detail.startswith("first generator "), (name, sub, detail)
+            nested += 1
+    # each non-object entry of the 3 + 15 components, every tangent swap of
+    # the two rows that have one, and each first generator of a generator-free row
+    assert nested == 7 * 18 + 2 * 8 + 2 * 8
 
 
 def test_missing_corpus_file():
