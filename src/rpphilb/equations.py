@@ -16,7 +16,6 @@ generator are eliminated by substitution.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -70,10 +69,9 @@ class IdealPresentation:
     condition_count: int | None = None
 
     def __post_init__(self):
-        allowed = set(self.ambient_vars)
-        for g in self.generators:
-            stray = [v for v in g.variables() if v not in allowed]
-            assert not stray, f"generator uses variables outside the ambient ring: {stray}"
+        used = {v for g in self.generators for mono in g.terms for v, _ in mono}
+        stray = sorted(used.difference(self.ambient_vars), key=VarId.sort_key)
+        assert not stray, f"generators use variables outside the ambient ring: {stray}"
         assert all(v.k >= 1 for v in self.ambient_vars), "every ambient variable has k ≥ 1"
 
     @property
@@ -218,12 +216,15 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     The tangent dimension is #variables minus the rank of the generators'
     linear parts.  The reduction repeatedly eliminates the variable of
     smallest depth k (ties by canonical variable order, then generator
-    order) whose only monomial in some generator is its linear term, with
-    coefficient ±1; that generator is solved for it and the solution is
-    substituted into the rest.  Raises when generators with surviving linear
-    parts stall before that rank is exhausted.
+    order) whose linear term in some generator has coefficient ±1; that
+    generator is solved for it and the solution is substituted into the
+    rest.  Homogeneity, with every variable weighing its depth k ≥ 1, keeps
+    such a variable out of that generator's other monomials, so an
+    inhomogeneous presentation is refused.  Raises when generators with
+    surviving linear parts stall before the rank is exhausted.
     """
-    assert check_grading(I), "tangent reduction requires a homogeneous presentation"
+    if not check_grading(I):
+        raise DomainError("parse-error", "tangent reduction requires a homogeneous presentation")
     var_order = list(I.ambient_vars)
     lin_matrix = [[lp.get(v, 0) for v in var_order] for lp in (g.linear_part() for g in I.generators)]
     tangent_dim = len(var_order) - rank(lin_matrix)
@@ -231,12 +232,12 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     gens = [g for g in I.generators if g]
     remaining = list(var_order)
     while True:
-        # v is eliminable from g when its one monomial in g is the linear term ±v
+        # v is eliminable from g when g's linear term in v has coefficient ±1
         candidates = [
             (v.k, v.sort_key(), gi, v)
             for gi, g in enumerate(gens)
-            for v, count in Counter(v for mono in g.terms for v, _ in mono).items()
-            if count == 1 and g.terms.get(((v, 1),)) in (1, -1)
+            for v, c in g.linear_part().items()
+            if c in (1, -1)
         ]
         if not candidates:
             break

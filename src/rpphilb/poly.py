@@ -94,11 +94,12 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c: int) -> "SparsePoly":
-        return cls({(): c} if c else {})
+        ints((c,), "coefficients")
+        return _raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: VarId) -> "SparsePoly":
-        return cls({((v, 1),): 1})
+        return _raw({((v, 1),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -110,15 +111,7 @@ class SparsePoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "SparsePoly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return _raw(out)
+        return _raw(_accumulate(dict(self.terms), _coerce(other).terms, 1))
 
     __radd__ = __add__
 
@@ -126,12 +119,14 @@ class SparsePoly:
         return _raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
-        return self + (-_coerce(other))
+        return _raw(_accumulate(dict(self.terms), _coerce(other).terms, -1))
 
     def __rsub__(self, other) -> "SparsePoly":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "SparsePoly":
+        if type(other) is int:  # a scalar: no monomial changes (a bool goes through _coerce)
+            return _raw({m: c * other for m, c in self.terms.items()} if other else {})
         other = _coerce(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -270,7 +265,20 @@ def _coerce(value) -> SparsePoly:
     raise DomainError("parse-error", f"cannot use {value!r} as a polynomial", value)
 
 
+def _accumulate(out: dict, terms: dict, sign: int) -> dict:
+    """out plus sign times terms, in place; monomials that cancel leave out."""
+    for mono, c in terms.items():
+        s = out.get(mono, 0) + sign * c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
     exps: dict = {}
     for v, e in m1:
         exps[v] = exps.get(v, 0) + e

@@ -83,6 +83,8 @@ def _flag(value, key: str) -> bool:
 def _row_classify(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
     expected = row["expected"]
+    if not isinstance(expected["components"], list):
+        raise DomainError("parse-error", '"expected.components" must be a list', expected["components"])
     problems = []
     inds = indicators(n.diagram)
     if len(inds) != expected["n_indicators"]:
@@ -125,6 +127,15 @@ def _row_equations(row: dict) -> list:
     minimal = _flag(row.get("minimal_border", False), "minimal_border")
     if not isinstance(expected, dict):
         raise DomainError("parse-error", 'equations "expected" must be an object', expected)
+    tangent = expected.get("tangent")
+    if "tangent" in expected and not (
+        isinstance(tangent, dict)
+        and type(tangent.get("dim")) is int
+        and isinstance(tangent.get("degrees"), list)
+        and all(type(d) is int for d in tangent["degrees"])
+    ):
+        need = 'an object with an int "dim" and an int list "degrees"'
+        raise DomainError("parse-error", f'"expected.tangent" must be {need}', tangent)
     ideal = type_i_ideal(n) if kind == "I" else type_ii_ideal(n, minimal_border=minimal)
     problems = []
     for key, got in [
@@ -149,11 +160,11 @@ def _row_equations(row: dict) -> list:
             problems.append("first generator does not round-trip")
     if "tangent" in expected:
         dim, reduced = tangent_embedding(ideal)
-        if dim != expected["tangent"]["dim"]:
-            problems.append(f"tangent dimension {dim} != {expected['tangent']['dim']}")
+        if dim != tangent["dim"]:
+            problems.append(f"tangent dimension {dim} != {tangent['dim']}")
         degrees = reduced.generator_degrees()
-        if degrees != expected["tangent"]["degrees"]:
-            problems.append(f"reduced degrees {degrees} != {expected['tangent']['degrees']}")
+        if degrees != tangent["degrees"]:
+            problems.append(f"reduced degrees {degrees} != {tangent['degrees']}")
     return problems
 
 

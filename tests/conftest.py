@@ -113,6 +113,44 @@ def shift_subtract_divmod(f, g):
     return q, r
 
 
+def ring_by_terms(op, f, g):
+    """f op g for op in ``+ - * **``, term by term, normalised by the validating constructor.
+
+    The oracle for the ``SparsePoly`` ring operations: operands are
+    SparsePolys or exact ints (an int exponent for ``**``), every product
+    monomial is the unsorted union of its factors' exponents, and
+    ``SparsePoly(dict)`` sorts each monomial, adds the coefficients that
+    meet and drops the zeros.
+    """
+
+    def terms(value):
+        return value.terms if isinstance(value, SparsePoly) else {(): value}
+
+    def times(a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                exps = {}
+                for v, e in m1 + m2:
+                    exps[v] = exps.get(v, 0) + e
+                mono = tuple(exps.items())
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
+
+    if op == "**":
+        out = {(): 1}
+        for _ in range(g):
+            out = times(out, terms(f))
+    elif op == "*":
+        out = times(terms(f), terms(g))
+    else:
+        sign = 1 if op == "+" else -1
+        out = dict(terms(f))
+        for mono, c in terms(g).items():
+            out[mono] = out.get(mono, 0) + sign * c
+    return SparsePoly(out)
+
+
 def substitute_by_sums(p, assignments):
     """p with variables replaced by polynomials, one polynomial sum per monomial.
 

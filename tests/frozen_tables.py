@@ -230,13 +230,18 @@ TANGENT_DIM = 9
 TANGENT_DEGREES = [4, 4, 5, 5]
 # The even grid: its type I reduction keeps 16 generators.
 EVEN_GRID_TEXT = "0 2 4 / 2 4 6 / 4 6 8"
+# The step-3 grid: the largest reduction pinned here (type I prints 297 kB).
+TRIPLE_GRID_TEXT = "0 3 6 / 3 6 9 / 6 9 12"
 # SHA-256 of the text stdout of `rpphilb equations --type T --tangent` on the
-# grid example and the even grid, pinning the reduced generators byte for byte.
+# grid example and the even and step-3 grids, pinning the reduced generators
+# byte for byte.
 TANGENT_STDOUT_SHA256 = {
     (GRID_TEXT, "I"): "b377aced744d281f1f3acadd65929267cbbb7ba5578f17d77900ade8c81ef5de",
     (GRID_TEXT, "II"): "2a8e179e0e067ddcdf7aee337c0bb75c9a71aa999995ca74c62260c10064e3fc",
     (EVEN_GRID_TEXT, "I"): "d8e04a33d305b6c792242d98569daa60083172bedca2369cc673db1428154938",
     (EVEN_GRID_TEXT, "II"): "01a96e8e64cb359f90d3af70b89aa79a4e53b730ead35d85d02067b2f0d373e7",
+    (TRIPLE_GRID_TEXT, "I"): "a3f9dc1bc3609c3b0418f13eb5a70f7644b40c4ec6472489902158ff85a0a3b0",
+    (TRIPLE_GRID_TEXT, "II"): "b526493d2b39adc9550cf5a5e1dcc8b7630e0533dd4ac1bd4830a869908f38d5",
 }
 
 # Single-variable counts of fillings of the square by total size 0..10 and

@@ -1,11 +1,16 @@
 """Local defining equations: both presentations, grading, tangent reduction."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rpphilb import RPP, DomainError
 from rpphilb.equations import (
+    IdealPresentation,
     _monic,
     ambient_and_bundle,
     check_grading,
@@ -144,14 +149,100 @@ def test_tangent_reduction_reports_stall():
     assert err.value.code == "no-eliminable-variable"
 
 
+REFUSE_INHOMOGENEOUS = """
+from rpphilb import DomainError
+from rpphilb.equations import IdealPresentation, tangent_embedding
+from rpphilb.poly import parse_poly, var_a
+# a_0_0_1 is linear with a unit coefficient but also sits in a_0_0_1*a_1_0_1,
+# so solving for it would not remove it
+bad = IdealPresentation(
+    ambient_vars=(var_a(0, 0, 1), var_a(1, 0, 1)),
+    generators=(parse_poly("a_0_0_1 + a_0_0_1*a_1_0_1"),),
+)
+try:
+    tangent_embedding(bad)
+except DomainError as err:
+    print(err.code, err.message)
+"""
+
+
+def test_tangent_reduction_refuses_an_inhomogeneous_presentation():
+    # the refusal is a check, not an assert, so it holds under python -O too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", REFUSE_INHOMOGENEOUS], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0,
+            "parse-error tangent reduction requires a homogeneous presentation\n",
+            "",
+        ), flags
+
+
 def test_tangent_reduction_matches_linear_part_oracle():
     fillings = [n for d in diagrams_up_to(5) for n in enumerate_rpps(d, 4)]
     assert len(fillings) == 305
-    for n in fillings + [RPP.from_text(FT.EVEN_GRID_TEXT)]:
-        for ideal in (type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True)):
-            dim, reduced = tangent_embedding(ideal)
-            want_dim, want = tangent_by_linear_parts(ideal)
-            assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj()), n.to_text()
+    cases = [
+        (n, ideal)
+        for n in fillings + [RPP.from_text(FT.EVEN_GRID_TEXT)]
+        for ideal in (type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True))
+    ]
+    # on the step-3 grid the oracle runs 20 times slower than the library for type I,
+    # whose stdout digest is frozen instead
+    triple = RPP.from_text(FT.TRIPLE_GRID_TEXT)
+    cases += [(triple, type_ii_ideal(triple)), (triple, type_ii_ideal(triple, minimal_border=True))]
+    for n, ideal in cases:
+        dim, reduced = tangent_embedding(ideal)
+        want_dim, want = tangent_by_linear_parts(ideal)
+        assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj()), n.to_text()
+
+
+def test_tangent_elimination_order_is_pinned(monkeypatch):
+    """Depth first, then canonical variable order, then generator order.
+
+    The reduced presentation alone cannot show the order across depths:
+    eliminating a variable of depth d changes the linear parts of degree-d
+    generators only (elsewhere it sits in monomials of two or more
+    factors), so each depth makes the same choices however the depths
+    interleave, and the variables it eliminates are solved for uniquely.
+    The order is read off the substitutions the reduction makes instead.
+    """
+    ambient = (var_a(0, 0, 2), var_a(1, 0, 1), var_a(0, 1, 1), var_a(1, 1, 1), var_a(1, 1, 2))
+    w, p, q, r, z = (SparsePoly.variable(v) for v in ambient)
+    ideal = IdealPresentation(
+        ambient_vars=ambient,
+        generators=(
+            w - p * q,  # w at depth 2 has the least variable order, but depth 1 goes first
+            p - q,  # p before q: variable order
+            r - p,  # p is eliminable here too, but from p - q first: generator order
+            w * r + z * q + p**3,
+        ),
+    )
+    made = []
+    substitute = SparsePoly.substitute
+
+    def recording(self, assignments):
+        made.extend((str(v), str(image)) for v, image in assignments.items())
+        return substitute(self, assignments)
+
+    monkeypatch.setattr(SparsePoly, "substitute", recording)
+    dim, reduced = tangent_embedding(ideal)
+    assert list(dict.fromkeys(made)) == [
+        ("a_1_0_1", "a_0_1_1"),
+        ("a_0_1_1", "a_1_1_1"),
+        ("a_0_0_2", "a_1_1_1^2"),
+    ]
+    # r and z remain: p and q sort before r, so they are eliminated first
+    assert (dim, reduced.to_json_obj()["ambient_vars"], [str(g) for g in reduced.generators]) == (
+        2,
+        ["a_1_1_1", "a_1_1_2"],
+        ["2*a_1_1_1^3 + a_1_1_1*a_1_1_2"],
+    )
+    monkeypatch.undo()
+    want_dim, want = tangent_by_linear_parts(ideal)
+    assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj())
 
 
 def test_both_ideals_vanish_on_random_nested_witnesses():

@@ -21,7 +21,14 @@ from rpphilb.poly import (
 )
 from rpphilb.verify import load_corpus
 
-from conftest import degree_in_x, shift_subtract_divmod, substitute_by_sums, x_coefficients, x_power
+from conftest import (
+    degree_in_x,
+    ring_by_terms,
+    shift_subtract_divmod,
+    substitute_by_sums,
+    x_coefficients,
+    x_power,
+)
 
 
 def test_ring_identities():
@@ -150,6 +157,43 @@ def test_substitute_matches_sum_oracle():
         got = g.substitute(assignments)
         assert got.terms == substitute_by_sums(g, assignments).terms
         assert all(got.terms.values()), "zero coefficients are dropped"
+
+
+def test_ring_operations_match_term_oracle():
+    rng = random.Random(23)
+    variables = [X, L, var_a(1, 1, 1), var_a(2, 0, 3), var_b(0, 1, 1), var_c(1, 0, 2)]
+    scalars = [0, 1, -1, 2, -3]
+    polys = [SparsePoly.constant(0), SparsePoly.constant(1), SparsePoly.constant(-2)]
+    polys += [_random_poly(rng, variables) for _ in range(40)]
+    assert any(() in p.terms and len(p.terms) > 1 for p in polys), "a constant term beside others"
+    ops = {"+": lambda f, g: f + g, "-": lambda f, g: f - g, "*": lambda f, g: f * g}
+    checked = 0
+    for f in polys:
+        for g in [*rng.sample(polys, 8), *scalars]:
+            for name, op in ops.items():
+                for left, right in ((f, g), (g, f)):
+                    got, want = op(left, right), ring_by_terms(name, left, right)
+                    assert got.terms == want.terms and str(got) == str(want), (name, left, right)
+                    checked += 1
+        for e in range(4):
+            assert (f**e).terms == ring_by_terms("**", f, e).terms, (f, e)
+    assert checked == len(polys) * 13 * 3 * 2
+
+
+def test_ring_operations_refuse_non_int_scalars():
+    a = SparsePoly.variable(var_a(1, 1, 1))
+    for make in (
+        lambda: SparsePoly.constant(True),
+        lambda: SparsePoly.constant(1.0),
+        lambda: a * True,
+        lambda: True * a,
+    ):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert (err.value.code, err.value.message) == ("parse-error", "non-integer coefficients")
+    with pytest.raises(DomainError) as err:
+        a * 1.0
+    assert (err.value.code, err.value.message) == ("parse-error", "cannot use 1.0 as a polynomial")
 
 
 def test_equality_with_a_bool_answers():

@@ -91,8 +91,10 @@ def _nested_mutants(row, sub):
     """Copies of a row with one nested expectation swapped for ``sub``, each with its failure.
 
     One copy per component, which must fail as a parse-error unless ``sub``
-    is an object (an empty one expects nothing), and one for the tangent,
-    which must fail; the failure is the detail's required prefix, or None.
+    is an object (an empty one expects nothing); one for the component
+    list, a parse-error naming it unless ``sub`` is a list; and one for the
+    tangent, a parse-error naming it; the failure is the detail's required
+    prefix, or None.
     """
     expected = row.get("expected", {})
     for k in range(len(expected.get("components", ()))):
@@ -101,8 +103,20 @@ def _nested_mutants(row, sub):
         yield {**row, "expected": {**expected, "components": components}}, (
             None if isinstance(sub, dict) else "parse-error"
         )
+    if "components" in expected:
+        yield {**row, "expected": {**expected, "components": sub}}, (
+            None if isinstance(sub, list) else 'parse-error: "expected.components" must be a list'
+        )
     if "tangent" in expected:
-        yield {**row, "expected": {**expected, "tangent": sub}}, ""
+        yield {**row, "expected": {**expected, "tangent": sub}}, 'parse-error: "expected.tangent" must be an object'
+
+
+def test_bad_tangent_expectation_fails_before_reducing(monkeypatch):
+    monkeypatch.setattr(verify, "tangent_embedding", lambda ideal: pytest.fail("the row reduced its ideal"))
+    row = next(row for row in load_corpus()["rows"] if "tangent" in row.get("expected", {}))
+    for tangent in (None, {"dim": 9}, {"dim": 9, "degrees": [4, "5"]}, {"dim": True, "degrees": []}):
+        [(_, ok, detail)] = run_corpus({"rows": [{**row, "expected": {**row["expected"], "tangent": tangent}}]})
+        assert not ok and detail.startswith('parse-error: "expected.tangent" must be an object'), tangent
 
 
 #: equations rows whose presentation has no generators at all
@@ -142,9 +156,10 @@ def test_mutated_rows_fail_as_rows_and_never_raise():
             [(name, ok, detail)] = run_corpus({"rows": [{**row, "expected": {"first_generator": sub}}]})
             assert not ok and detail.startswith("first generator "), (name, sub, detail)
             nested += 1
-    # each non-object entry of the 3 + 15 components, every tangent swap of
-    # the two rows that have one, and each first generator of a generator-free row
-    assert nested == 7 * 18 + 2 * 8 + 2 * 8
+    # each non-object entry of the 3 + 15 components, each non-list component
+    # list of the two classify rows, every tangent swap of the two rows that
+    # have one, and each first generator of a generator-free row
+    assert nested == 7 * 18 + 2 * 7 + 2 * 8 + 2 * 8
 
 
 def test_missing_corpus_file():
