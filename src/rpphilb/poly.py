@@ -76,8 +76,12 @@ def parse_var_name(name: str) -> VarId:
 Monomial = tuple
 
 
-def _sorted_monomial(pairs: Iterable) -> Monomial:
-    return tuple(sorted(((v, e) for v, e in pairs if e != 0), key=lambda p: p[0].sort_key()))
+def _monomial(pairs: Iterable) -> Monomial:
+    """The monomial of (variable, exponent) pairs: a repeated variable's exponents add up."""
+    exps: dict = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: p[0].sort_key()))
 
 
 class SparsePoly:
@@ -88,7 +92,9 @@ class SparsePoly:
         ints(terms.values(), "coefficients")
         cleaned: dict = {}
         for mono, c in terms.items():
-            key = _sorted_monomial(mono)
+            if any(e < 0 for e in ints((e for _, e in mono), "exponents")):
+                raise DomainError("parse-error", "negative exponent in a monomial", [[str(v), e] for v, e in mono])
+            key = _monomial(mono)
             cleaned[key] = cleaned.get(key, 0) + c
         self.terms = {m: c for m, c in cleaned.items() if c}
 
@@ -277,24 +283,20 @@ def _accumulate(out: dict, terms: dict, sign: int) -> dict:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return m1 or m2
-    exps: dict = {}
-    for v, e in m1:
-        exps[v] = exps.get(v, 0) + e
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return _sorted_monomial(exps.items())
+    return _monomial(m1 + m2) if m1 and m2 else m1 or m2
 
 
 def poly_mul(f, g) -> tuple:
     """Product of two coefficient tuples, lowest power first; entries are ints or SparsePolys."""
     if not f or not g:
         return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
+    # each entry starts from its first product, f[0]·g[k] or f[i]·g[-1], never from the int 0
+    last = len(g) - 1
+    out = [f[0] * b for b in g] + [a * g[last] for a in f[1:]]
+    for i in range(1, len(f)):
+        a = f[i]
+        for j in range(last):
+            out[i + j] += a * g[j]
     return tuple(out)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .diagram import YoungDiagram, enumerate_upper_sets, upper_set_parts
@@ -398,6 +399,7 @@ def all_factorizations(n: RPP) -> list[Factorization]:
                     vals[p] += 1
 
     search(0, 0, n.size)
+    del search  # it holds itself through its closure cell; drop that cycle now, not at a GC pass
     for fact in results:
         assert fact.length == w, "factorisation length must equal the weight"
         assert fact.total() == n
@@ -408,30 +410,37 @@ def enumerate_rpps(diagram: YoungDiagram, max_size: int) -> list[RPP]:
     """All RPPs on the diagram with label total <= max_size, duplicate-free.
 
     Sorted by (total, row-major value vector) for deterministic output.
-    Each label starts at the larger of its left and up neighbours (the
-    zero extension off the diagram), so every leaf is an RPP by
-    construction and is built without ``RPP.__init__``'s check, which
-    still validates every filling built any other way.
+    The fillings grow one box per level in row-major order, each prefix
+    extended by its box's labels in ascending order, so every level lists
+    its prefixes lexicographically and a stable sort of the leaves by
+    total alone gives that order.  A label starts at the larger of its
+    left and up neighbours (0 for the first box, the only one with
+    neither), so every leaf is an RPP by construction and is built
+    without ``RPP.__init__``'s check, which still validates every filling
+    built any other way.  A label v at box b forces at least v on every
+    box of b's principal upper set U (the boxes weakly right of and below
+    b), all of which come at or after b, so v·|U| <= max_size − used caps
+    v and loses no filling.
     """
     ints([max_size], "max_size")
     if max_size < 0:
         raise DomainError("negative-size", "max_size must be nonnegative", max_size)
-    size, left, up = diagram.size, diagram.left, diagram.up
+    cols, boxes, left, up = diagram.cols, diagram.boxes, diagram.left, diagram.up
+    # (labels, total) pairs; the first box's principal upper set is the diagram
+    prefixes = [((v,), v) for v in range(max_size // diagram.size + 1)]
+    for p in range(1, diagram.size):
+        (i, j), l, u = boxes[p], left[p], up[p]
+        span = sum(h - j for h in cols[i:] if h > j)
+        l, u = (l if l >= 0 else u), (u if u >= 0 else l)  # a missing neighbour reads the other
+        prefixes = [
+            (vals + (v,), used + v)
+            for vals, used in prefixes
+            for v in range(max(vals[l], vals[u]), (max_size - used) // span + 1)
+        ]
+    prefixes.sort(key=itemgetter(1))
     out: list[RPP] = []
-    vals: list[int] = [0] * (size + 1)  # the trailing 0 is the zero extension
-
-    def rec(pos: int, used: int) -> None:
-        if pos == size:
-            rpp = object.__new__(RPP)
-            rpp.diagram, rpp.values = diagram, tuple(vals[:size])
-            out.append(rpp)
-            return
-        lower = max(vals[left[pos]], vals[up[pos]])
-        for v in range(lower, max_size - used + 1):
-            vals[pos] = v
-            rec(pos + 1, used + v)
-        vals[pos] = 0
-
-    rec(0, 0)
-    out.sort(key=lambda r: (r.size, r.values))
+    for vals, _ in prefixes:
+        rpp = object.__new__(RPP)
+        rpp.diagram, rpp.values = diagram, vals
+        out.append(rpp)
     return out

@@ -23,7 +23,7 @@ zero), so they store them unchecked through ``TruncatedSeries._of``.
 
 from __future__ import annotations
 
-from operator import add
+from struct import Struct
 
 from .diagram import YoungDiagram
 from .errors import DomainError, ints
@@ -183,9 +183,19 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     T·(1 − w·q^v)^{|k|} = S: it walks the sizes upwards and subtracts
     c_j·w^j·T[e] from T[e + j·v] once T[e] is final.  Either way a term
     makes at most max_size // |v| updates, however large |k| is.
+
+    A pass loops per size t, then per update j, then per term of size t.
+    Updates only write to sizes above t, so the terms of size t stay put
+    while they are read: an upward pass has made every write into them,
+    and a downward pass has made none.  Inside the pass an exponent
+    vector is an int whose byte-aligned digit p is the exponent of
+    variable p, so moving a term by j·v is one addition.  No exponent
+    exceeds max_size, so no digit carries, and a list of max_size + 1
+    dicts cannot exist unless max_size < 2^64, the widest digit.
     """
-    start = TruncatedSeries.one(n_vars, max_size, single_variable)
-    graded = [start.coefficients] + [{} for _ in range(max_size)]
+    TruncatedSeries(n_vars, max_size)  # checks n_vars and max_size
+    graded = [{0: (1,)}] + [{} for _ in range(max_size)]
+    width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if max_size >> 8 * w == 0)
     for exponents, weight, power in factors:
         v = ints(exponents, "factor exponent vector")
         ints([power], "factor power")
@@ -197,6 +207,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
         if any(e < 0 for e in v):
             raise DomainError("parse-error", f"negative exponent in {v}", v)
         w, k = _coefficient(weight), abs(power)
+        packed = sum(e << 8 * width * p for p, e in enumerate(v))
         # (shift, j·v, c_j·w^j, and for a monomial c·L^d its padding (0,)*d and c)
         updates, c, w_j = [], 1, (1,)
         n_updates = min(k, max_size // step) if w else 0  # w = 0 makes the factor 1
@@ -204,30 +215,37 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
             c, w_j = c * (j - 1 - k) // j, poly_mul(w_j, w)
             cw = tuple((c if power > 0 else -c) * x for x in w_j)
             pad = (0,) * (len(cw) - 1) if not any(cw[:-1]) else None
-            updates.append((j * step, tuple(j * e for e in v), cw, pad, cw[-1]))
+            updates.append((j * step, j * packed, cw, pad, cw[-1]))
         sizes = range(max_size - step + 1) if power < 0 else range(max_size - step, -1, -1)
         for t in sizes:
-            for e, a in graded[t].items():
-                for shift, jv, cw, pad, scale in updates:
-                    if t + shift > max_size:
-                        break
+            source = graded[t]
+            for shift, jv, cw, pad, scale in updates:
+                if t + shift > max_size:
+                    break
+                target = graded[t + shift]
+                for e, a in source.items():
                     # times a monomial, a coefficient is shifted and scaled
                     if pad is None:
                         term = poly_mul(cw, a)
                     elif scale == 1:
                         term = pad + a
                     else:
-                        term = pad + tuple(scale * x for x in a)
-                    target = graded[t + shift]
-                    key = tuple(map(add, e, jv))
+                        term = pad + tuple([scale * x for x in a])
+                    key = e + jv
                     old = target.get(key)
                     if old is None:
                         target[key] = term
+                    elif len(old) == 1 == len(term):
+                        if s := old[0] + term[0]:
+                            target[key] = (s,)
+                        else:
+                            del target[key]
                     elif s := _add(old, term):
                         target[key] = s
                     else:
                         del target[key]
-    terms = {e: c for by_size in graded for e, c in by_size.items()}
+    unpack, n_bytes = Struct(f"<{n_vars}{code}").unpack, width * n_vars
+    terms = {unpack(e.to_bytes(n_bytes, "little")): c for by_size in graded for e, c in by_size.items()}
     return TruncatedSeries._of(n_vars, max_size, terms, single_variable)
 
 

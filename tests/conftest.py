@@ -1,11 +1,13 @@
-from itertools import product
+from itertools import product, zip_longest
+from operator import add
 
 import pytest
 
 from rpphilb import RPP, YoungDiagram
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank
-from rpphilb.poly import X, SparsePoly
+from rpphilb.poly import X, SparsePoly, poly_mul
+from rpphilb.series import TruncatedSeries
 
 import frozen_tables as FT
 
@@ -70,6 +72,71 @@ def filling_of_weight(rng, diagram, weight):
         n = rising_filling(diagram, lambda: rng.choice((0, 0, 1, 1, 2)))
         if n.weight() == weight:
             return n
+
+
+def enumerate_rpps_by_recursion(diagram, max_size):
+    """Value tuples of the RPPs with label total <= max_size, sorted by (total, values).
+
+    The oracle for ``rpp.enumerate_rpps``: a depth-first recursion in
+    row-major order that lets each label run from the larger of its left
+    and up neighbours up to max_size minus the labels placed so far, then
+    one sort on the key (total, values).
+    """
+    size, left, up = diagram.size, diagram.left, diagram.up
+    out = []
+    vals = [0] * (size + 1)  # the trailing 0 is the zero extension
+
+    def rec(pos, used):
+        if pos == size:
+            out.append(tuple(vals[:size]))
+            return
+        for v in range(max(vals[left[pos]], vals[up[pos]]), max_size - used + 1):
+            vals[pos] = v
+            rec(pos + 1, used + v)
+        vals[pos] = 0
+
+    rec(0, 0)
+    out.sort(key=lambda vals: (sum(vals), vals))
+    return out
+
+
+def trimmed_sum(a, b):
+    """Sum of two coefficient tuples, ints by power of L, without trailing zeros."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def graded_product_by_terms(n_vars, max_size, factors):
+    """Π (1 − w·q^v)^k over (v, w, k) factors as a TruncatedSeries, term by term.
+
+    The oracle for ``series._product``'s loop order and packed exponents:
+    each pass walks the sizes, then the terms of a size, then the updates
+    c_j·w^j·q^{j·v} of one term, keeps exponent vectors as tuples and
+    multiplies every coefficient through ``poly_mul``.  A weight is an
+    int or ints by power of L.
+    """
+    graded = [{(0,) * n_vars: (1,)}] + [{} for _ in range(max_size)]
+    for v, weight, power in factors:
+        step, k = sum(v), abs(power)
+        w = trimmed_sum((weight,) if isinstance(weight, int) else weight, ())
+        updates, c, w_j = [], 1, (1,)
+        n_updates = min(k, max_size // step) if w else 0
+        for j in range(1, n_updates + 1):
+            c, w_j = c * (j - 1 - k) // j, poly_mul(w_j, w)
+            updates.append((j * step, tuple(j * e for e in v), tuple((c if power > 0 else -c) * x for x in w_j)))
+        sizes = range(max_size - step + 1) if power < 0 else range(max_size - step, -1, -1)
+        for t in sizes:
+            for e, a in graded[t].items():
+                for shift, jv, cw in updates:
+                    if t + shift <= max_size:
+                        target = graded[t + shift]
+                        key = tuple(map(add, e, jv))
+                        target[key] = trimmed_sum(target.get(key, ()), poly_mul(cw, a))
+                        if not target[key]:
+                            del target[key]
+    return TruncatedSeries(n_vars, max_size, {e: c for by_size in graded for e, c in by_size.items()})
 
 
 def x_power(k):

@@ -244,6 +244,26 @@ TANGENT_STDOUT_SHA256 = {
     (TRIPLE_GRID_TEXT, "II"): "b526493d2b39adc9550cf5a5e1dcc8b7630e0533dd4ac1bd4830a869908f38d5",
 }
 
+# SHA-256 of the stdout of `rpphilb series 4,3,2,1 ARGS --format FORMAT`,
+# pinning the motivic (A1, P1) and Euler series byte for byte: chi = 2 takes
+# two updates per term, and chi = -1 (a positive power) walks the sizes
+# downward and cancels.
+SERIES_STDOUT_SHA256 = {
+    ("--curve A1 --max-size 12", "text"): "6ffc4b4de823b4c58ed62c82d46b68be2ee170edf47b8189e08ce4844633cbd5",
+    ("--curve A1 --max-size 12", "json"): "cf4a4eaaf9c72b29a14d36ec9cfb4eda779e2c950a5a36aa0014c7e84eb506af",
+    ("--curve P1 --max-size 8", "text"): "8463856ccccbb549cd4d31ed3f4c7a7db95715887d5778d67c8baa7070f294ef",
+    ("--curve P1 --max-size 8", "json"): "169e5c0edd7da3762050e7bc1598b42c9ed8c72f213e9b989726ff663daf966b",
+    ("--euler 2 --max-size 12", "text"): "51d199c6dbda2fad68c33cc8ce7ff6a93108fc76cdb94628a0a323a2d6c7297c",
+    ("--euler 2 --max-size 12", "json"): "e0771ef4a2ffc3a43b6abe82f13cb3108d618485ebe9543f2cb7b112bd1b51ce",
+    ("--euler -1 --max-size 10", "text"): "ff56f26f7d0432b2de95717a6e7046f990dda3b40159f199a6c778fbc0c4c77f",
+    ("--euler -1 --max-size 10", "json"): "8ceadf7d11c1f02dc1b840f4a9afe2e5ac9664bfa65958ce056cb819c1492541",
+    ("--euler 2 --max-size 12 --single-variable", "text"): "40fadf42f3b9c86765db0686ad1c72f177d76dc74b678a1c3b7f2ede638678f9",
+    ("--euler 2 --max-size 12 --single-variable", "json"): "84b9c417e59474a5f82c9baae7ca6577275c3c0c2f923e15d90ce559a6a8983d",
+}
+# SHA-256 of json.dumps(rpp_series_bruteforce(YoungDiagram((4, 3, 2, 1)), 12)
+# .to_json_obj(), sort_keys=True): the 6948 fillings of total at most 12.
+BRUTEFORCE_4321_12_SHA256 = "ac423e7fc1c4cee33fd5bd600ad693715f5ec1cb5ac69df27e2b9d86d80795ee"
+
 # Single-variable counts of fillings of the square by total size 0..10 and
 # the hook lengths of the square, used by the generating-series checks.
 SQUARE_RPP_COUNTS = [1, 1, 3, 4, 7, 9, 14, 17, 24, 29, 38]

@@ -122,6 +122,12 @@ def test_equations_tangent_stdout_is_frozen():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (text, kind)
 
 
+def test_series_stdout_is_frozen():
+    for (args, fmt), digest in FT.SERIES_STDOUT_SHA256.items():
+        code, out, err = run_cli("series", "4,3,2,1", *args.split(), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, fmt)
+
 def test_equations_without_generators_say_so():
     for argv in (("3", "--type", "I"), ("0", "--type", "II"), ("1 / 2", "--type", "I", "--tangent")):
         code, out, _ = run_cli("equations", *argv)

@@ -14,6 +14,7 @@ from rpphilb.poly import (
     divmod_in_x,
     monic_divmod,
     parse_poly,
+    poly_mul,
     parse_var_name,
     var_a,
     var_b,
@@ -39,6 +40,33 @@ def test_ring_identities():
     assert not (x + a) - (x + a)
     assert not x * SparsePoly.constant(0)
 
+
+def test_constructor_adds_repeated_exponents():
+    squared = SparsePoly({((X, 1), (X, 1)): 1})
+    assert squared == parse_poly("x^2")
+    assert str(squared) == "x^2"
+    assert SparsePoly({((X, 1), (L, 2), (X, 2)): 3, ((X, 3), (L, 2)): -1}) == parse_poly("2*x^3*L^2")
+    assert SparsePoly({((X, 0),): 3}) == 3  # a zero exponent is dropped
+
+
+@pytest.mark.parametrize("mono", [((X, -1),), ((X, 2), (X, -1)), ((X, 1.5),), ((X, True),)])
+def test_constructor_refuses_negative_and_non_int_exponents(mono):
+    with pytest.raises(DomainError) as err:
+        SparsePoly({mono: 1})
+    assert err.value.code == "parse-error"
+
+
+def test_products_of_monics_build_no_constant(monkeypatch):
+    # each entry starts from its first product, so no 0 + poly coerces the int 0
+    calls = []
+    constant = SparsePoly.constant.__func__
+    monkeypatch.setattr(SparsePoly, "constant", classmethod(lambda cls, c: calls.append(c) or constant(cls, c)))
+    a, b = SparsePoly.variable(var_a(0, 0, 1)), SparsePoly.variable(var_b(0, 0, 1))
+    product = poly_mul((a, 1), (b, 1))
+    quotient, remainder = monic_divmod(product, (b, 1))
+    assert calls == []
+    assert product == (a * b, a + b, 1)
+    assert quotient == (a, 1) and not any(remainder)
 
 def test_zero_polynomial_is_falsy():
     a = SparsePoly.variable(var_a(1, 1, 1))

@@ -1,5 +1,6 @@
 """Monotone fillings, their derivative and weight, and monoid factorisations."""
 
+import gc
 import random
 from itertools import product
 
@@ -20,7 +21,14 @@ from rpphilb.rpp import (
 )
 
 import frozen_tables as FT
-from conftest import connected_parts, diagrams_up_to, filling_of_weight, rising_filling, value
+from conftest import (
+    connected_parts,
+    diagrams_up_to,
+    enumerate_rpps_by_recursion,
+    filling_of_weight,
+    rising_filling,
+    value,
+)
 
 
 def test_text_round_trip(square_rpp):
@@ -275,6 +283,27 @@ def test_enumerated_rpps_pass_the_validating_constructor():
             keys = [(r.size, r.values) for r in out]
             assert keys == sorted(set(keys))
 
+
+def test_enumeration_matches_the_recursive_oracle():
+    # the same fillings in the same order, with labels capped by the principal upper set
+    cases = [(d, m) for d in diagrams_up_to(7) for m in range(8)]
+    cases += [(YoungDiagram(cols), 12) for cols in ((4, 3, 2, 1), (5, 2, 2, 1), (3, 2, 2, 1, 1, 1), (10,), (1,) * 10)]
+    for d, m in cases:
+        assert [r.values for r in enumerate_rpps(d, m)] == enumerate_rpps_by_recursion(d, m), (d, m)
+
+
+def test_searches_leave_no_reference_cycles():
+    n, d = RPP.from_text(FT.EVEN_GRID_TEXT), YoungDiagram((4, 3, 2, 1))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        all_factorizations(n)
+        enumerate_rpps(d, 8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 def _subtract_if_rpp(n_vals, ind_vals, diagram):
     """n - indicator as a value tuple, or None when the result is not an RPP."""

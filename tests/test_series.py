@@ -1,5 +1,7 @@
 """Truncated generating series: products over hooks, collapse, specialisation."""
 
+import hashlib
+import json
 from itertools import product
 from math import comb
 
@@ -10,6 +12,7 @@ from rpphilb.poly import L, SparsePoly
 from rpphilb.rpp import enumerate_rpps
 from rpphilb.series import (
     TruncatedSeries,
+    _product,
     collapse_to_diagonals,
     diagonal_support,
     euler_series,
@@ -21,7 +24,7 @@ from rpphilb.series import (
 )
 
 import frozen_tables as FT
-from conftest import diagrams_up_to
+from conftest import diagrams_up_to, graded_product_by_terms
 
 
 def test_hook_variable_exponents(square_diagram):
@@ -289,3 +292,35 @@ def test_cancelled_coefficients_are_not_stored(square_diagram):
     # boxes (0, 0) and (1, 1) share diagonal 0, so these two terms cancel
     series = TruncatedSeries(4, 2, {(1, 0, 0, 0): (0, 1), (0, 0, 0, 1): (0, -1), (0, 1, 0, 0): 2})
     assert collapse_to_diagonals(square_diagram, series).coefficients == {(1, 0, 0): (2,)}
+
+
+def test_bruteforce_series_is_frozen():
+    obj = rpp_series_bruteforce(YoungDiagram((4, 3, 2, 1)), 12).to_json_obj()
+    assert len(obj) == 6948
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == FT.BRUTEFORCE_4321_12_SHA256
+
+
+def test_graded_product_matches_the_term_by_term_loop():
+    # per size, then update, then term: only the order of dict insertions may change
+    d = YoungDiagram((4, 3, 2, 1))
+    hooks = [d.hook(box) for box in d.boxes]
+    lengths = [(d.hook_length(box),) for box in d.boxes]
+    for chi in (-2, -1, 1, 2, 3):
+        assert euler_series(d, chi, 8) == graded_product_by_terms(d.size, 8, [(v, 1, -chi) for v in hooks])
+        single = graded_product_by_terms(1, 12, [(h, 1, -chi) for h in lengths])
+        assert euler_series(d, chi, 12, single_variable=True) == single
+    assert motivic_series(d, "A1", 9) == graded_product_by_terms(d.size, 9, [(v, (0, 1), -1) for v in hooks])
+    projective = [(v, w, -1) for v in hooks for w in ((0, 1), 1)]
+    assert motivic_series(d, "P1", 7) == graded_product_by_terms(d.size, 7, projective)
+    mixed = [(v, w, k) for v, (w, k) in zip(hooks, [((1, 1), 2), ((2, 0, -1), -2), (-3, 1), ((0, 2), 3), (0, -1)] * 2)]
+    assert _product(d.size, 8, mixed) == graded_product_by_terms(d.size, 8, mixed)
+
+
+def test_exponents_past_one_byte_keep_their_digits():
+    # inside a product an exponent is a byte-aligned digit: 2 bytes past 255, 4 past 65535
+    row = YoungDiagram((1, 1))
+    assert euler_series(row, 1, 300) == rpp_series_bruteforce(row, 300)
+    column = euler_series(YoungDiagram((2,)), 1, 70000, single_variable=True)
+    assert len(column.coefficients) == 70001
+    assert all(column.coefficient((n,)) == (n // 2 + 1,) for n in (0, 255, 256, 65535, 65536, 70000))
