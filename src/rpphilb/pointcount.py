@@ -84,8 +84,8 @@ class PrimeField:
     """Arithmetic modulo a small prime.
 
     Monic polynomials are tuples of residues for the coefficients of
-    x^0 .. x^(d-1); the leading coefficient 1 is implicit, so the empty
-    tuple is the constant polynomial 1.
+    x^0 .. x^d, lowest power first, as ``poly`` takes them; the leading
+    1 is kept, so ``(1,)`` is the constant polynomial 1.
     """
 
     __slots__ = ("p",)
@@ -103,11 +103,11 @@ class PrimeField:
 
     def monic_polynomials(self, degree: int):
         """All monic polynomials of the given degree, odometer order."""
-        return product(range(self.p), repeat=degree)
+        return ((*q, 1) for q in product(range(self.p), repeat=degree))
 
     def divides(self, a: tuple, b: tuple) -> bool:
         """Whether monic a divides monic b; a monic divisor lets the division run over Z."""
-        return not a or not any([r % self.p for r in monic_divmod((*b, 1), (*a, 1))[1]])
+        return not any([r % self.p for r in monic_divmod(b, a)[1]])
 
 
 def count_points(n: RPP, p: int) -> int:
@@ -117,7 +117,7 @@ def count_points(n: RPP, p: int) -> int:
     neighbours dividing it.  Each box's candidates are its left
     neighbour's polynomial times every monic q of degree n(box) − n(left),
     so only the up divisibility is tested (in column 0 the up neighbour
-    takes the left's place and no test remains).  The configured budget
+    takes the left's place, and the test is by the constant 1).  The budget
     still bounds the raw search space of p^|n| tuples: the call refuses to
     start when that exceeds it.
     """
@@ -134,7 +134,7 @@ def count_points(n: RPP, p: int) -> int:
     diagram = n.diagram
     # index -1 reads the zero extension: degree 0, the constant polynomial 1
     degrees = (*n.values, 0)
-    assigned: list = [None] * diagram.size + [()]
+    assigned: list = [None] * diagram.size + [(1,)]
 
     def dfs(k: int) -> int:
         if k == diagram.size:
@@ -145,7 +145,7 @@ def count_points(n: RPP, p: int) -> int:
         factor, divisor = assigned[built], assigned[tested]
         total = 0
         for q in field.monic_polynomials(degrees[k] - degrees[built]):
-            candidate = tuple([c % p for c in poly_mul((*factor, 1), (*q, 1))[:-1]]) if factor else q
+            candidate = tuple([c % p for c in poly_mul(factor, q)])
             if field.divides(divisor, candidate):
                 assigned[k] = candidate
                 total += dfs(k + 1)

@@ -77,13 +77,6 @@ class TruncatedSeries:
         series.coefficients, series.single_variable = coefficients, single_variable
         return series
 
-    @classmethod
-    def one(cls, n_vars: int, max_size: int, single_variable: bool = False) -> "TruncatedSeries":
-        # the constructor checks n_vars before (0,) * n_vars uses it
-        series = cls(n_vars, max_size, single_variable=single_variable)
-        series.coefficients[(0,) * n_vars] = (1,)
-        return series
-
     def coefficient(self, exponents) -> tuple:
         return self.coefficients.get(tuple(exponents), ())
 

@@ -25,10 +25,11 @@ from .equations import (
     type_i_ideal,
     type_ii_ideal,
 )
-from .errors import CapExceeded, DomainError, ints
+from .errors import DomainError, ints
 from .poly import monic_divmod, parse_poly, poly_mul, var_a, var_b, var_c
 from .pointcount import count_points
 from .rpp import (
+    MAX_FACTORIZATION_WEIGHT,
     RPP,
     Factorization,
     all_factorizations,
@@ -316,7 +317,7 @@ def random_instance(rng: random.Random) -> RPP:
             floor = max(values[l], values[u])
             values[p] = min(RANDOM_MAX_ENTRY, floor + rng.choice((0, 0, 1, 1, 2)))
         n = RPP(diagram, values[:-1])
-        if n.weight() <= 12:
+        if n.weight() <= MAX_FACTORIZATION_WEIGHT:
             return n
 
 
@@ -347,71 +348,56 @@ def check_random_instance(rng: random.Random) -> list:
     label = n.to_text()
     problems = []
     omega = n.weight()
-    if sum(n.derivative()) != omega:
-        problems.append(f"{label}: derivative total is not the weight")
     if dimension_recursive(n) != omega:
         problems.append(f"{label}: recursive dimension != weight")
-    try:
-        facts = all_factorizations(n)
-    except CapExceeded:
-        facts = None
-    if facts is not None and any(f.length != omega for f in facts):
+    facts = all_factorizations(n)
+    if any(f.length != omega for f in facts):
         problems.append(f"{label}: a factorisation length differs from the weight")
-    standard = Factorization({}) if n.is_zero() else standard_factorization(n)
+    standard = Factorization({})
     if not n.is_zero():
-        candidates = [standard]
-        complete = complete_factorization(n)
-        if complete is not None:
-            candidates.append(complete)
-        for fact in candidates:
-            injective, _ = differential_injective(fact)
-            if not injective:
+        standard = standard_factorization(n)
+        for fact in (standard, complete_factorization(n)):
+            if fact is not None and not differential_injective(fact)[0]:
                 problems.append(f"{label}: standard/complete component not smooth")
-        if omega <= 3 and facts is not None:
+        if omega <= 3:
             for fact in facts:
-                injective, _ = differential_injective(fact)
-                if not injective:
+                if not differential_injective(fact)[0]:
                     problems.append(f"{label}: weight <= 3 component not smooth")
-    ideal_i = type_i_ideal(n)
-    ideal_ii = type_ii_ideal(n)
-    ideal_iim = type_ii_ideal(n, minimal_border=True)
-    for tag, ideal in (("I", ideal_i), ("II", ideal_ii), ("II-minimal", ideal_iim)):
+    presentations = {
+        "I": type_i_ideal(n),
+        "II": type_ii_ideal(n),
+        "II-minimal": type_ii_ideal(n, minimal_border=True),
+    }
+    for tag, ideal in presentations.items():
         if ideal.n_vars - ideal.condition_count != omega:
             problems.append(f"{label}: type {tag} vars minus conditions != weight")
         if not check_grading(ideal):
             problems.append(f"{label}: type {tag} presentation inhomogeneous")
+    # the chart point: a, b and c are the quotients by the constant 1 (index -1,
+    # the zero extension), the left and the up neighbour; they share no variable
     diagram = n.diagram
-    tuples = _random_nested_polynomials(rng, n, standard)
-    assignment = {}
-    for box, degree, coeffs in zip(diagram.boxes, n.values, tuples):
-        for k in range(1, degree + 1):
-            assignment[var_a(box.i, box.j, k)] = coeffs[degree - k]
-    for g in ideal_i.generators:
-        if g.evaluate(assignment) != 0:
-            problems.append(f"{label}: type I generator nonzero on a nested tuple")
-            break
-    # index -1 reads the zero extension: degree 0, the constant polynomial 1
     degrees = (*n.values, 0)
-    polys = (*tuples, (1,))
-    assignment = {}
-    divisible = True
+    polys = (*_random_nested_polynomials(rng, n, standard), (1,))
+    point, undivided = {}, []
     for p, box in enumerate(diagram.boxes):
-        for kind, other, maker in (("left", diagram.left[p], var_b), ("up", diagram.up[p], var_c)):
+        for kind, other, maker in (
+            ("constant", -1, var_a),
+            ("left", diagram.left[p], var_b),
+            ("up", diagram.up[p], var_c),
+        ):
             quotient, remainder = monic_divmod(polys[p], polys[other])
             if any(remainder):
-                problems.append(f"{label}: nested tuple fails {kind} divisibility")
-                divisible = False
+                undivided.append(f"{label}: nested tuple fails {kind} divisibility")
                 continue
             degree = degrees[p] - degrees[other]
             for k in range(1, degree + 1):
-                assignment[maker(box.i, box.j, k)] = quotient[degree - k]
-    # a failed division leaves variables unassigned, and is already reported
-    if divisible:
-        for tag, ideal in (("II", ideal_ii), ("II-minimal", ideal_iim)):
-            for g in ideal.generators:
-                if g.evaluate(assignment) != 0:
-                    problems.append(f"{label}: type {tag} generator nonzero on a nested tuple")
-                    break
+                point[maker(box.i, box.j, k)] = quotient[degree - k]
+    for tag, ideal in presentations.items():
+        if any(g.evaluate(point) != 0 for g in ideal.generators):
+            problems.append(f"{label}: type {tag} generator nonzero on a nested tuple")
+        if undivided:  # a failed division leaves type II variables unassigned
+            problems += undivided
+            break
     return problems
 
 

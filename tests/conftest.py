@@ -108,6 +108,11 @@ def trimmed_sum(a, b):
     return tuple(out)
 
 
+def series_one(n_vars, max_size, single_variable=False):
+    """The constant series 1, the unit of ``TruncatedSeries`` products."""
+    return TruncatedSeries(n_vars, max_size, {(0,) * n_vars: (1,)}, single_variable)
+
+
 def graded_product_by_terms(n_vars, max_size, factors):
     """Π (1 − w·q^v)^k over (v, w, k) factors as a TruncatedSeries, term by term.
 

@@ -14,6 +14,8 @@ from rpphilb.components import (
     differential_injective,
     dimension_recursive,
 )
+from rpphilb.pointcount import PrimeField, count_points
+from rpphilb.poly import poly_mul
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
 import frozen_tables as FT
@@ -188,3 +190,43 @@ def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():
         rpphilb.rpp._shape_table.cache_clear()
         cold.append(classify_json(text))
     assert [classify_json(text) for text in texts] == cold
+
+
+def _component_image(T, size, p):
+    """Box tuples (Π_{ν∋box} f_ν mod p) over every monic f_ν of degree m_ν over F_p."""
+    field = PrimeField(p)
+    image = set()
+    for fs in itertools.product(*(list(field.monic_polynomials(m)) for m in T.terms.values())):
+        point = [(1,)] * size
+        for nu, f in zip(T.terms, fs):
+            point = [tuple([c % p for c in poly_mul(g, f)]) if x else g for g, x in zip(point, nu.values)]
+        image.add(tuple(point))
+    return image
+
+
+def _check_component_images(n, p):
+    """Each image has p^weight points exactly when T is bijective; together they cover the scheme."""
+    union = set()
+    bijective = []
+    for T in all_factorizations(n):
+        image = _component_image(T, n.diagram.size, p)
+        bijective.append(bijective_on_points(T)[0])
+        assert (len(image) == p ** n.weight()) == bijective[-1], (n.to_text(), p, T)
+        union |= image
+    assert len(union) == count_points(n, p), (n.to_text(), p)
+    return all(bijective)
+
+
+def test_component_images_over_f2_cover_the_points_on_small_fillings():
+    # the paper's resolution Π_ν Sym^{m_ν} A1 → scheme, enumerated point by point
+    fillings = [n for d in diagrams_up_to(6) for n in enumerate_rpps(d, 4)]
+    assert len(fillings) == 590
+    assert all(_check_component_images(n, 2) for n in fillings)
+
+
+@pytest.mark.parametrize(
+    "text, p",
+    [("0 2 / 2 4", 2), ("0 2 / 2 5", 2), ("0 0 2 / 0 2 4", 2), ("0 0 1 / 0 2 / 2 4", 2), ("0 2 / 2 4", 3)],
+)
+def test_component_images_detect_non_bijective_components(text, p):
+    assert not _check_component_images(RPP.from_text(text), p)

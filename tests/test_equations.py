@@ -199,6 +199,17 @@ def test_tangent_reduction_matches_linear_part_oracle():
         assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj()), n.to_text()
 
 
+def test_minimal_presentation_is_a_complete_intersection_after_reduction():
+    # the reduced type II minimal chart cuts the weight out of the tangent space
+    # with exactly codimension-many equations, and type I sees the same tangent space
+    fillings = [n for d in diagrams_up_to(6) for n in enumerate_rpps(d, 5)]
+    assert len(fillings) == 976
+    for n in fillings:
+        dim, reduced = tangent_embedding(type_ii_ideal(n, minimal_border=True))
+        assert reduced.n_generators == dim - n.weight(), n.to_text()
+        assert tangent_embedding(type_i_ideal(n))[0] == dim, n.to_text()
+
+
 def test_tangent_elimination_order_is_pinned(monkeypatch):
     """Depth first, then canonical variable order, then generator order.
 

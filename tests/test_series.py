@@ -24,7 +24,7 @@ from rpphilb.series import (
 )
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, graded_product_by_terms
+from conftest import diagrams_up_to, graded_product_by_terms, series_one
 
 
 def test_hook_variable_exponents(square_diagram):
@@ -152,7 +152,7 @@ def _binomial_factor(v, l_degree, power, n_vars, max_size, single_variable=False
 
 
 def _convolved(factors, n_vars, max_size, single_variable=False):
-    series = TruncatedSeries.one(n_vars, max_size, single_variable)
+    series = series_one(n_vars, max_size, single_variable)
     for v, l_degree, power in factors:
         series = series * _binomial_factor(v, l_degree, power, n_vars, max_size, single_variable)
     return series
@@ -210,7 +210,7 @@ def test_weights_that_are_not_monomials_match_the_binomial_convolution():
             for power in (-2, -1, 1, 2):
                 factors = [_weighted_factor(v, weight, power, d.size, max_size) for v in hooks]
                 assert factor_power(hooks[0], weight, power, d.size, max_size) == factors[0]
-                expected = TruncatedSeries.one(d.size, max_size)
+                expected = series_one(d.size, max_size)
                 for f in factors:
                     expected = expected * f
                 assert hook_product(d, weight, power, max_size) == expected, (d, weight, power)

@@ -8,7 +8,14 @@ import pytest
 from rpphilb import DomainError, verify
 from rpphilb.diagram import YoungDiagram
 from rpphilb.poly import SparsePoly
-from rpphilb.rpp import Factorization, enumerate_rpps, standard_factorization
+from rpphilb.rpp import (
+    MAX_FACTORIZATION_INDICATORS,
+    MAX_FACTORIZATION_WEIGHT,
+    Factorization,
+    enumerate_rpps,
+    indicators,
+    standard_factorization,
+)
 from rpphilb.verify import (
     _random_nested_polynomials,
     check_random_instance,
@@ -175,6 +182,9 @@ def test_random_instance_respects_documented_bounds():
         assert n.diagram.size <= 6
         assert max(n.values) <= 5
         assert n.weight() <= 12
+        # the sweep calls all_factorizations unguarded, so neither of its caps may fire
+        assert len(indicators(n.diagram)) <= MAX_FACTORIZATION_INDICATORS
+        assert n.weight() <= MAX_FACTORIZATION_WEIGHT
 
 
 def test_random_properties_run_clean():
