@@ -114,12 +114,12 @@ def count_points(n: RPP, p: int) -> int:
     """Number of nested tuples of monic polynomials over F_p shaped by n.
 
     One monic polynomial of degree n(box) per box, with the left and up
-    neighbours dividing it.  Each box's candidates are its left
-    neighbour's polynomial times every monic q of degree n(box) − n(left),
-    so only the up divisibility is tested (in column 0 the up neighbour
-    takes the left's place, and the test is by the constant 1).  The budget
-    still bounds the raw search space of p^|n| tuples: the call refuses to
-    start when that exceeds it.
+    neighbours dividing it.  Each box's candidates are its neighbour of
+    larger degree (the left one on a tie) times every monic q of the
+    remaining degree, so only the other neighbour's divisibility is
+    tested, and only when that neighbour is not the constant 1.  The
+    budget still bounds the raw search space of p^|n| tuples: the call
+    refuses to start when that exceeds it.
     """
     field = PrimeField(p)
     budget = configured_budget()
@@ -140,15 +140,26 @@ def count_points(n: RPP, p: int) -> int:
         if k == diagram.size:
             return 1
         built, tested = diagram.left[k], diagram.up[k]
-        if built < 0:  # column 0: the left is the constant 1, so build the up neighbour in
+        if degrees[tested] > degrees[built]:
             built, tested = tested, built
         factor, divisor = assigned[built], assigned[tested]
         total = 0
         for q in field.monic_polynomials(degrees[k] - degrees[built]):
-            candidate = tuple([c % p for c in poly_mul(factor, q)])
-            if field.divides(divisor, candidate):
+            candidate = tuple([c % p for c in poly_mul(factor, q)]) if degrees[built] else q
+            if not degrees[tested] or field.divides(divisor, candidate):
                 assigned[k] = candidate
                 total += dfs(k + 1)
         return total
 
     return dfs(0)
+
+
+def component_point(diagram, T, factors) -> list:
+    """Row-major (Π_{ν∋box} f_ν), over Z: the resolution Π_ν Sym^{m_ν} A1 → Z_T at one point.
+
+    ``factors`` holds one monic int tuple f_ν per support indicator ν of T, in support order.
+    """
+    point = [(1,)] * diagram.size
+    for nu, f in zip(T.terms, factors):
+        point = [poly_mul(g, f) if x else g for g, x in zip(point, nu.values)]
+    return point

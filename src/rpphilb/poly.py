@@ -62,13 +62,10 @@ def parse_var_name(name: str) -> VarId:
         return X
     if name == "L":
         return L
-    parts = name.split("_")
-    kind = parts[0]
-    try:
-        if kind in ("a", "b", "c") and len(parts) == 4:
-            return VarId(kind, int(parts[1]), int(parts[2]), int(parts[3]))
-    except ValueError:
-        pass
+    kind, *indices = name.split("_")
+    # int() would also take a sign, spaces and non-ASCII digits
+    if kind in ("a", "b", "c") and len(indices) == 3 and all(i.isascii() and i.isdigit() for i in indices):
+        return VarId(kind, *map(int, indices))
     raise DomainError("parse-error", f"unknown variable name {name!r}", name)
 
 
@@ -352,9 +349,9 @@ def _tokenize(text: str) -> list:
         elif ch in "+-*^()":
             tokens.append(ch)
             pos += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # str.isdigit() also takes '²' and '١'
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(int(text[start:pos]))
         elif ch.isalpha():

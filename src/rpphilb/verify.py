@@ -26,8 +26,8 @@ from .equations import (
     type_ii_ideal,
 )
 from .errors import DomainError, ints
-from .poly import monic_divmod, parse_poly, poly_mul, var_a, var_b, var_c
-from .pointcount import count_points
+from .poly import monic_divmod, parse_poly, var_a, var_b, var_c
+from .pointcount import component_point, count_points
 from .rpp import (
     MAX_FACTORIZATION_WEIGHT,
     RPP,
@@ -325,21 +325,11 @@ def _random_nested_polynomials(rng: random.Random, n: RPP, standard: Factorizati
     """Monic integer polynomials per box, row-major, nested by left/up divisibility.
 
     ``standard`` is the standard factorisation of ``n`` (empty when ``n``
-    is zero); each of its indicators draws one random monic factor.  Each
-    polynomial is an int coefficient tuple, lowest power first, as
-    ``poly.poly_mul`` and ``poly.monic_divmod`` take it.
+    is zero); each of its indicators draws one random monic factor, and
+    ``pointcount.component_point`` multiplies them into the boxes.
     """
-    factors = []
-    for indicator, multiplicity in standard.terms.items():
-        factors.append((indicator, (*[rng.randint(-3, 3) for _ in range(multiplicity)], 1)))
-    tuples = []
-    for pos in range(n.diagram.size):
-        product = (1,)
-        for indicator, coeffs in factors:
-            if indicator.values[pos]:
-                product = poly_mul(product, coeffs)
-        tuples.append(product)
-    return tuples
+    factors = [(*[rng.randint(-3, 3) for _ in range(m)], 1) for m in standard.terms.values()]
+    return component_point(n.diagram, standard, factors)
 
 
 def check_random_instance(rng: random.Random) -> list:

@@ -14,8 +14,7 @@ from rpphilb.components import (
     differential_injective,
     dimension_recursive,
 )
-from rpphilb.pointcount import PrimeField, count_points
-from rpphilb.poly import poly_mul
+from rpphilb.pointcount import PrimeField, component_point, count_points
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
 import frozen_tables as FT
@@ -192,15 +191,12 @@ def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():
     assert [classify_json(text) for text in texts] == cold
 
 
-def _component_image(T, size, p):
+def _component_image(diagram, T, p):
     """Box tuples (Π_{ν∋box} f_ν mod p) over every monic f_ν of degree m_ν over F_p."""
     field = PrimeField(p)
     image = set()
     for fs in itertools.product(*(list(field.monic_polynomials(m)) for m in T.terms.values())):
-        point = [(1,)] * size
-        for nu, f in zip(T.terms, fs):
-            point = [tuple([c % p for c in poly_mul(g, f)]) if x else g for g, x in zip(point, nu.values)]
-        image.add(tuple(point))
+        image.add(tuple(tuple([c % p for c in g]) for g in component_point(diagram, T, fs)))
     return image
 
 
@@ -209,7 +205,7 @@ def _check_component_images(n, p):
     union = set()
     bijective = []
     for T in all_factorizations(n):
-        image = _component_image(T, n.diagram.size, p)
+        image = _component_image(n.diagram, T, p)
         bijective.append(bijective_on_points(T)[0])
         assert (len(image) == p ** n.weight()) == bijective[-1], (n.to_text(), p, T)
         union |= image

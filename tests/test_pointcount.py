@@ -152,6 +152,24 @@ def test_counts_match_all_monics_oracle_on_random_fillings():
     check()
 
 
+def test_larger_neighbour_rule_matches_all_monics_oracle():
+    # each box is built on its neighbour of larger degree and tests the other;
+    # 148 of these fillings build some box on its up neighbour; the 6-box ones
+    # are needed, since up to 5 boxes a candidate left unmultiplied whenever the
+    # tested neighbour is the constant 1 still counts right ("0 1 / 0 1 / 1 1" does not)
+    def built_on_up(n):
+        degrees = (*n.values, 0)  # index -1 reads the zero extension, as in count_points
+        return any(degrees[u] > degrees[l] for l, u in zip(n.diagram.left, n.diagram.up))
+
+    fillings = [n for d in diagrams_up_to(6) for n in enumerate_rpps(d, 4)]
+    assert (len(fillings), sum(map(built_on_up, fillings))) == (590, 148)
+    for n in fillings:
+        for p in (2, 3):
+            assert count_points(n, p) == all_monics_count_points(n, p), (n.to_text(), p)
+    grid = RPP.from_text("0 0 3 / 0 2 5 / 3 5 5")
+    assert count_points(grid, 2) == all_monics_count_points(grid, 2) == 152
+
+
 @pytest.mark.parametrize("cols", [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 1, 1)])
 def test_p1_counts_match_p1_series_when_diagonals_are_distinct(cols):
     # an F_p divisor on P1 is a monic f and a multiplicity at infinity, so the

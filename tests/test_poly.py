@@ -86,9 +86,14 @@ def test_parse_and_print_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000):
+    for text in ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000, "²", "x^²", "x + ١"):
         with pytest.raises(DomainError) as err:
             parse_poly(text)
+        assert err.value.code == "parse-error"
+    # only ASCII digits index a variable: int() would read these as -1 and 1
+    for name in ("a_-1_0_1", "b_١_0_1", "c_+1_0_1"):
+        with pytest.raises(DomainError) as err:
+            parse_var_name(name)
         assert err.value.code == "parse-error"
 
 

@@ -19,6 +19,7 @@ from rpphilb.rpp import (
     indicators,
     standard_factorization,
 )
+from rpphilb.series import _product
 
 import frozen_tables as FT
 from conftest import (
@@ -220,6 +221,20 @@ def test_all_factorizations_of_grid(grid_rpp):
     assert len(facts) == 15
     assert all(f.length == 5 for f in facts)
     assert all(f.total() == grid_rpp for f in facts)
+
+
+@pytest.mark.parametrize(
+    "cols, max_size", [((2, 2), 8), ((3, 2, 1), 7), ((3, 3, 3), 9), ((4, 3, 2, 1), 8), ((2, 2, 2), 8), ((4, 4), 8)]
+)
+def test_component_counts_match_one_product(cols, max_size):
+    # every RPP is a sum of indicators, and each factorisation has length weight(n), so
+    # Σ_n #factorisations(n)·L^weight(n)·q^n = Π_ν (1 − L·q^ν)^(−1) over the indicators ν
+    diagram = YoungDiagram(cols)
+    series = _product(diagram.size, max_size, [(ind.values, (0, 1), -1) for ind in indicators(diagram)])
+    rpps = enumerate_rpps(diagram, max_size)
+    assert len(series.coefficients) == len(rpps)
+    for n in rpps:
+        assert series.coefficient(n.values) == (0,) * n.weight() + (len(all_factorizations(n)),), n.to_text()
 
 
 def test_factorization_weight_cap(monkeypatch):
