@@ -47,11 +47,9 @@ def dimension_recursive(n: RPP) -> int:
     return v[-1] - rows[j2][0] + dimension_recursive(RPP(sub, v[: sub.size]))
 
 
-def _support_matrix(T: Factorization) -> list[list[int]]:
+def _support_matrix(T: Factorization) -> list[tuple[int, ...]]:
     """Box-by-support matrix whose columns are the support indicators."""
-    support = T.support
-    size = support[0].diagram.size
-    return [[ind.values[row] for ind in support] for row in range(size)]
+    return list(zip(*(ind.values for ind in T.support)))
 
 
 def _check_relation(T: Factorization, coeffs: dict) -> None:

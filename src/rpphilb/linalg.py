@@ -1,13 +1,23 @@
 """Exact linear algebra over the integers (no floats, no rationals).
 
 Small dense integer matrices only: row reduction, rank, primitive integer
-kernel vectors and integer back-substitution.  Matrices are lists of rows
-of ints.
+kernel vectors and integer back-substitution.  A matrix is a list of
+rows, each a list or tuple of ints.
+
+``rref`` first tries to certify full column rank mod 2: columns that are
+independent over GF(2) are independent over Q, because a primitive
+integer relation among them would stay nonzero mod 2.  Then the rational
+RREF is the identity over zero rows and no elimination runs.  Otherwise
+it eliminates exactly, on the distinct nonzero rows only, since repeated
+and zero rows add nothing to the row space.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+
+# byte b -> b mod 2: bytes(column).translate(_PARITY) is the column mod 2
+_PARITY = bytes(b & 1 for b in range(256))
 
 
 def _primitive(vector: list[int]) -> list[int]:
@@ -18,24 +28,61 @@ def _primitive(vector: list[int]) -> list[int]:
     return vector if g == 1 else [x // g for x in vector]
 
 
+def _independent_mod_2(columns) -> bool:
+    """Whether the columns, all entries in 0..255, are linearly independent over GF(2).
+
+    Each column packs into one int, one byte per entry holding the entry
+    mod 2; an echelon basis keyed by leading bit reduces each new column.
+    Raises ValueError on an entry outside 0..255.
+    """
+    basis: dict[int, int] = {}
+    for col in columns:
+        v = int.from_bytes(bytes(col).translate(_PARITY), "little")
+        while v:
+            lead = v.bit_length()
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+        else:
+            return False
+    return True
+
+
 def rref(matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form, one primitive integer row per row, and the pivot columns.
 
     Row r is the primitive integer multiple, with a positive pivot, of row r
     of the rational RREF; dividing it by its pivot entry gives that row.
-    Gauss-Jordan runs over Python ints, fraction-free (cf. Bareiss, Math.
-    Comp. 22, 1968): an update takes pivot * row - entry * pivot_row and
-    divides the result by the gcd of its entries.  The rational RREF is
-    unique, so the rows do not depend on the elimination order.
+    The rows below the pivot rows are zero.
+
+    Columns of entries in 0..255 that are independent mod 2 are
+    independent over Q (see the module docstring), so the answer is the
+    identity over zero rows, read off without eliminating.  Otherwise
+    Gauss-Jordan runs over Python ints on the distinct nonzero rows,
+    fraction-free (cf. Bareiss, Math. Comp. 22, 1968): an update takes
+    pivot * row - entry * pivot_row and, unless the pivot is 1, divides the
+    result by the gcd of its entries.  The rational RREF is unique, so the
+    rows do not depend on the elimination order or on which rows repeat.
     """
-    m = [list(row) for row in matrix]
-    if not m:
+    if not matrix:
         return [], []
-    n_rows, n_cols = len(m), len(m[0])
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    if n_cols <= n_rows:
+        try:
+            certified = _independent_mod_2(zip(*matrix))
+        except ValueError:
+            certified = False
+        if certified:
+            out = [[0] * n_cols for _ in range(n_rows)]
+            for c in range(n_cols):
+                out[c][c] = 1
+            return out, list(range(n_cols))
+    m = [list(row) for row in dict.fromkeys(map(tuple, matrix)) if any(row)]
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
-        for pivot_row in range(row, n_rows):
+        for pivot_row in range(row, len(m)):
             if m[pivot_row][col]:
                 break
         else:
@@ -43,15 +90,18 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
         m[row], m[pivot_row] = m[pivot_row], m[row]
         prow = m[row]
         pv = prow[col]
-        for r in range(n_rows):
-            factor = m[r][col]
+        for r, other in enumerate(m):
+            factor = other[col]
             if factor and r != row:
-                updated = [pv * a - factor * b for a, b in zip(m[r], prow)]
-                g = gcd(*updated)
-                m[r] = [a // g for a in updated] if g > 1 else updated
+                if pv == 1:
+                    m[r] = [a - factor * b for a, b in zip(other, prow)]
+                else:
+                    updated = [pv * a - factor * b for a, b in zip(other, prow)]
+                    g = gcd(*updated)
+                    m[r] = [a // g for a in updated] if g > 1 else updated
         pivots.append(col)
         row += 1
-        if row == n_rows:
+        if row == len(m):
             break
     # a pivot is the first nonzero entry of its row
     out = [_primitive(m[r]) for r in range(len(pivots))]

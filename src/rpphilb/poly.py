@@ -63,8 +63,14 @@ def parse_var_name(name: str) -> VarId:
     if name == "L":
         return L
     kind, *indices = name.split("_")
-    # int() would also take a sign, spaces and non-ASCII digits
-    if kind in ("a", "b", "c") and len(indices) == 3 and all(i.isascii() and i.isdigit() for i in indices):
+    # only the printed form: int() would also take a sign, spaces, non-ASCII
+    # digits and leading zeros, and every chart coordinate has depth k >= 1
+    if (
+        kind in ("a", "b", "c")
+        and len(indices) == 3
+        and all(i.isascii() and i.isdigit() and str(int(i)) == i for i in indices)
+        and indices[2] != "0"
+    ):
         return VarId(kind, *map(int, indices))
     raise DomainError("parse-error", f"unknown variable name {name!r}", name)
 

@@ -264,6 +264,19 @@ SERIES_STDOUT_SHA256 = {
 # .to_json_obj(), sort_keys=True): the 6948 fillings of total at most 12.
 BRUTEFORCE_4321_12_SHA256 = "ac423e7fc1c4cee33fd5bd600ad693715f5ec1cb5ac69df27e2b9d86d80795ee"
 
+# SHA-256 of the stdout of `rpphilb classify TEXT --format FORMAT` on the
+# grid example and the even and step-3 grids (15 + 149 + 928 components),
+# pinning every verdict and relation witness: its entries, its sign and
+# the smallest-sum tie-break.
+CLASSIFY_STDOUT_SHA256 = {
+    (GRID_TEXT, "text"): "6fe865b0763a889230441258f0c882025e5ea19c7153052d597dedb038b2f267",
+    (GRID_TEXT, "json"): "c515f9de8723ea74724a60907ca40092236a37c1e4b5c8f0a8268d150547ce56",
+    (EVEN_GRID_TEXT, "text"): "5adb81332043f57fcc21f7d074e0a95a75cd539d84003b79d026116bf00a20b5",
+    (EVEN_GRID_TEXT, "json"): "8fca36453cd273f4a0fc0907534820d4793900a9f8a8bb02d1842bc960671c14",
+    (TRIPLE_GRID_TEXT, "text"): "05c99903a13d03cdb164943807de7d88bdfabbd5c90c9a496ec177a51ee8d8d5",
+    (TRIPLE_GRID_TEXT, "json"): "9550e83d4433c36d165383e0abc9d58387b14e739e00faee758bfedd3e7584d6",
+}
+
 # Single-variable counts of fillings of the square by total size 0..10 and
 # the hook lengths of the square, used by the generating-series checks.
 SQUARE_RPP_COUNTS = [1, 1, 3, 4, 7, 9, 14, 17, 24, 29, 38]

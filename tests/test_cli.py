@@ -128,6 +128,13 @@ def test_series_stdout_is_frozen():
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, fmt)
 
+
+def test_classify_stdout_is_frozen():
+    for (text, fmt), digest in FT.CLASSIFY_STDOUT_SHA256.items():
+        code, out, err = run_cli("classify", text, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (text, fmt)
+
 def test_equations_without_generators_say_so():
     for argv in (("3", "--type", "I"), ("0", "--type", "II"), ("1 / 2", "--type", "I", "--tangent")):
         code, out, _ = run_cli("equations", *argv)

@@ -1,7 +1,9 @@
 """Exact integer elimination: rref, rank, kernels, back-substitution.
 
 The Fraction path below (Gauss-Jordan, kernel vectors, integer
-normalisation, back-substitution) is the oracle for the integer one.
+normalisation, back-substitution) is the oracle for the integer one, on
+both of its paths: the mod-2 certificate of full column rank and the
+exact elimination of the distinct nonzero rows.
 """
 
 import random
@@ -9,7 +11,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from rpphilb.components import _support_matrix
 from rpphilb.linalg import kernel_basis, rank, rref, solve_from_rref
+from rpphilb.rpp import all_factorizations, enumerate_rpps
+
+from conftest import diagrams_up_to
 
 
 def _fraction_rref(matrix):
@@ -205,3 +211,77 @@ def test_solve_from_rref_rejects_a_non_integral_pivot_entry():
 
 def test_rref_is_invariant_under_row_scaling():
     assert rref([[3, 2]]) == rref([[6, 4]]) == rref([[-3, -2]]) == ([[3, 2]], [0])
+
+
+def test_certificate_on_tall_zero_one_matrices():
+    # more rows than columns, as support matrices have, at every density
+    rng = random.Random(27)
+    full = 0
+    for _ in range(600):
+        n_rows = rng.randint(2, 10)
+        n_cols = rng.randint(1, n_rows)
+        ones = rng.random()
+        matrix = [[int(rng.random() < ones) for _ in range(n_cols)] for _ in range(n_rows)]
+        _assert_matches_oracle(matrix)
+        full += rank(matrix) == n_cols
+    assert 100 < full < 500
+
+
+def test_wide_zero_one_matrices_are_never_certified():
+    # a wide matrix has dependent columns, even when its rows are independent mod 2
+    assert rref([[1, 1]]) == ([[1, 1]], [0])
+    assert rref([[1, 0, 1], [0, 1, 1]]) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    rng = random.Random(28)
+    for _ in range(200):
+        n_rows = rng.randint(1, 6)
+        n_cols = rng.randint(n_rows + 1, 9)
+        _assert_matches_oracle([[rng.randint(0, 1) for _ in range(n_cols)] for _ in range(n_rows)])
+
+
+def test_duplicate_and_zero_rows_change_nothing_but_the_padding():
+    rng = random.Random(29)
+    for _ in range(300):
+        n_cols = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, 1, -1, 2)) for _ in range(n_cols)] for _ in range(rng.randint(1, 5))]
+        padded = rows + [rng.choice(rows) for _ in range(rng.randint(1, 4))] + [[0] * n_cols] * rng.randint(0, 3)
+        rng.shuffle(padded)
+        _assert_matches_oracle(padded)
+        reduced, pivots = rref(padded)
+        want, want_pivots = rref(rows)
+        assert len(reduced) == len(padded)
+        assert (reduced[: len(pivots)], pivots) == (want[: len(want_pivots)], want_pivots), padded
+    assert rref([[1, 0], [1, 0], [0, 0]]) == ([[1, 0], [0, 0], [0, 0]], [0])
+    assert rref([[0, 0], [0, 0], [0, 0]]) == ([[0, 0], [0, 0], [0, 0]], [])
+
+
+def test_entries_beyond_a_bit_and_beyond_a_byte():
+    # mod 2 reads only the low bit of 2..255, and 256 or more takes the exact path
+    rng = random.Random(30)
+    for entries in ((0, 1, 2, 3, 255), (0, 1, 6, 254), (0, 1, 256, 257), (0, 1, 300, 2**70), (0, 255, 256)):
+        for _ in range(150):
+            n_rows = rng.randint(1, 7)
+            n_cols = rng.randint(1, n_rows + 1)
+            _assert_matches_oracle([[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)])
+    for matrix in ([[2, 1], [0, 0]], [[1, 2], [1, 2]], [[3, 1], [6, 2]], [[255, 1], [0, 0]], [[256, 1], [1, 0]]):
+        _assert_matches_oracle(matrix)
+
+
+def test_singular_mod_2_but_regular_over_the_rationals():
+    for matrix in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[2, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 1], [1, 3], [0, 0]]):
+        _assert_matches_oracle(matrix)
+        assert rank(matrix) == len(matrix[0]), matrix
+    assert rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+
+
+def test_every_support_matrix_of_small_fillings():
+    # every factorisation of every filling of total <= 4 on the diagrams of <= 6 boxes
+    seen = set()
+    for d in diagrams_up_to(6):
+        for n in enumerate_rpps(d, 4):
+            for T in all_factorizations(n):
+                if T.support:
+                    seen.add(tuple(_support_matrix(T)))
+    assert len(seen) > 100
+    for matrix in seen:
+        _assert_matches_oracle([list(row) for row in matrix])
+        assert rref(matrix) == rref([list(row) for row in matrix]), matrix

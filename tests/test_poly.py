@@ -90,8 +90,9 @@ def test_parse_rejects_garbage():
         with pytest.raises(DomainError) as err:
             parse_poly(text)
         assert err.value.code == "parse-error"
-    # only ASCII digits index a variable: int() would read these as -1 and 1
-    for name in ("a_-1_0_1", "b_١_0_1", "c_+1_0_1"):
+    # only ASCII digits index a variable: int() would read these as -1 and 1;
+    # a leading zero would not print back, and no chart coordinate has depth 0
+    for name in ("a_-1_0_1", "b_١_0_1", "c_+1_0_1", "a_01_0_1", "b_1_00_1", "c_1_0_01", "a_1_0_0", "b_0_0_0"):
         with pytest.raises(DomainError) as err:
             parse_var_name(name)
         assert err.value.code == "parse-error"
@@ -100,6 +101,7 @@ def test_parse_rejects_garbage():
 def test_var_name_round_trip():
     assert parse_var_name("b_2_0_1") == var_b(2, 0, 1)
     assert parse_var_name("c_3_1_4") == var_c(3, 1, 4)
+    assert parse_var_name("a_0_0_10") == var_a(0, 0, 10)
     assert str(SparsePoly.variable(L)) == "L"
 
 
