@@ -7,8 +7,9 @@ and a depth k, and the motive symbol ``L``.  A variable's weight in
 L).  Polynomials are dicts from monomials (sorted tuples of (variable,
 exponent) pairs) to integer coefficients.
 
-The text format uses ``+ - * ^`` with explicit multiplication, e.g.
-``x^3 - a_1_0_1*x^2 + 2``, and round-trips through ``parse_poly``.
+The text format is a signed sum of ``*``-products of numbers and variables,
+each with an optional ``^ number``, e.g. ``x^3 - a_1_0_1*x^2 + 2``; it
+round-trips through ``parse_poly``, which refuses parentheses.
 
 A univariate polynomial is a tuple of coefficients, lowest power first,
 whose entries are ints or SparsePolys.  ``poly_mul`` and ``monic_divmod``
@@ -120,7 +121,7 @@ class SparsePoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "SparsePoly":
-        return _raw(_accumulate(dict(self.terms), _coerce(other).terms, 1))
+        return _raw(_accumulate(dict(self.terms), other, 1))
 
     __radd__ = __add__
 
@@ -128,10 +129,10 @@ class SparsePoly:
         return _raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
-        return _raw(_accumulate(dict(self.terms), _coerce(other).terms, -1))
+        return _raw(_accumulate(dict(self.terms), other, -1))
 
     def __rsub__(self, other) -> "SparsePoly":
-        return _coerce(other) - self
+        return _raw(_accumulate({m: -c for m, c in self.terms.items()}, other, 1))
 
     def __mul__(self, other) -> "SparsePoly":
         if type(other) is int:  # a scalar: no monomial changes (a bool goes through _coerce)
@@ -274,9 +275,12 @@ def _coerce(value) -> SparsePoly:
     raise DomainError("parse-error", f"cannot use {value!r} as a polynomial", value)
 
 
-def _accumulate(out: dict, terms: dict, sign: int) -> dict:
-    """out plus sign times terms, in place; monomials that cancel leave out."""
-    for mono, c in terms.items():
+def _accumulate(out: dict, other, sign: int) -> dict:
+    """out plus sign times other, in place; monomials that cancel leave out.
+
+    An exact int adds to the constant term; a bool goes through _coerce, which refuses it.
+    """
+    for mono, c in ({(): other} if type(other) is int else _coerce(other).terms).items():
         s = out.get(mono, 0) + sign * c
         if s:
             out[mono] = s
@@ -352,7 +356,7 @@ def _tokenize(text: str) -> list:
         ch = text[pos]
         if ch.isspace():
             pos += 1
-        elif ch in "+-*^()":
+        elif ch in "+-*^":
             tokens.append(ch)
             pos += 1
         elif "0" <= ch <= "9":  # str.isdigit() also takes '²' and '١'
@@ -371,68 +375,43 @@ def _tokenize(text: str) -> list:
 
 
 def parse_poly(text: str) -> SparsePoly:
-    """Parse the ``+ - * ^`` text format back into a polynomial."""
-    tokens = _tokenize(text)
-    pos = 0
+    """Read back the text that ``format_terms`` prints.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_atom() -> SparsePoly:
-        tok = peek()
-        if tok == "(":
-            take()
-            inner = parse_expr()
-            if peek() != ")":
-                raise DomainError("parse-error", "missing ')' in polynomial", text)
-            take()
-            return inner
-        if isinstance(tok, int):
-            return SparsePoly.constant(take())
-        if isinstance(tok, VarId):
-            return SparsePoly.variable(take())
-        raise DomainError("parse-error", f"unexpected token {tok!r} in polynomial", text)
-
-    def parse_factor() -> SparsePoly:
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            exp = peek()
+    The grammar is ``[sign] term {sign term}``, a term is ``factor {* factor}``
+    and a factor is a number or a variable, each with an optional ``^ number``.
+    Parentheses are refused: no printed form contains one.
+    """
+    if not isinstance(text, str):
+        raise DomainError("parse-error", "polynomial text must be a string", text)
+    tokens = [*_tokenize(text), None]  # None ends the text
+    if tokens[0] is None:
+        raise DomainError("parse-error", "empty polynomial text", text)
+    # each term is its coefficient under its (variable, exponent) pairs;
+    # the constructor merges repeated variables and drops zero terms
+    terms: dict = {}
+    pos = 1 if tokens[0] in ("+", "-") else 0
+    coef, pairs = -1 if tokens[0] == "-" else 1, []
+    while True:
+        base, exp = tokens[pos], 1
+        if not isinstance(base, (int, VarId)):
+            raise DomainError("parse-error", f"unexpected token {base!r} in polynomial", text)
+        if tokens[pos + 1] == "^":
+            exp = tokens[pos + 2]
             if not isinstance(exp, int):
                 raise DomainError("parse-error", "exponent must be a number", text)
-            take()
-            return base**exp
-        return base
-
-    def parse_term() -> SparsePoly:
-        result = parse_factor()
-        while peek() == "*":
-            take()
-            result = result * parse_factor()
-        return result
-
-    def parse_expr() -> SparsePoly:
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        result = sign * parse_term()
-        while peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-            result = result + sign * parse_term()
-        return result
-
-    if not tokens:
-        raise DomainError("parse-error", "empty polynomial text", text)
-    try:
-        result = parse_expr()
-    except RecursionError:
-        raise DomainError("parse-error", "polynomial nested too deeply", text) from None
-    if pos != len(tokens):
-        raise DomainError("parse-error", f"trailing tokens in polynomial {text!r}", text)
-    return result
+            pos += 2
+        if isinstance(base, int):
+            coef *= base**exp
+        else:
+            pairs.append((base, exp))
+        op = tokens[pos + 1]
+        pos += 2
+        if op == "*":
+            continue
+        key = tuple(pairs)
+        terms[key] = terms.get(key, 0) + coef
+        if op is None:
+            return SparsePoly(terms)
+        if op not in ("+", "-"):
+            raise DomainError("parse-error", f"trailing tokens in polynomial {text!r}", text)
+        coef, pairs = -1 if op == "-" else 1, []

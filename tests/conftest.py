@@ -3,10 +3,10 @@ from operator import add
 
 import pytest
 
-from rpphilb import RPP, YoungDiagram
+from rpphilb import RPP, DomainError, YoungDiagram
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank
-from rpphilb.poly import X, SparsePoly, poly_mul
+from rpphilb.poly import X, SparsePoly, VarId, parse_var_name, poly_mul
 from rpphilb.series import TruncatedSeries
 
 import frozen_tables as FT
@@ -235,6 +235,104 @@ def substitute_by_sums(p, assignments):
         for v, e in mono:
             term = term * (assignments[v] ** e if v in assignments else SparsePoly({((v, e),): 1}))
         result = result + term
+    return result
+
+
+def _tokenize_with_parentheses(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            pos += 1
+        elif "0" <= ch <= "9":  # str.isdigit() also takes '²' and '١'
+            start = pos
+            while pos < len(text) and "0" <= text[pos] <= "9":
+                pos += 1
+            tokens.append(int(text[start:pos]))
+        elif ch.isalpha():
+            start = pos
+            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            tokens.append(parse_var_name(text[start:pos]))
+        else:
+            raise DomainError("parse-error", f"unexpected character {ch!r} in polynomial", text)
+    return tokens
+
+
+def parse_poly_by_descent(text):
+    """A recursive-descent reader of ``+ - * ^`` text that also takes parentheses.
+
+    The oracle for ``poly.parse_poly``: one closure per grammar rule, one
+    polynomial built per factor and per term.  On text without
+    parentheses both readers must agree.
+    """
+    tokens = _tokenize_with_parentheses(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_atom():
+        tok = peek()
+        if tok == "(":
+            take()
+            inner = parse_expr()
+            if peek() != ")":
+                raise DomainError("parse-error", "missing ')' in polynomial", text)
+            take()
+            return inner
+        if isinstance(tok, int):
+            return SparsePoly.constant(take())
+        if isinstance(tok, VarId):
+            return SparsePoly.variable(take())
+        raise DomainError("parse-error", f"unexpected token {tok!r} in polynomial", text)
+
+    def parse_factor():
+        base = parse_atom()
+        if peek() == "^":
+            take()
+            exp = peek()
+            if not isinstance(exp, int):
+                raise DomainError("parse-error", "exponent must be a number", text)
+            take()
+            return base**exp
+        return base
+
+    def parse_term():
+        result = parse_factor()
+        while peek() == "*":
+            take()
+            result = result * parse_factor()
+        return result
+
+    def parse_expr():
+        sign = 1
+        if peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+        result = sign * parse_term()
+        while peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+            result = result + sign * parse_term()
+        return result
+
+    if not tokens:
+        raise DomainError("parse-error", "empty polynomial text", text)
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise DomainError("parse-error", "polynomial nested too deeply", text) from None
+    if pos != len(tokens):
+        raise DomainError("parse-error", f"trailing tokens in polynomial {text!r}", text)
     return result
 
 

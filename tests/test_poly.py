@@ -5,11 +5,12 @@ import random
 import pytest
 
 from rpphilb import RPP, DomainError
-from rpphilb.equations import type_i_ideal, type_ii_ideal
+from rpphilb.equations import tangent_embedding, type_i_ideal, type_ii_ideal
 from rpphilb.poly import (
     L,
     X,
     SparsePoly,
+    _coerce,
     _split_x,
     divmod_in_x,
     monic_divmod,
@@ -24,12 +25,14 @@ from rpphilb.verify import load_corpus
 
 from conftest import (
     degree_in_x,
+    parse_poly_by_descent,
     ring_by_terms,
     shift_subtract_divmod,
     substitute_by_sums,
     x_coefficients,
     x_power,
 )
+import frozen_tables as FT
 
 
 def test_ring_identities():
@@ -57,16 +60,28 @@ def test_constructor_refuses_negative_and_non_int_exponents(mono):
 
 
 def test_products_of_monics_build_no_constant(monkeypatch):
-    # each entry starts from its first product, so no 0 + poly coerces the int 0
-    calls = []
+    # each entry starts from its first product, so no 0 + poly coerces the int 0,
+    # and an int on either side of + or - is its constant term: 0 - poly builds none
+    calls, coerced = [], []
     constant = SparsePoly.constant.__func__
     monkeypatch.setattr(SparsePoly, "constant", classmethod(lambda cls, c: calls.append(c) or constant(cls, c)))
+
+    def coerce(value):
+        if not isinstance(value, SparsePoly):
+            coerced.append(value)
+        return _coerce(value)
+
+    monkeypatch.setattr("rpphilb.poly._coerce", coerce)
     a, b = SparsePoly.variable(var_a(0, 0, 1)), SparsePoly.variable(var_b(0, 0, 1))
     product = poly_mul((a, 1), (b, 1))
     quotient, remainder = monic_divmod(product, (b, 1))
-    assert calls == []
+    assert calls == [] and coerced == []
     assert product == (a * b, a + b, 1)
     assert quotient == (a, 1) and not any(remainder)
+    quotient, remainder = monic_divmod((0, 0, 1), (a, 1))
+    assert calls == [] and coerced == []
+    assert quotient == (-a, 1) and remainder == (a * a,)
+
 
 def test_zero_polynomial_is_falsy():
     a = SparsePoly.variable(var_a(1, 1, 1))
@@ -83,10 +98,70 @@ def test_parse_and_print_round_trip():
         "a_1_1_1^4 - a_1_1_1^3*a_2_1_1 + 2*a_1_1_1*a_1_1_2*a_2_1_1 - 7",
     ):
         assert str(parse_poly(text)) == text
+    # every generator the equation rows and the even grid print, tangent reductions too
+    fillings = {row["rpp"] for row in load_corpus()["rows"] if row["kind"] == "equations"}
+    generators = []
+    for text in sorted(fillings | {FT.EVEN_GRID_TEXT}):
+        n = RPP.from_text(text)
+        ideals = [type_i_ideal(n), type_ii_ideal(n), type_ii_ideal(n, minimal_border=True)]
+        for ideal in ideals + [tangent_embedding(ideal)[1] for ideal in ideals]:
+            generators += ideal.generators
+    assert len(generators) > 150
+    for g in generators:
+        assert parse_poly(str(g)) == g and str(parse_poly(str(g))) == str(g), g
+
+
+_ATOMS = ("x", "L", "a_1_0_1", "b_2_0_1", "c_0_1_2", "0", "1", "2", "13")
+_STRAYS = ("(", ")", "²", "#", "a_1", "^", "*", "+", "-", "x", "2")
+
+
+def _random_poly_text(rng):
+    """Text near the printed grammar: signed sums of products and powers, some
+    factors parenthesised, then up to two tokens inserted, dropped or replaced."""
+    tokens = [rng.choice("+-")] if rng.random() < 0.5 else []
+    for t in range(rng.randint(1, 4)):
+        tokens += [rng.choice("+-")] if t else []
+        for f in range(rng.randint(1, 3)):
+            tokens += ["*"] if f else []
+            atom = [rng.choice(_ATOMS)]
+            if rng.random() < 0.05:
+                atom = ["(", *atom, rng.choice("+-*"), rng.choice(_ATOMS), ")"]
+            tokens += atom + (["^", rng.choice("0123")] if rng.random() < 0.3 else [])
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        k = rng.randrange(len(tokens) + 1)
+        tokens[k : k + rng.randint(0, 1)] = [rng.choice(_STRAYS)] * rng.randint(0, 1)
+    return "".join(tok + rng.choice(("", " ", " ", " ")) for tok in tokens)
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except DomainError as err:
+        assert err.code == "parse-error", (text, err)
+        return None
+
+
+def test_parse_agrees_with_descent_reader():
+    rng = random.Random(28)
+    parsed = refused = old_parenthesised = 0
+    for _ in range(3000):
+        text = _random_poly_text(rng)
+        got, want = _read(parse_poly, text), _read(parse_poly_by_descent, text)
+        if "(" in text or ")" in text:
+            assert got is None, text
+            old_parenthesised += want is not None
+        else:
+            assert got == want and str(got) == str(want), text
+            parsed += got is not None
+            refused += got is None
+    assert parsed > 1000 and refused > 300 and old_parenthesised > 20
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000, "²", "x^²", "x + ١"):
+    garbage = ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000, "²", "x^²", "x + ١")
+    parenthesised = ("(x)", "2*(x + 1)", "x^(2)")  # no printed form has parentheses
+    not_text = (5, None, b"x", ["x"])
+    for text in garbage + parenthesised + not_text:
         with pytest.raises(DomainError) as err:
             parse_poly(text)
         assert err.value.code == "parse-error"
