@@ -14,7 +14,7 @@ parts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceeded, DomainError, ints
 
@@ -105,25 +105,7 @@ class YoungDiagram:
     def hook_length(self, box: Box) -> int:
         return sum(self.hook(box))
 
-    # -- subdiagrams and serialisation ---------------------------------------
-
-    def subdiagram_heights(self) -> Iterator[tuple[int, ...]]:
-        """All nonincreasing height vectors fitting inside this diagram.
-
-        Zero heights are allowed (complement semantics: the missing boxes form
-        an upper set).  The full vector and the zero vector are both included.
-        """
-
-        cols = self.cols
-
-        def rec(k: int, bound: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if k == len(cols):
-                yield prefix
-                return
-            for h in range(min(bound, cols[k]), -1, -1):
-                yield from rec(k + 1, h, prefix + (h,))
-
-        yield from rec(0, cols[0], ())
+    # -- serialisation -----------------------------------------------------
 
     def to_text(self) -> str:
         return ",".join(str(h) for h in self.cols)
@@ -182,8 +164,10 @@ def upper_set_parts(diagram: YoungDiagram, vector: tuple[int, ...]) -> list[tupl
 def enumerate_upper_sets(diagram: YoungDiagram) -> list[tuple[int, ...]]:
     """All upward-closed subsets of the diagram as row-major 0/1 vectors.
 
-    Upper sets are generated as complements of subdiagrams, so upward
-    closure holds by construction.  Output is sorted descending-lex.
+    An upper set is a 0/1 RPP, so the vectors grow one box per level in
+    row-major order by ``enumerate_rpps``'s rule: a box takes 1 always and
+    0 only when its left and up neighbours are both 0.  Each level extends
+    its prefixes 1 before 0, so the output is descending-lex.
     """
     if diagram.size > MAX_DIAGRAM_BOXES:
         raise CapExceeded(
@@ -191,5 +175,8 @@ def enumerate_upper_sets(diagram: YoungDiagram) -> list[tuple[int, ...]]:
             f"diagram has {diagram.size} boxes, cap is {MAX_DIAGRAM_BOXES}",
             list(diagram.cols),
         )
-    vectors = (tuple(int(j >= h[i]) for i, j in diagram.boxes) for h in diagram.subdiagram_heights())
-    return sorted(vectors, reverse=True)
+    vectors = [(1,), (0,)]
+    for l, u in zip(diagram.left[1:], diagram.up[1:]):
+        l, u = (l if l >= 0 else u), (u if u >= 0 else l)  # a missing neighbour reads the other
+        vectors = [v + (x,) for v in vectors for x in ((1,) if v[l] or v[u] else (1, 0))]
+    return vectors

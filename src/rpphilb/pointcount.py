@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, ints
 from .poly import monic_divmod, poly_mul
 from .rpp import RPP
 
@@ -38,6 +38,7 @@ def is_prime(p: int) -> bool:
     pseudoprime 318665857834031151167461 (Sorenson and Webster, "Strong
     pseudoprimes to twelve prime bases", 2017).
     """
+    ints([p], "prime modulus")
     if p < 2:
         return False
     if p >= MAX_PRIME_TEST:
@@ -91,13 +92,13 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        ints([p], "prime modulus")
         # the cap comes first, so every modulus above it is refused as too large, prime or not
-        is_int = isinstance(p, int) and not isinstance(p, bool)
-        if is_int and p > DEFAULT_MAX_P:
+        if p > DEFAULT_MAX_P:
             raise CapExceeded(
                 "cap-exceeded", f"modulus {p} exceeds the field-size cap {DEFAULT_MAX_P}", p
             )
-        if not is_int or not is_prime(p):
+        if not is_prime(p):
             raise DomainError("nonprime-modulus", f"modulus {p!r} is not prime", p)
         self.p = p
 
@@ -151,7 +152,9 @@ def count_points(n: RPP, p: int) -> int:
                 total += dfs(k + 1)
         return total
 
-    return dfs(0)
+    total = dfs(0)
+    del dfs  # it holds itself through its closure cell; drop that cycle now, not at a GC pass
+    return total
 
 
 def component_point(diagram, T, factors) -> list:

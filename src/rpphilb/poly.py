@@ -363,7 +363,10 @@ def _tokenize(text: str) -> list:
             start = pos
             while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
-            tokens.append(int(text[start:pos]))
+            try:
+                tokens.append(int(text[start:pos]))
+            except ValueError:  # more digits than Python's int-string conversion limit
+                raise DomainError("parse-error", "number too long in polynomial", text) from None
         elif ch.isalpha():
             start = pos
             while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
@@ -378,8 +381,9 @@ def parse_poly(text: str) -> SparsePoly:
     """Read back the text that ``format_terms`` prints.
 
     The grammar is ``[sign] term {sign term}``, a term is ``factor {* factor}``
-    and a factor is a number or a variable, each with an optional ``^ number``.
-    Parentheses are refused: no printed form contains one.
+    and a factor is a number, or a variable with an optional ``^ number``.
+    Parentheses and a power of a number are refused: no printed form
+    contains one.
     """
     if not isinstance(text, str):
         raise DomainError("parse-error", "polynomial text must be a string", text)
@@ -396,12 +400,14 @@ def parse_poly(text: str) -> SparsePoly:
         if not isinstance(base, (int, VarId)):
             raise DomainError("parse-error", f"unexpected token {base!r} in polynomial", text)
         if tokens[pos + 1] == "^":
+            if isinstance(base, int):  # raising it would be unbounded work on short text
+                raise DomainError("parse-error", "a number takes no exponent", text)
             exp = tokens[pos + 2]
             if not isinstance(exp, int):
                 raise DomainError("parse-error", "exponent must be a number", text)
             pos += 2
         if isinstance(base, int):
-            coef *= base**exp
+            coef *= base
         else:
             pairs.append((base, exp))
         op = tokens[pos + 1]

@@ -48,6 +48,28 @@ def connected_parts(diagram, vector):
     return sorted(parts, reverse=True)
 
 
+def upper_sets_by_heights(diagram):
+    """Row-major 0/1 vectors of the upper sets, descending-lex, as complements of subdiagrams.
+
+    The oracle for ``diagram.enumerate_upper_sets``: a recursion yields
+    every nonincreasing height vector h inside the diagram, zeros allowed,
+    the boxes (i, j) with j >= h[i] form the upper set it leaves, and one
+    sort orders the vectors.
+    """
+    cols = diagram.cols
+
+    def heights(k, bound):
+        if k == len(cols):
+            yield ()
+            return
+        for h in range(min(bound, cols[k]), -1, -1):
+            for rest in heights(k + 1, h):
+                yield (h,) + rest
+
+    vectors = (tuple(int(j >= h[i]) for i, j in diagram.boxes) for h in heights(0, cols[0]))
+    return sorted(vectors, reverse=True)
+
+
 def value(filling, box):
     """Label of a filling at a box by its coordinates, 0 off the diagram (the zero extension).
 

@@ -8,7 +8,7 @@ import rpphilb.diagram
 from rpphilb import RPP, CapExceeded, DomainError, complete_factorization, indicators
 from rpphilb.diagram import Box, YoungDiagram, enumerate_upper_sets, upper_set_parts
 
-from conftest import connected_parts, diagrams_up_to
+from conftest import connected_parts, diagrams_up_to, upper_sets_by_heights
 
 
 def test_box_order_is_row_major(grid_diagram):
@@ -149,15 +149,15 @@ def test_principal_upper_set(grid_diagram):
     assert up.values == (0, 0, 0, 0, 1, 1, 0, 1, 1)
 
 
-def test_subdiagram_heights_complement_upper_sets():
-    hook = YoungDiagram((2, 1))
-    assert list(hook.subdiagram_heights()) == [
-        (2, 1),
-        (2, 0),
-        (1, 1),
-        (1, 0),
-        (0, 0),
-    ]
+def test_upper_sets_match_heights_oracle():
+    shapes = diagrams_up_to(14) + [YoungDiagram(c) for c in ((30,), (1,) * 30, (6,) * 5, (10, 10, 10))]
+    for d in shapes:
+        assert enumerate_upper_sets(d) == upper_sets_by_heights(d), d
+    assert enumerate_upper_sets(YoungDiagram((2, 1))) == [(1, 1, 1), (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    for cols in ((31,), (1,) * 31, (16, 15)):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_upper_sets(YoungDiagram(cols))
+        assert err.value.code == "diagram-too-large"
 
 
 def test_enumeration_cap(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
 from rpphilb.errors import ints
+from rpphilb.pointcount import is_prime
 from rpphilb.poly import X, SparsePoly
 from rpphilb.rpp import Factorization, Indicator, enumerate_rpps
 from rpphilb.series import TruncatedSeries, euler_series, factor_power, hook_product
@@ -37,6 +38,7 @@ GATES = {
     "euler chi": lambda x: euler_series(D, x, 3),
     "euler max_size": lambda x: euler_series(D, 1, x),
     "single-variable euler chi": lambda x: euler_series(D, x, 3, single_variable=True),
+    "prime modulus": is_prime,
 }
 
 

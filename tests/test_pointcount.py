@@ -60,6 +60,12 @@ def test_prime_field_guards(monkeypatch):
     # the cap is checked before primality, so a nonprime above it is over the cap
     with pytest.raises(CapExceeded):
         PrimeField(12)
+    # a modulus that is not an int is a parse-error, as every other integer input is
+    for p in (True, 2.0, 3.5, "3", None):
+        for call in (is_prime, PrimeField, lambda p: count_points(RPP.from_text("1"), p)):
+            with pytest.raises(DomainError) as err:
+                call(p)
+            assert err.value.code == "parse-error", (call, p)
     monkeypatch.setattr(rpphilb.pointcount, "DEFAULT_MAX_P", 11)
     assert PrimeField(11).p == 11
 

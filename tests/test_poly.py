@@ -12,6 +12,7 @@ from rpphilb.poly import (
     SparsePoly,
     _coerce,
     _split_x,
+    _tokenize,
     divmod_in_x,
     monic_divmod,
     parse_poly,
@@ -141,27 +142,40 @@ def _read(parse, text):
         return None
 
 
+def _powers_a_number(text):
+    """Whether a number token is followed directly by ``^`` (text the tokenizer refuses has none)."""
+    try:
+        tokens = _tokenize(text)
+    except DomainError:
+        return False
+    return any(isinstance(tok, int) and nxt == "^" for tok, nxt in zip(tokens, tokens[1:]))
+
+
 def test_parse_agrees_with_descent_reader():
     rng = random.Random(28)
-    parsed = refused = old_parenthesised = 0
-    for _ in range(3000):
+    parsed = refused = old_parenthesised = old_powered = 0
+    for _ in range(5000):
         text = _random_poly_text(rng)
         got, want = _read(parse_poly, text), _read(parse_poly_by_descent, text)
         if "(" in text or ")" in text:
             assert got is None, text
             old_parenthesised += want is not None
+        elif _powers_a_number(text):
+            assert got is None, text
+            old_powered += want is not None
         else:
             assert got == want and str(got) == str(want), text
             parsed += got is not None
             refused += got is None
-    assert parsed > 1000 and refused > 300 and old_parenthesised > 20
+    assert parsed > 1000 and refused > 300 and old_parenthesised > 20 and old_powered > 20
 
 
 def test_parse_rejects_garbage():
-    garbage = ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000, "²", "x^²", "x + ١")
+    garbage = ("", "x +", "1 ** 2", "a_1", "(" * 3000 + "x" + ")" * 3000, "²", "x^²", "x + ١", "1" * 5000)
+    powered = ("3^3000000", "2^3*x")  # format_terms prints every coefficient bare
     parenthesised = ("(x)", "2*(x + 1)", "x^(2)")  # no printed form has parentheses
     not_text = (5, None, b"x", ["x"])
-    for text in garbage + parenthesised + not_text:
+    for text in garbage + powered + parenthesised + not_text:
         with pytest.raises(DomainError) as err:
             parse_poly(text)
         assert err.value.code == "parse-error"

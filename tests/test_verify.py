@@ -1,12 +1,14 @@
 """Self-check corpus: loading, row evaluation, negative controls."""
 
+import gc
 import random
 import time
 
 import pytest
 
-from rpphilb import DomainError, verify
-from rpphilb.diagram import YoungDiagram
+from rpphilb import RPP, DomainError, verify
+from rpphilb.diagram import YoungDiagram, enumerate_upper_sets
+from rpphilb.pointcount import count_points
 from rpphilb.poly import SparsePoly
 from rpphilb.rpp import (
     MAX_FACTORIZATION_INDICATORS,
@@ -34,6 +36,29 @@ def test_bundled_corpus_passes_completely():
     assert len(results) == len(corpus["rows"]) == 22
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert failures == []
+
+
+def test_library_calls_leave_no_reference_cycles():
+    # each recursive closure is deleted before its function returns, so no
+    # call leaves a reference cycle for the collector to find
+    corpus = load_corpus()
+    calls = (
+        lambda: count_points(RPP.from_text("1 2 / 2 3"), 2),
+        lambda: enumerate_upper_sets(YoungDiagram((4, 3, 2, 1))),
+        lambda: run_corpus(corpus),
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        leftovers = []
+        for call in calls:
+            call()
+            leftovers.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert leftovers == [0, 0, 0]
 
 
 def test_huge_first_generator_text_fails_without_expanding_it():
