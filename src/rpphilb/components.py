@@ -52,12 +52,14 @@ def _support_matrix(T: Factorization) -> list[tuple[int, ...]]:
     return list(zip(*(ind.values for ind in T.support)))
 
 
-def _check_relation(T: Factorization, coeffs: dict) -> None:
-    size = T.support[0].diagram.size
-    for row in range(size):
+def _relation(T: Factorization, vector) -> tuple[bool, dict]:
+    """A failed test's answer: the kernel vector as {indicator: coefficient}, zeros left out."""
+    coeffs = {ind: c for ind, c in zip(T.support, vector) if c}
+    for row in range(T.support[0].diagram.size):
         assert sum(c * ind.values[row] for ind, c in coeffs.items()) == 0, (
             "relation witness does not reconstruct to zero"
         )
+    return False, coeffs
 
 
 def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
@@ -69,11 +71,7 @@ def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
     if not T.support:
         return True, None
     basis = kernel_basis(_support_matrix(T))
-    if not basis:
-        return True, None
-    coeffs = {ind: c for ind, c in zip(T.support, basis[0]) if c}
-    _check_relation(T, coeffs)
-    return False, coeffs
+    return _relation(T, basis[0]) if basis else (True, None)
 
 
 def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
@@ -114,19 +112,12 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
         ints = solve_from_rref(reduced, pivots, dict(zip(free, values)), len(support))
         if ints is None or any(abs(m) > bound for m, bound in zip(ints, mults)):
             continue
-        for v in ints:
-            if v != 0:
-                if v < 0:
-                    ints = [-w for w in ints]
-                break
+        if next(v for v in ints if v) < 0:  # nonzero: its free entries are the nonzero values
+            ints = [-v for v in ints]
         score = (sum(abs(m) for m in ints), tuple(ints))
         if best is None or score < best:
             best = score
-    if best is None:
-        return True, None
-    coeffs = {ind: c for ind, c in zip(support, best[1]) if c}
-    _check_relation(T, coeffs)
-    return False, coeffs
+    return (True, None) if best is None else _relation(T, best[1])
 
 
 @dataclass(frozen=True)
@@ -139,24 +130,16 @@ class ComponentReport:
     relation_witness: tuple | None  # full integer vector over indicators(λ)
 
     def to_json_obj(self) -> dict:
+        texts = [(ind.to_text(), m) for ind, m in self.factorization.terms.items()]
         return {
-            "factorization": {ind.to_text(): m for ind, m in self.factorization.terms.items()},
+            "factorization": dict(texts),
             "dimension": self.dimension,
             "smooth": self.smooth,
             "bijective_on_points": self.bijective_on_points,
             "differential_injective": self.differential_injective,
             "relation_witness": list(self.relation_witness) if self.relation_witness else None,
-            "normalization": [
-                {"indicator": ind.to_text(), "multiplicity": m}
-                for ind, m in self.factorization.terms.items()
-            ],
+            "normalization": [{"indicator": text, "multiplicity": m} for text, m in texts],
         }
-
-
-def _lift_witness(diagram: YoungDiagram, coeffs: dict | None) -> tuple | None:
-    if coeffs is None:
-        return None
-    return tuple(coeffs.get(ind, 0) for ind in indicators(diagram))
 
 
 def witness_texts(diagram: YoungDiagram, witness: tuple | None) -> dict | None:
@@ -167,26 +150,19 @@ def witness_texts(diagram: YoungDiagram, witness: tuple | None) -> dict | None:
 
 
 def classify(n: RPP) -> list[ComponentReport]:
-    """One report per factorisation, in enumeration order."""
+    """One report per factorisation, in enumeration order.
+
+    Witnesses are lifted over indicators(λ), fetched after the search so that
+    the search's own refusals come first.
+    """
     dim = n.weight()
+    facts = all_factorizations(n)
+    inds = indicators(n.diagram)
     reports = []
-    for T in all_factorizations(n):
+    for T in facts:
         inj, diff_witness = differential_injective(T)
         bij, box_witness = bijective_on_points(T)
-        if not bij:
-            witness = box_witness
-        elif not inj:
-            witness = diff_witness
-        else:
-            witness = None
-        reports.append(
-            ComponentReport(
-                factorization=T,
-                dimension=dim,
-                smooth=inj,
-                bijective_on_points=bij,
-                differential_injective=inj,
-                relation_witness=_lift_witness(n.diagram, witness),
-            )
-        )
+        witness = diff_witness if bij else box_witness
+        lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
+        reports.append(ComponentReport(T, dim, inj, bij, inj, lifted))
     return reports

@@ -30,7 +30,7 @@ class Box(NamedTuple):
 class YoungDiagram:
     """Partition as nonincreasing positive column heights."""
 
-    __slots__ = ("cols", "boxes", "_index", "left", "up", "up_left")
+    __slots__ = ("cols", "boxes", "left", "up", "up_left")
 
     def __init__(self, col_heights: Iterable[int]):
         cols = ints(col_heights, "column heights")
@@ -47,7 +47,7 @@ class YoungDiagram:
         self.boxes = tuple(
             Box(i, j) for j in range(cols[0]) for i in range(len(cols)) if j < cols[i]
         )
-        self._index = index = {b: pos for pos, b in enumerate(self.boxes)}
+        index = {b: pos for pos, b in enumerate(self.boxes)}
         # Neighbour table: the row-major position of each box's left, upper
         # and upper-left neighbour, or -1 when it is off the diagram.  A value
         # tuple with a 0 appended reads the zero extension through -1, so
@@ -70,8 +70,8 @@ class YoungDiagram:
     def box_index(self, box: Box) -> int:
         """Position of a box in the canonical row-major order."""
         try:
-            return self._index[Box(*box)]
-        except KeyError:
+            return self.boxes.index(Box(*box))
+        except ValueError:
             raise DomainError("box-not-in-diagram", f"box {tuple(box)} outside diagram", list(self.cols)) from None
 
     def __eq__(self, other) -> bool:

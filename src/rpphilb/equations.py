@@ -16,7 +16,7 @@ generator are eliminated by substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import rank
@@ -24,18 +24,13 @@ from .poly import SparsePoly, VarId, monic_divmod, poly_mul, var_a, var_b, var_c
 from .rpp import RPP
 
 
-@dataclass
-class AmbientSummary:
+class AmbientSummary(NamedTuple):
     dim_ambient: int
     rank_bundle: int
     expected_dim: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "dim_ambient": self.dim_ambient,
-            "rank_bundle": self.rank_bundle,
-            "expected_dim": self.expected_dim,
-        }
+        return self._asdict()
 
 
 def ambient_and_bundle(n: RPP) -> AmbientSummary:
@@ -61,18 +56,20 @@ def ambient_and_bundle(n: RPP) -> AmbientSummary:
     return summary
 
 
-@dataclass
 class IdealPresentation:
-    ambient_vars: tuple
-    generators: tuple
-    groups: tuple = ()
-    condition_count: int | None = None
+    __slots__ = ("ambient_vars", "generators", "groups", "condition_count")
 
-    def __post_init__(self):
-        used = {v for g in self.generators for mono in g.terms for v, _ in mono}
-        stray = sorted(used.difference(self.ambient_vars), key=VarId.sort_key)
+    def __init__(
+        self, ambient_vars: tuple, generators: tuple, groups: tuple = (), condition_count: int | None = None
+    ):
+        used = {v for g in generators for mono in g.terms for v, _ in mono}
+        stray = sorted(used.difference(ambient_vars), key=VarId.sort_key)
         assert not stray, f"generators use variables outside the ambient ring: {stray}"
-        assert all(v.k >= 1 for v in self.ambient_vars), "every ambient variable has k ≥ 1"
+        assert all(v.k >= 1 for v in ambient_vars), "every ambient variable has k ≥ 1"
+        self.ambient_vars = ambient_vars
+        self.generators = generators
+        self.groups = groups
+        self.condition_count = condition_count
 
     @property
     def n_vars(self) -> int:

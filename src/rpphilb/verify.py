@@ -13,8 +13,8 @@ finite-field point counts, and a seeded random-instance property sweep.
 from __future__ import annotations
 
 import json
+import os
 import random
-from importlib import resources
 
 from .components import classify, differential_injective, dimension_recursive, witness_texts
 from .diagram import YoungDiagram
@@ -405,17 +405,12 @@ def run_random_properties(seed: int, n_cases: int) -> tuple:
 
 def load_corpus(path: str | None = None) -> dict:
     if path is None:
-        ref = resources.files("rpphilb").joinpath("data/verify_corpus.json")
-        try:
-            text = ref.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise DomainError("parse-error", "bundled verify corpus is missing", None)
-    else:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DomainError("parse-error", f"cannot read corpus: {exc}", str(path))
+        path = os.path.join(os.path.dirname(__file__), "data", "verify_corpus.json")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise DomainError("parse-error", f"cannot read corpus: {exc}", str(path))
     try:
         corpus = json.loads(text)
     except json.JSONDecodeError as exc:

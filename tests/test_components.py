@@ -131,6 +131,17 @@ def test_witness_search_cap(square_rpp):
     assert err.value.code == "search-too-large"
 
 
+@pytest.mark.parametrize("corner, code", [(13, "search-too-large"), (12, "diagram-too-large")])
+def test_classify_refuses_in_the_searchs_order(corner, code):
+    # 31 boxes are past the indicator cap, but a weight past the search cap is
+    # refused first: classify reads the indicators only after the search
+    filling = RPP(YoungDiagram((31,)), [0] * 30 + [corner])
+    assert filling.weight() == corner
+    with pytest.raises(CapExceeded) as err:
+        classify(filling)
+    assert err.value.code == code
+
+
 def test_small_weight_is_always_smooth():
     # weight <= 3 leaves no room for a balanced indicator relation
     for text in ("0 1 / 1 3", "1 2 / 2", "0 0 2 / 1"):

@@ -99,6 +99,25 @@ def test_classify_skips_equations_pointcount_and_verify():
     assert loaded & {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify"} == set()
 
 
+def test_equations_skips_the_classifier_verify_and_dataclasses():
+    loaded = _cli_loads("equations", "--type", "I", "0 1 / 1 2")
+    assert "rpphilb.equations" in loaded
+    assert loaded & {"rpphilb.components", "rpphilb.verify", "dataclasses"} == set()
+
+
+def test_the_benchmarks_own_tests_pass():
+    # bench/tests pins how the library is called (call counts, dataclasses.replace
+    # on reports); it imports its helpers from its own conftest, so it runs apart
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/tests"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
 def _load_tracing(monkeypatch):
     # by file path, since bench/ is not a package; registered for the test
     # only, as dataclasses look their module up in sys.modules
