@@ -43,10 +43,11 @@ def _arg(cls, raw: str):
 
 
 def _emit(args, json_obj, text_lines) -> None:
+    """Print the form ``--format`` asks for; each argument builds its form, so only that one is built."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        print(json.dumps(json_obj(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -60,14 +61,20 @@ def _cmd_indicators(args) -> int:
 
     diagram = _arg(YoungDiagram, args.diagram)
     inds = indicators(diagram)
-    obj = {
-        "cols": list(diagram.cols),
-        "count": len(inds),
-        "indicators": [{"rows": ind.rows(), "text": ind.to_text()} for ind in inds],
-    }
-    lines = [f"{len(inds)} indicators on {diagram.to_text()}"]
-    lines += [f"{k + 1}: {ind.to_text()}" for k, ind in enumerate(inds)]
-    _emit(args, obj, lines)
+
+    def as_json():
+        return {
+            "cols": list(diagram.cols),
+            "count": len(inds),
+            "indicators": [{"rows": ind.rows(), "text": ind.to_text()} for ind in inds],
+        }
+
+    def as_text():
+        yield f"{len(inds)} indicators on {diagram.to_text()}"
+        for k, ind in enumerate(inds):
+            yield f"{k + 1}: {ind.to_text()}"
+
+    _emit(args, as_json, as_text)
     return 0
 
 
@@ -76,59 +83,71 @@ def _cmd_weight(args) -> int:
 
     n = _arg(RPP, args.rpp)
     weight = n.weight()
-    _emit(args, {**n.to_json_obj(), "weight": weight}, [str(weight)])
+    _emit(args, lambda: {**n.to_json_obj(), "weight": weight}, lambda: [str(weight)])
     return 0
 
 
 def _cmd_factorizations(args) -> int:
-    from .rpp import RPP, all_factorizations, complete_factorization, standard_factorization
+    from .rpp import (
+        RPP, all_factorizations, complete_factorization, indicator_texts, standard_factorization
+    )
 
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
+    weight = facts[0].length  # the search asserts that every length is the weight
     standard_index = None
     if not n.is_zero():
         standard_index = facts.index(standard_factorization(n))
     complete = complete_factorization(n)
     complete_index = facts.index(complete) if complete is not None else None
-    obj = {
-        "weight": n.weight(),
-        "count": len(facts),
-        "standard_index": standard_index,
-        "complete_index": complete_index,
-        "factorizations": [
-            [{"indicator": ind.to_text(), "multiplicity": m} for ind, m in f.terms.items()]
-            for f in facts
-        ],
-    }
-    lines = [f"{len(facts)} factorizations of weight {n.weight()}"]
-    for k, f in enumerate(facts):
-        marks = "".join(
-            [" (standard)" if k == standard_index else "", " (complete)" if k == complete_index else ""]
-        )
-        lines.append(f"{k + 1}: {f}{marks}")
-    _emit(args, obj, lines)
+    texts = indicator_texts(n.diagram)
+
+    def as_json():
+        return {
+            "weight": weight,
+            "count": len(facts),
+            "standard_index": standard_index,
+            "complete_index": complete_index,
+            "factorizations": [
+                [{"indicator": texts[ind], "multiplicity": m} for ind, m in f.terms.items()]
+                for f in facts
+            ],
+        }
+
+    def as_text():
+        yield f"{len(facts)} factorizations of weight {weight}"
+        for k, f in enumerate(facts):
+            marks = "".join(
+                [" (standard)" if k == standard_index else "", " (complete)" if k == complete_index else ""]
+            )
+            yield f"{k + 1}: {f.to_text(texts)}{marks}"
+
+    _emit(args, as_json, as_text)
     return 0
 
 
 def _cmd_classify(args) -> int:
     from .components import classify, witness_texts
-    from .rpp import RPP
+    from .rpp import RPP, indicator_texts
 
     n = _arg(RPP, args.rpp)
     reports = classify(n)
-    n_singular = sum(not r.smooth for r in reports)
-    lines = [f"{len(reports)} components, {n_singular} singular"]
-    for k, report in enumerate(reports):
-        flags = "smooth" if report.smooth else "singular"
-        if not report.smooth:
-            flags += ", bijective on points" if report.bijective_on_points else ", not bijective"
-        line = f"T{k + 1}: dim {report.dimension}, {flags} — {report.factorization}"
-        if report.relation_witness:
-            witness = witness_texts(n.diagram, report.relation_witness)
-            terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{t}]" for t, c in witness.items())
-            line += f" ; witness {terms}"
-        lines.append(line)
-    _emit(args, [r.to_json_obj() for r in reports], lines)
+    texts = indicator_texts(n.diagram)
+
+    def as_text():
+        yield f"{len(reports)} components, {sum(not r.smooth for r in reports)} singular"
+        for k, report in enumerate(reports):
+            flags = "smooth" if report.smooth else "singular"
+            if not report.smooth:
+                flags += ", bijective on points" if report.bijective_on_points else ", not bijective"
+            line = f"T{k + 1}: dim {report.dimension}, {flags} — {report.factorization.to_text(texts)}"
+            if report.relation_witness:
+                witness = witness_texts(texts, report.relation_witness)
+                terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{t}]" for t, c in witness.items())
+                line += f" ; witness {terms}"
+            yield line
+
+    _emit(args, lambda: [r.to_json_obj(texts) for r in reports], as_text)
     return 0
 
 
@@ -145,18 +164,20 @@ def _cmd_equations(args) -> int:
         ideal = type_i_ideal(n)
     else:
         ideal = type_ii_ideal(n, minimal_border=args.minimal_border)
+    printed = ideal
     if args.tangent:
-        dim, reduced = tangent_embedding(ideal)
-        obj = {
+        dim, printed = tangent_embedding(ideal)
+
+    def as_json():
+        if not args.tangent:
+            return ideal.to_json_obj()
+        return {
             "presentation": ideal.to_json_obj(),
             "tangent_dim": dim,
-            "reduced": reduced.to_json_obj(),
+            "reduced": printed.to_json_obj(),
         }
-        printed = reduced
-    else:
-        obj = ideal.to_json_obj()
-        printed = ideal
-    _emit(args, obj, [str(g) for g in printed.generators] or ["(no generators)"])
+
+    _emit(args, as_json, lambda: [str(g) for g in printed.generators] or ["(no generators)"])
     return 0
 
 
@@ -179,11 +200,13 @@ def _cmd_series(args) -> int:
         series = euler_series(
             diagram, args.euler, args.max_size, single_variable=args.single_variable
         )
-    lines = []
-    for exp, c in series.sorted_items():
-        key = exp[0] if series.single_variable else list(exp)
-        lines.append(f"{key}: {format_coefficient(c)}")
-    _emit(args, series.to_json_obj(), lines)
+
+    def as_text():
+        for exp, c in series.sorted_items():
+            key = exp[0] if series.single_variable else list(exp)
+            yield f"{key}: {format_coefficient(c)}"
+
+    _emit(args, series.to_json_obj, as_text)
     return 0
 
 
@@ -196,15 +219,17 @@ def _cmd_count_points(args) -> int:
     count = count_points(n, args.p)
     coefficient = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
     motive = evaluate_motive(coefficient, args.p)
-    obj = {
-        "n": n.to_json_obj(),
-        "p": args.p,
-        "count": count,
-        "motive_at_p": motive,
-        "match": count == motive,
-    }
-    lines = [f"count {count}", f"motive_at_p {motive}", f"match {str(count == motive).lower()}"]
-    _emit(args, obj, lines)
+    _emit(
+        args,
+        lambda: {
+            "n": n.to_json_obj(),
+            "p": args.p,
+            "count": count,
+            "motive_at_p": motive,
+            "match": count == motive,
+        },
+        lambda: [f"count {count}", f"motive_at_p {motive}", f"match {str(count == motive).lower()}"],
+    )
     return 0
 
 
@@ -214,17 +239,20 @@ def _cmd_verify(args) -> int:
     corpus = load_corpus(args.corpus)
     results = run_corpus(corpus)
     n_pass = sum(ok for _, ok, _ in results)
-    obj = {
-        "rows": [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in results],
-        "passed": n_pass,
-        "failed": len(results) - n_pass,
-    }
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name}" + ("" if ok else f" - {detail}")
-        for name, ok, detail in results
-    ]
-    lines.append(f"{n_pass}/{len(results)} rows passed")
-    _emit(args, obj, lines)
+
+    def as_json():
+        return {
+            "rows": [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in results],
+            "passed": n_pass,
+            "failed": len(results) - n_pass,
+        }
+
+    def as_text():
+        for name, ok, detail in results:
+            yield f"{'PASS' if ok else 'FAIL'} {name}" + ("" if ok else f" - {detail}")
+        yield f"{n_pass}/{len(results)} rows passed"
+
+    _emit(args, as_json, as_text)
     return 0 if n_pass == len(results) else 2
 
 

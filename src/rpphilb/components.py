@@ -55,10 +55,12 @@ def _support_matrix(T: Factorization) -> list[tuple[int, ...]]:
 def _relation(T: Factorization, vector) -> tuple[bool, dict]:
     """A failed test's answer: the kernel vector as {indicator: coefficient}, zeros left out."""
     coeffs = {ind: c for ind, c in zip(T.support, vector) if c}
-    for row in range(T.support[0].diagram.size):
-        assert sum(c * ind.values[row] for ind, c in coeffs.items()) == 0, (
-            "relation witness does not reconstruct to zero"
-        )
+    total = [0] * T.support[0].diagram.size
+    for ind, c in coeffs.items():
+        for row, x in enumerate(ind.values):
+            if x:
+                total[row] += c
+    assert not any(total), "relation witness does not reconstruct to zero"
     return False, coeffs
 
 
@@ -88,7 +90,7 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
     support = T.support
     if not support:
         return True, None
-    mults = [T.multiplicity(ind) for ind in support]
+    mults = list(T.terms.values())
     reduced, pivots = rref(_support_matrix(T))
     pivot_set = set(pivots)
     free = [c for c in range(len(support)) if c not in pivot_set]
@@ -129,24 +131,29 @@ class ComponentReport:
     differential_injective: bool
     relation_witness: tuple | None  # full integer vector over indicators(λ)
 
-    def to_json_obj(self) -> dict:
-        texts = [(ind.to_text(), m) for ind, m in self.factorization.terms.items()]
+    def to_json_obj(self, texts: dict | None = None) -> dict:
+        """The report's JSON form; ``texts`` is as for ``Factorization.to_text``."""
+        terms = self.factorization.terms.items()
+        pairs = [(ind.to_text() if texts is None else texts[ind], m) for ind, m in terms]
         return {
-            "factorization": dict(texts),
+            "factorization": dict(pairs),
             "dimension": self.dimension,
             "smooth": self.smooth,
             "bijective_on_points": self.bijective_on_points,
             "differential_injective": self.differential_injective,
             "relation_witness": list(self.relation_witness) if self.relation_witness else None,
-            "normalization": [{"indicator": text, "multiplicity": m} for text, m in texts],
+            "normalization": [{"indicator": text, "multiplicity": m} for text, m in pairs],
         }
 
 
-def witness_texts(diagram: YoungDiagram, witness: tuple | None) -> dict | None:
-    """A lifted relation witness as {indicator text: coefficient}, zeros left out."""
+def witness_texts(texts: dict, witness: tuple | None) -> dict | None:
+    """A lifted relation witness as {indicator text: coefficient}, zeros left out.
+
+    ``texts`` is ``indicator_texts(λ)``, whose order the witness follows.
+    """
     if witness is None:
         return None
-    return {ind.to_text(): c for ind, c in zip(indicators(diagram), witness) if c}
+    return {text: c for text, c in zip(texts.values(), witness) if c}
 
 
 def classify(n: RPP) -> list[ComponentReport]:
@@ -155,8 +162,8 @@ def classify(n: RPP) -> list[ComponentReport]:
     Witnesses are lifted over indicators(λ), fetched after the search so that
     the search's own refusals come first.
     """
-    dim = n.weight()
     facts = all_factorizations(n)
+    dim = facts[0].length  # the search asserts that every length is the weight
     inds = indicators(n.diagram)
     reports = []
     for T in facts:

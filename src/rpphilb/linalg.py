@@ -127,6 +127,8 @@ def kernel_basis(matrix) -> list[list[int]]:
     n_cols = len(m[0])
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]
+    if not free:
+        return []
     # pivot p solves to -m[r][f] / m[r][p], so scaling by the lcm of the pivots clears denominators
     scale = lcm(*(m[r][p] for r, p in enumerate(pivots)))
     basis = []

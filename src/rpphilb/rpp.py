@@ -195,6 +195,11 @@ def indicators(diagram: YoungDiagram) -> list[Indicator]:
     return list(_shape_table(diagram.cols)[0])
 
 
+def indicator_texts(diagram: YoungDiagram) -> dict:
+    """{indicator: its text} over ``indicators(diagram)``, in that order."""
+    return {ind: ind.to_text() for ind in _shape_table(diagram.cols)[0]}
+
+
 @lru_cache(maxsize=256)
 def _shape_table(cols: tuple[int, ...]) -> tuple:
     """The indicators of a shape and the search tables of ``all_factorizations``.
@@ -241,6 +246,17 @@ class Factorization:
         # canonical support order: descending lex on the indicator vectors
         self.terms = dict(sorted(cleaned.items(), key=lambda kv: kv[0].values, reverse=True))
 
+    @classmethod
+    def _of(cls, terms: dict) -> "Factorization":
+        """A factorisation from terms this module built, stored as given and checked for nothing.
+
+        The indicators must share one diagram and come in canonical order,
+        each with a positive int multiplicity.
+        """
+        fact = object.__new__(cls)
+        fact.terms = terms
+        return fact
+
     @property
     def support(self) -> tuple:
         return tuple(self.terms.keys())
@@ -254,15 +270,14 @@ class Factorization:
 
     def total(self) -> RPP:
         """The RPP this factorisation decomposes: sum of multiplicity * indicator."""
-        inds = list(self.terms.items())
-        if not inds:
+        if not self.terms:
             raise DomainError("empty-factorization", "cannot total an empty factorisation", None)
-        diagram = inds[0][0].diagram
-        vals = [0] * diagram.size
-        for ind, mult in inds:
-            for pos, v in enumerate(ind.values):
-                vals[pos] += mult * v
-        return RPP(diagram, vals)
+        return RPP(next(iter(self.terms)).diagram, self._total_values())
+
+    def _total_values(self) -> tuple[int, ...]:
+        """The values of ``total()``: per box, the sum of multiplicity times indicator label."""
+        scaled = (ind.values if m == 1 else [m * v for v in ind.values] for ind, m in self.terms.items())
+        return tuple(map(sum, zip(*scaled)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factorization):
@@ -272,10 +287,20 @@ class Factorization:
     def __hash__(self) -> int:
         return hash(frozenset((ind.values, m) for ind, m in self.terms.items()))
 
-    def __repr__(self) -> str:
-        """The CLI form, e.g. ``2*[0 1 / 1 1] + [1 1 / 1 1]``, or ``(empty)``."""
-        parts = [(f"{m}*" if m > 1 else "") + f"[{ind.to_text()}]" for ind, m in self.terms.items()]
+    def to_text(self, texts: dict | None = None) -> str:
+        """The CLI form, e.g. ``2*[0 1 / 1 1] + [1 1 / 1 1]``, or ``(empty)``.
+
+        ``texts``, as ``indicator_texts`` builds it, supplies each
+        indicator's text, so that a caller printing many factorisations
+        renders each indicator once.
+        """
+        parts = [
+            (f"{m}*" if m > 1 else "") + f"[{ind.to_text() if texts is None else texts[ind]}]"
+            for ind, m in self.terms.items()
+        ]
         return " + ".join(parts) or "(empty)"
+
+    __repr__ = to_text
 
 
 def standard_factorization(n: RPP) -> Factorization:
@@ -355,6 +380,13 @@ def all_factorizations(n: RPP) -> list[Factorization]:
     grow along a branch, so below it p would never be covered.  The
     dropped branches are dead ends; the results and their order are
     unchanged.
+
+    A leaf counts its path into a dict.  The path's positions are
+    nondecreasing, so the dict lists the support descending-lex, the
+    canonical order, with positive int multiplicities on one diagram; it
+    is stored without the public constructor's checks and re-sort.  Every
+    leaf is still checked: its length against the weight, and its total,
+    as a value tuple, against n's values.
     """
     w = n.weight()
     if w > MAX_FACTORIZATION_WEIGHT:
@@ -381,7 +413,7 @@ def all_factorizations(n: RPP) -> list[Factorization]:
             terms: dict = {}
             for ind in path:
                 terms[ind] = terms.get(ind, 0) + 1
-            results.append(Factorization(terms))
+            results.append(Factorization._of(terms))
             return
         while not vals[first]:
             first += 1
@@ -402,7 +434,7 @@ def all_factorizations(n: RPP) -> list[Factorization]:
     del search  # it holds itself through its closure cell; drop that cycle now, not at a GC pass
     for fact in results:
         assert fact.length == w, "factorisation length must equal the weight"
-        assert fact.total() == n
+        assert fact._total_values() == n.values
     return results
 
 

@@ -35,7 +35,7 @@ from .rpp import (
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
-    indicators,
+    indicator_texts,
     standard_factorization,
 )
 from .series import (
@@ -87,9 +87,9 @@ def _row_classify(row: dict) -> list:
     if not isinstance(expected["components"], list):
         raise DomainError("parse-error", '"expected.components" must be a list', expected["components"])
     problems = []
-    inds = indicators(n.diagram)
-    if len(inds) != expected["n_indicators"]:
-        problems.append(f"{len(inds)} indicators != {expected['n_indicators']}")
+    texts = indicator_texts(n.diagram)
+    if len(texts) != expected["n_indicators"]:
+        problems.append(f"{len(texts)} indicators != {expected['n_indicators']}")
     if n.weight() != expected["weight"]:
         problems.append(f"weight {n.weight()} != {expected['weight']}")
     reports = classify(n)
@@ -106,8 +106,8 @@ def _row_classify(row: dict) -> list:
         problems.append(f"complete factorisation at {comp_idx} != {expected['complete_index']}")
     for k, (report, want) in enumerate(zip(reports, expected["components"])):
         got = {
-            **report.to_json_obj(),
-            "witness": witness_texts(n.diagram, report.relation_witness),
+            **report.to_json_obj(texts),
+            "witness": witness_texts(texts, report.relation_witness),
         }
         if not isinstance(want, dict):
             raise DomainError("parse-error", f"component {k} expectation must be an object", want)

@@ -1,12 +1,15 @@
+import random
 from itertools import product, zip_longest
 from operator import add
 
 import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
+from rpphilb.components import ComponentReport, bijective_on_points, differential_injective
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank
 from rpphilb.poly import X, SparsePoly, VarId, parse_var_name, poly_mul
+from rpphilb.rpp import Factorization, _first_fault, enumerate_rpps, indicators
 from rpphilb.series import TruncatedSeries
 
 import frozen_tables as FT
@@ -120,6 +123,72 @@ def enumerate_rpps_by_recursion(diagram, max_size):
     rec(0, 0)
     out.sort(key=lambda vals: (sum(vals), vals))
     return out
+
+
+def factorizations_by_tuple_search(n):
+    """The factorisations of n by a search that rebuilds and rescans the remainder at each node.
+
+    The oracle for ``rpp.all_factorizations``: each node subtracts every
+    indicator from its position on as a new value tuple, keeps the
+    remainders that are still RPPs, and builds each leaf with the
+    validating ``Factorization(...)``.
+    """
+    inds = indicators(n.diagram)
+    if n.is_zero():
+        return [Factorization({})]
+    results, path = [], []
+
+    def search(vals, start):
+        if all(v == 0 for v in vals):
+            terms = {}
+            for ind in path:
+                terms[ind] = terms.get(ind, 0) + 1
+            results.append(Factorization(terms))
+            return
+        for pos in range(start, len(inds)):
+            rest = tuple(a - b for a, b in zip(vals, inds[pos].values))
+            if _first_fault(n.diagram, rest) is not None:
+                continue
+            path.append(inds[pos])
+            search(rest, pos)
+            path.pop()
+
+    search(n.values, 0)
+    return results
+
+
+def classify_by_tuple_search(n):
+    """``components.classify`` on the oracle search's validated leaves.
+
+    The dimension is ``n.weight()``, and each witness is lifted over
+    ``indicators(λ)`` from the public ``differential_injective`` and
+    ``bijective_on_points``.
+    """
+    inds, dim = indicators(n.diagram), n.weight()
+    reports = []
+    for T in factorizations_by_tuple_search(n):
+        inj, diff_witness = differential_injective(T)
+        bij, box_witness = bijective_on_points(T)
+        witness = diff_witness if bij else box_witness
+        lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
+        reports.append(ComponentReport(T, dim, inj, bij, inj, lifted))
+    return reports
+
+
+def search_oracle_fillings():
+    """The fillings the factorisation search is checked on against its oracle.
+
+    The 305 fillings of total at most 4 on the diagrams of at most 5 boxes
+    (zero fillings included), both paper grids, and 40 seeded fillings in
+    the shapes and weights of the benchmark's classify workload.
+    """
+    fillings = [r for d in diagrams_up_to(5) for r in enumerate_rpps(d, 4)]
+    fillings += [RPP.from_text(FT.GRID_TEXT), RPP.from_text(FT.EVEN_GRID_TEXT)]
+    rng = random.Random(2024)
+    for cols in ((3, 3, 3), (4, 3, 2, 1)):
+        d = YoungDiagram(cols)
+        fillings += [filling_of_weight(rng, d, w) for w in range(6, 11) for _ in range(4)]
+    return fillings
 
 
 def trimmed_sum(a, b):

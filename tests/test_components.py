@@ -18,7 +18,7 @@ from rpphilb.pointcount import PrimeField, component_point, count_points
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
 import frozen_tables as FT
-from conftest import diagrams_up_to, filling_of_weight, value
+from conftest import classify_by_tuple_search, diagrams_up_to, filling_of_weight, search_oracle_fillings, value
 
 
 def _report_rows(reports, diagram):
@@ -200,6 +200,17 @@ def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():
         rpphilb.rpp._shape_table.cache_clear()
         cold.append(classify_json(text))
     assert [classify_json(text) for text in texts] == cold
+
+
+def test_classify_matches_the_validated_leaf_oracle():
+    # the search stores its leaves unchecked; the oracle builds them with the validating constructor
+    singular = 0
+    for n in search_oracle_fillings():
+        got, want = classify(n), classify_by_tuple_search(n)
+        assert [r.to_json_obj() for r in got] == [r.to_json_obj() for r in want], n
+        assert [r.relation_witness for r in got] == [r.relation_witness for r in want], n
+        singular += sum(not r.smooth for r in got)
+    assert singular > 0
 
 
 def _component_image(diagram, T, p):

@@ -1,7 +1,6 @@
 """Monotone fillings, their derivative and weight, and monoid factorisations."""
 
 import gc
-import random
 from itertools import product
 
 import pytest
@@ -12,7 +11,6 @@ from rpphilb.diagram import enumerate_upper_sets
 from rpphilb.rpp import (
     Factorization,
     Indicator,
-    _first_fault,
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
@@ -26,8 +24,9 @@ from conftest import (
     connected_parts,
     diagrams_up_to,
     enumerate_rpps_by_recursion,
-    filling_of_weight,
+    factorizations_by_tuple_search,
     rising_filling,
+    search_oracle_fillings,
     value,
 )
 
@@ -320,53 +319,20 @@ def test_searches_leave_no_reference_cycles():
         if enabled:
             gc.enable()
 
-def _subtract_if_rpp(n_vals, ind_vals, diagram):
-    """n - indicator as a value tuple, or None when the result is not an RPP."""
-    out = tuple(a - b for a, b in zip(n_vals, ind_vals))
-    return None if _first_fault(diagram, out) is not None else out
-
-
-def _tuple_search_factorizations(n):
-    """The factorisation search that rebuilds and rescans the remainder at each node: the oracle."""
-    inds = indicators(n.diagram)
-    if n.is_zero():
-        return [Factorization({})]
-    results, path = [], []
-
-    def search(vals, start):
-        if all(v == 0 for v in vals):
-            terms = {}
-            for ind in path:
-                terms[ind] = terms.get(ind, 0) + 1
-            results.append(Factorization(terms))
-            return
-        for pos in range(start, len(inds)):
-            rest = _subtract_if_rpp(vals, inds[pos].values, n.diagram)
-            if rest is None:
-                continue
-            path.append(inds[pos])
-            search(rest, pos)
-            path.pop()
-
-    search(n.values, 0)
-    return results
-
-
 def _as_terms(facts):
     return [[(ind.values, m) for ind, m in f.terms.items()] for f in facts]
 
 
 def test_guard_search_matches_tuple_subtraction_oracle():
-    fillings = [r for d in diagrams_up_to(5) for r in enumerate_rpps(d, 4)]
-    assert len(fillings) == 305
-    fillings += [RPP.from_text(FT.GRID_TEXT), RPP.from_text("0 2 4 / 2 4 6 / 4 6 8")]
-    # the classify workload's shapes and weights
-    rng = random.Random(2024)
-    for cols in ((3, 3, 3), (4, 3, 2, 1)):
-        d = YoungDiagram(cols)
-        fillings += [filling_of_weight(rng, d, w) for w in range(6, 11) for _ in range(4)]
+    fillings = search_oracle_fillings()
+    assert len(fillings) == 305 + 2 + 40
     for n in fillings:
-        assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n)), n
+        facts = all_factorizations(n)
+        assert _as_terms(facts) == _as_terms(factorizations_by_tuple_search(n)), n
+        # the search stores its leaves unchecked; the validating constructor must rebuild each one
+        for f in facts:
+            g = Factorization(dict(f.terms))
+            assert g == f and hash(g) == hash(f) and list(g.terms) == list(f.terms), n
 
 
 def test_first_member_boxes_are_nondecreasing_along_the_indicator_list():
@@ -393,7 +359,7 @@ def test_search_matches_tuple_subtraction_oracle_on_random_fillings():
     def check(n):
         hypothesis.assume(n.weight() <= rpphilb.rpp.MAX_FACTORIZATION_WEIGHT)
         assert len(indicators(n.diagram)) <= rpphilb.rpp.MAX_FACTORIZATION_INDICATORS
-        assert _as_terms(all_factorizations(n)) == _as_terms(_tuple_search_factorizations(n))
+        assert _as_terms(all_factorizations(n)) == _as_terms(factorizations_by_tuple_search(n))
 
     check()
 
