@@ -42,6 +42,7 @@ _EXPORTS = {
         "TruncatedSeries", "collapse_to_diagonals", "diagonal_support", "euler_series",
         "evaluate_motive", "hook_product", "motivic_series", "rpp_series_bruteforce",
     ),
+    "univariate": (),
     "verify": (),
 }
 

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .linalg import rank
-from .poly import SparsePoly, VarId, monic_divmod, poly_mul, var_a, var_b, var_c
+from .poly import SparsePoly, VarId, var_a, var_b, var_c
 from .rpp import RPP
+from .univariate import monic_divmod, poly_mul
 
 
 class AmbientSummary(NamedTuple):

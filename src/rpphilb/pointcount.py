@@ -4,7 +4,7 @@ The independent oracle for the motivic series: a point of the nested
 scheme over F_p is a tuple of monic polynomials, one per box, with the
 prescribed degrees and with each polynomial divisible by its left and
 up neighbours; the count builds one divisibility in and tests the other
-with ``poly``'s product and monic division.  Counting the tuples
+with ``univariate``'s product and monic division.  Counting the tuples
 directly ties the divisibility model to the series: the count equals
 the motivic coefficient at L = p box monomial by box monomial on shapes
 whose diagonals are all distinct, and diagonal total by diagonal total
@@ -17,8 +17,8 @@ import os
 from itertools import product
 
 from .errors import CapExceeded, DomainError, ints
-from .poly import monic_divmod, poly_mul
 from .rpp import RPP
+from .univariate import monic_divmod, poly_mul
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_MAX_P = 7

@@ -8,9 +8,9 @@ as truncated series: exponent vectors with total at most max_size mapping
 to coefficients in Z[L].  A coefficient is a tuple of ints indexed by the
 power of L, lowest first, with no trailing zeros, so L^2 + 1 is (1, 0, 1)
 and zero is the empty tuple, which is never stored.  Coefficients are
-multiplied by ``poly.poly_mul``, or shifted and scaled when one factor is
-a monomial c·L^d; the top entry of a product is a product of two nonzero
-ints, so a product needs no trimming.
+multiplied by ``univariate.poly_mul``, or shifted and scaled when one
+factor is a monomial c·L^d; the top entry of a product is a product of
+two nonzero ints, so a product needs no trimming.
 
 The public ``TruncatedSeries(...)`` (and ``substitute_L``) validates and
 normalises every term.  Its sizes, exponents and coefficient entries, the
@@ -27,8 +27,7 @@ from struct import Struct
 
 from .diagram import YoungDiagram
 from .errors import DomainError, ints
-from .poly import format_terms, poly_mul
-from .rpp import enumerate_rpps
+from .univariate import format_terms, poly_mul
 
 
 class TruncatedSeries:
@@ -251,6 +250,8 @@ def factor_power(
 
 def rpp_series_bruteforce(diagram: YoungDiagram, max_size: int) -> TruncatedSeries:
     """Σ q^𝐧 over all RPPs with |𝐧| ≤ max_size, by direct enumeration."""
+    from .rpp import enumerate_rpps  # here, so the product path never loads rpp
+
     coeffs = {r.values: (1,) for r in enumerate_rpps(diagram, max_size)}
     return TruncatedSeries._of(diagram.size, max_size, coeffs)
 

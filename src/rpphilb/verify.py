@@ -26,7 +26,7 @@ from .equations import (
     type_ii_ideal,
 )
 from .errors import DomainError, ints
-from .poly import monic_divmod, parse_poly, var_a, var_b, var_c
+from .poly import parse_poly, var_a, var_b, var_c
 from .pointcount import component_point, count_points
 from .rpp import (
     MAX_FACTORIZATION_WEIGHT,
@@ -47,6 +47,7 @@ from .series import (
     motivic_series,
     rpp_series_bruteforce,
 )
+from .univariate import monic_divmod
 
 _ROW_KINDS: dict = {}
 

@@ -8,9 +8,10 @@ from rpphilb import RPP, DomainError, YoungDiagram
 from rpphilb.components import ComponentReport, bijective_on_points, differential_injective
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank
-from rpphilb.poly import X, SparsePoly, VarId, parse_var_name, poly_mul
+from rpphilb.poly import X, SparsePoly, VarId, parse_var_name
 from rpphilb.rpp import Factorization, _first_fault, enumerate_rpps, indicators
 from rpphilb.series import TruncatedSeries
+from rpphilb.univariate import poly_mul
 
 import frozen_tables as FT
 
@@ -260,7 +261,7 @@ def x_coefficients(p):
 def shift_subtract_divmod(f, g):
     """Quotient and remainder of SparsePolys f by g, monic in x, by shifted subtraction.
 
-    The oracle for ``poly.monic_divmod``: each step cancels the leading
+    The oracle for ``univariate.monic_divmod``: each step cancels the leading
     x-term of the remainder with a shifted multiple of the whole divisor.
     """
     dg = degree_in_x(g)

@@ -19,6 +19,11 @@ TRACING = ROOT / "bench" / "tracing.py"
 SUBMODULES = sorted(path.stem for path in (SRC / "rpphilb").glob("*.py") if path.stem != "__init__")
 
 
+def test_every_submodule_on_disk_is_listed_once():
+    # a missing entry can still resolve once some other import has bound it
+    assert sorted(rpphilb._EXPORTS) == SUBMODULES
+
+
 def test_every_public_name_resolves_once():
     assert len(rpphilb.__all__) == len(set(rpphilb.__all__))
     missing = [name for name in rpphilb.__all__ if not hasattr(rpphilb, name)]
@@ -77,12 +82,17 @@ def _cli_loads(*argv) -> set:
     return _loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0")
 
 
+SERIES_ARGVS = [
+    ("series", "--curve", "A1", "--max-size", "3", "2,1"),
+    ("series", "--curve", "P1", "--max-size", "3", "2,1"),
+    ("series", "--euler", "1", "--max-size", "3", "2,1"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("series", "--curve", "A1", "--max-size", "3", "2,1"),
-        ("series", "--curve", "P1", "--max-size", "3", "2,1"),
-        ("series", "--euler", "1", "--max-size", "3", "2,1"),
+        *SERIES_ARGVS,
         ("weight", "0 2 / 2 4"),
         ("indicators", "2,2"),
         ("factorizations", "0 2 / 2 4"),
@@ -91,6 +101,36 @@ def _cli_loads(*argv) -> set:
 def test_light_subcommands_skip_the_classifier_and_dataclasses(argv):
     loaded = _cli_loads(*argv)
     assert loaded & {"rpphilb.components", "rpphilb.equations", "rpphilb.verify", "dataclasses"} == set()
+
+
+@pytest.mark.parametrize("argv", SERIES_ARGVS)
+def test_series_skips_rpp_and_poly(argv):
+    assert _cli_loads(*argv) & {"rpphilb.rpp", "rpphilb.poly"} == set()
+
+
+def test_count_points_skips_poly():
+    loaded = _cli_loads("count-points", "0 1 / 1 2", "--p", "2")
+    assert "rpphilb.pointcount" in loaded
+    assert "rpphilb.poly" not in loaded
+
+
+def test_motivic_series_first_use_loads_only_its_layers():
+    loaded = _loaded_by("import rpphilb\nrpphilb.motivic_series(rpphilb.YoungDiagram([1]), 'A1', 1)")
+    assert sorted(name for name in loaded if name.split(".")[0] == "rpphilb") == [
+        "rpphilb", "rpphilb.diagram", "rpphilb.errors", "rpphilb.series", "rpphilb.univariate"
+    ]
+
+
+def test_brute_force_series_loads_rpp_when_called():
+    code = "\n".join(
+        [
+            "import rpphilb.series as S",
+            "assert 'rpphilb.rpp' not in sys.modules",
+            "d = S.YoungDiagram([2, 1])",
+            "assert S.rpp_series_bruteforce(d, 4).coefficients == S.hook_product(d, 1, -1, 4).coefficients",
+        ]
+    )
+    assert "rpphilb.rpp" in _loaded_by(code)
 
 
 def test_classify_skips_equations_pointcount_and_verify():

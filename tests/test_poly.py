@@ -14,14 +14,13 @@ from rpphilb.poly import (
     _split_x,
     _tokenize,
     divmod_in_x,
-    monic_divmod,
     parse_poly,
-    poly_mul,
     parse_var_name,
     var_a,
     var_b,
     var_c,
 )
+from rpphilb.univariate import monic_divmod, poly_mul
 from rpphilb.verify import load_corpus
 
 from conftest import (
