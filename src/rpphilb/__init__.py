@@ -15,7 +15,6 @@ home module's current binding.
 """
 
 import sys
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -56,10 +55,13 @@ def __getattr__(name):
     home = _HOME.get(name)
     if home is not None:
         # sys.modules first: callers may read these names inside hot loops
-        return getattr(sys.modules.get(home) or import_module(home), name)
+        if home not in sys.modules:
+            __import__(home)  # unlike importlib.import_module, seen by -X importtime
+        return getattr(sys.modules[home], name)
     if name in _EXPORTS:
         # importing a submodule binds it here, as for an eager package
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

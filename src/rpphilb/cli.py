@@ -35,7 +35,7 @@ def _arg(cls, raw: str):
         try:
             with open(path, encoding="utf-8") as handle:
                 obj = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("parse-error", f"cannot read {path}: {exc}", raw)
         except json.JSONDecodeError as exc:
             raise DomainError("parse-error", f"{path} is not valid JSON: {exc}", raw)
@@ -88,9 +88,7 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_factorizations(args) -> int:
-    from .rpp import (
-        RPP, all_factorizations, complete_factorization, indicator_texts, standard_factorization
-    )
+    from .rpp import RPP, all_factorizations, complete_factorization, standard_factorization
 
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
@@ -100,7 +98,6 @@ def _cmd_factorizations(args) -> int:
         standard_index = facts.index(standard_factorization(n))
     complete = complete_factorization(n)
     complete_index = facts.index(complete) if complete is not None else None
-    texts = indicator_texts(n.diagram)
 
     def as_json():
         return {
@@ -108,10 +105,7 @@ def _cmd_factorizations(args) -> int:
             "count": len(facts),
             "standard_index": standard_index,
             "complete_index": complete_index,
-            "factorizations": [
-                [{"indicator": texts[ind], "multiplicity": m} for ind, m in f.terms.items()]
-                for f in facts
-            ],
+            "factorizations": [f.to_json_obj() for f in facts],
         }
 
     def as_text():
@@ -120,7 +114,7 @@ def _cmd_factorizations(args) -> int:
             marks = "".join(
                 [" (standard)" if k == standard_index else "", " (complete)" if k == complete_index else ""]
             )
-            yield f"{k + 1}: {f.to_text(texts)}{marks}"
+            yield f"{k + 1}: {f.to_text()}{marks}"
 
     _emit(args, as_json, as_text)
     return 0
@@ -128,26 +122,26 @@ def _cmd_factorizations(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .components import classify, witness_texts
-    from .rpp import RPP, indicator_texts
+    from .rpp import RPP, indicators
 
     n = _arg(RPP, args.rpp)
     reports = classify(n)
-    texts = indicator_texts(n.diagram)
 
     def as_text():
+        inds = indicators(n.diagram)
         yield f"{len(reports)} components, {sum(not r.smooth for r in reports)} singular"
         for k, report in enumerate(reports):
             flags = "smooth" if report.smooth else "singular"
             if not report.smooth:
                 flags += ", bijective on points" if report.bijective_on_points else ", not bijective"
-            line = f"T{k + 1}: dim {report.dimension}, {flags} — {report.factorization.to_text(texts)}"
+            line = f"T{k + 1}: dim {report.dimension}, {flags} — {report.factorization.to_text()}"
             if report.relation_witness:
-                witness = witness_texts(texts, report.relation_witness)
+                witness = witness_texts(inds, report.relation_witness)
                 terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{t}]" for t, c in witness.items())
                 line += f" ; witness {terms}"
             yield line
 
-    _emit(args, lambda: [r.to_json_obj(texts) for r in reports], as_text)
+    _emit(args, lambda: [r.to_json_obj() for r in reports], as_text)
     return 0
 
 

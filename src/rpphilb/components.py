@@ -126,34 +126,36 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
 class ComponentReport:
     factorization: Factorization
     dimension: int
-    smooth: bool
     bijective_on_points: bool
     differential_injective: bool
     relation_witness: tuple | None  # full integer vector over indicators(λ)
 
-    def to_json_obj(self, texts: dict | None = None) -> dict:
-        """The report's JSON form; ``texts`` is as for ``Factorization.to_text``."""
-        terms = self.factorization.terms.items()
-        pairs = [(ind.to_text() if texts is None else texts[ind], m) for ind, m in terms]
+    @property
+    def smooth(self) -> bool:  # exactly when the differential is injective
+        return self.differential_injective
+
+    def to_json_obj(self) -> dict:
+        """The report's JSON form; its factorisation's own form is the ``"normalization"``."""
+        normalization = self.factorization.to_json_obj()
         return {
-            "factorization": dict(pairs),
+            "factorization": {term["indicator"]: term["multiplicity"] for term in normalization},
             "dimension": self.dimension,
             "smooth": self.smooth,
             "bijective_on_points": self.bijective_on_points,
             "differential_injective": self.differential_injective,
             "relation_witness": list(self.relation_witness) if self.relation_witness else None,
-            "normalization": [{"indicator": text, "multiplicity": m} for text, m in pairs],
+            "normalization": normalization,
         }
 
 
-def witness_texts(texts: dict, witness: tuple | None) -> dict | None:
+def witness_texts(inds: list, witness: tuple | None) -> dict | None:
     """A lifted relation witness as {indicator text: coefficient}, zeros left out.
 
-    ``texts`` is ``indicator_texts(λ)``, whose order the witness follows.
+    ``inds`` is ``indicators(λ)``, whose order the witness follows.
     """
     if witness is None:
         return None
-    return {text: c for text, c in zip(texts.values(), witness) if c}
+    return {ind.to_text(): c for ind, c in zip(inds, witness) if c}
 
 
 def classify(n: RPP) -> list[ComponentReport]:
@@ -171,5 +173,5 @@ def classify(n: RPP) -> list[ComponentReport]:
         bij, box_witness = bijective_on_points(T)
         witness = diff_witness if bij else box_witness
         lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
-        reports.append(ComponentReport(T, dim, inj, bij, inj, lifted))
+        reports.append(ComponentReport(T, dim, bij, inj, lifted))
     return reports

@@ -175,10 +175,11 @@ class Indicator(RPP):
     """0/1 filling of a nonempty edge-connected upper set — an irreducible RPP.
 
     ``values`` is the upper set's row-major 0/1 vector.  RPP's check makes
-    it monotone, which for labels 0 and 1 is upward closure.
+    it monotone, which for labels 0 and 1 is upward closure.  Its text is
+    rendered on first use and kept, and the per-shape table shares it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_text",)
 
     def __init__(self, diagram: YoungDiagram, values: Iterable[int]):
         super().__init__(diagram, values)
@@ -190,6 +191,12 @@ class Indicator(RPP):
             raise DomainError(
                 "disconnected-upper-set", "indicator needs a connected upper set", list(self.values)
             )
+        self._text = None
+
+    def to_text(self) -> str:
+        if self._text is None:
+            self._text = super().to_text()
+        return self._text
 
 
 def indicators(diagram: YoungDiagram) -> list[Indicator]:
@@ -200,11 +207,6 @@ def indicators(diagram: YoungDiagram) -> list[Indicator]:
     the same indicators.
     """
     return list(_shape_table(diagram.cols)[0])
-
-
-def indicator_texts(diagram: YoungDiagram) -> dict:
-    """{indicator: its text} over ``indicators(diagram)``, in that order."""
-    return {ind: ind.to_text() for ind in _shape_table(diagram.cols)[0]}
 
 
 @lru_cache(maxsize=256)
@@ -294,20 +296,16 @@ class Factorization:
     def __hash__(self) -> int:
         return hash(frozenset((ind.values, m) for ind, m in self.terms.items()))
 
-    def to_text(self, texts: dict | None = None) -> str:
-        """The CLI form, e.g. ``2*[0 1 / 1 1] + [1 1 / 1 1]``, or ``(empty)``.
-
-        ``texts``, as ``indicator_texts`` builds it, supplies each
-        indicator's text, so that a caller printing many factorisations
-        renders each indicator once.
-        """
-        parts = [
-            (f"{m}*" if m > 1 else "") + f"[{ind.to_text() if texts is None else texts[ind]}]"
-            for ind, m in self.terms.items()
-        ]
+    def to_text(self) -> str:
+        """The CLI form, e.g. ``2*[0 1 / 1 1] + [1 1 / 1 1]``, or ``(empty)``."""
+        parts = [(f"{m}*" if m > 1 else "") + f"[{ind.to_text()}]" for ind, m in self.terms.items()]
         return " + ".join(parts) or "(empty)"
 
     __repr__ = to_text
+
+    def to_json_obj(self) -> list:
+        """The JSON form: ``[{"indicator": text, "multiplicity": m}]`` in canonical order."""
+        return [{"indicator": ind.to_text(), "multiplicity": m} for ind, m in self.terms.items()]
 
 
 def standard_factorization(n: RPP) -> Factorization:

@@ -45,6 +45,8 @@ class TruncatedSeries:
         ints([n_vars, max_size], "n_vars and max_size")
         if max_size < 0:
             raise DomainError("negative-size", "max_size must be nonnegative", max_size)
+        if single_variable and n_vars != 1:
+            raise DomainError("parse-error", f"a single-variable series has 1 variable, not {n_vars}", n_vars)
         self.n_vars = n_vars
         self.max_size = max_size
         self.single_variable = single_variable
@@ -185,7 +187,7 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     exceeds max_size, so no digit carries, and a list of max_size + 1
     dicts cannot exist unless max_size < 2^64, the widest digit.
     """
-    TruncatedSeries(n_vars, max_size)  # checks n_vars and max_size
+    TruncatedSeries(n_vars, max_size, single_variable=single_variable)  # checks the arguments
     graded = [{0: (1,)}] + [{} for _ in range(max_size)]
     width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if max_size >> 8 * w == 0)
     for exponents, weight, power in factors:

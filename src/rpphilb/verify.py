@@ -35,7 +35,7 @@ from .rpp import (
     all_factorizations,
     complete_factorization,
     enumerate_rpps,
-    indicator_texts,
+    indicators,
     standard_factorization,
 )
 from .series import (
@@ -88,9 +88,9 @@ def _row_classify(row: dict) -> list:
     if not isinstance(expected["components"], list):
         raise DomainError("parse-error", '"expected.components" must be a list', expected["components"])
     problems = []
-    texts = indicator_texts(n.diagram)
-    if len(texts) != expected["n_indicators"]:
-        problems.append(f"{len(texts)} indicators != {expected['n_indicators']}")
+    inds = indicators(n.diagram)
+    if len(inds) != expected["n_indicators"]:
+        problems.append(f"{len(inds)} indicators != {expected['n_indicators']}")
     if n.weight() != expected["weight"]:
         problems.append(f"weight {n.weight()} != {expected['weight']}")
     reports = classify(n)
@@ -107,8 +107,8 @@ def _row_classify(row: dict) -> list:
         problems.append(f"complete factorisation at {comp_idx} != {expected['complete_index']}")
     for k, (report, want) in enumerate(zip(reports, expected["components"])):
         got = {
-            **report.to_json_obj(texts),
-            "witness": witness_texts(texts, report.relation_witness),
+            **report.to_json_obj(),
+            "witness": witness_texts(inds, report.relation_witness),
         }
         if not isinstance(want, dict):
             raise DomainError("parse-error", f"component {k} expectation must be an object", want)
@@ -410,7 +410,7 @@ def load_corpus(path: str | None = None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError("parse-error", f"cannot read corpus: {exc}", str(path))
     try:
         corpus = json.loads(text)

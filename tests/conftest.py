@@ -172,7 +172,7 @@ def classify_by_tuple_search(n):
         bij, box_witness = bijective_on_points(T)
         witness = diff_witness if bij else box_witness
         lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
-        reports.append(ComponentReport(T, dim, inj, bij, inj, lifted))
+        reports.append(ComponentReport(T, dim, bij, inj, lifted))
     return reports
 
 

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from rpphilb.cli import main
+from rpphilb.rpp import RPP, all_factorizations
 
 try:
     from importlib.resources import files as _resource_files
@@ -82,6 +83,21 @@ def test_factorizations_of_the_zero_filling():
         obj = json.loads(out)
         check(obj, "factorizations")
         assert (obj["count"], obj["complete_index"]) == (1, 0)
+
+
+@pytest.mark.parametrize("text", [FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT])
+def test_factorizations_and_reports_share_one_json_form(text):
+    expected = [f.to_json_obj() for f in all_factorizations(RPP.from_text(text))]
+    code, out, _ = run_cli("factorizations", text, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["factorizations"] == expected
+    code, out, _ = run_cli("classify", text, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [report["normalization"] for report in reports] == expected
+    assert [report["factorization"] for report in reports] == [
+        {term["indicator"]: term["multiplicity"] for term in form} for form in expected
+    ]
 
 
 def test_classify_text_headline_and_json():
@@ -302,6 +318,10 @@ def test_domain_error_payload_schema(tmp_path):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(payload))
         bad_json.append((command, f"@{path}"))
+    # a file that is not UTF-8 is unreadable, not a crash
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    bad_json += [("weight", f"@{not_utf8}"), ("verify", str(not_utf8))]
     for argv in [
         ("weight", "1 0"),
         ("bogus",),

@@ -50,6 +50,14 @@ def test_unknown_names_behave_as_on_a_plain_module():
 # -- imports: each case runs in a fresh interpreter ------------------------------
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from ``src``; it must succeed."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def _loaded_by(code: str) -> set:
     """Modules that ``code`` loads in a fresh interpreter, beyond start-up's own."""
     script = "\n".join(
@@ -60,10 +68,7 @@ def _loaded_by(code: str) -> set:
             "print(*sorted(set(sys.modules) - before))",
         ]
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(_fresh_python("-c", script).stdout.splitlines()[-1].split())
 
 
 def test_bare_import_loads_no_submodule():
@@ -119,6 +124,12 @@ def test_motivic_series_first_use_loads_only_its_layers():
     assert sorted(name for name in loaded if name.split(".")[0] == "rpphilb") == [
         "rpphilb", "rpphilb.diagram", "rpphilb.errors", "rpphilb.series", "rpphilb.univariate"
     ]
+
+
+def test_a_public_names_home_module_shows_in_the_import_time_report():
+    code = "import rpphilb; rpphilb.motivic_series(rpphilb.YoungDiagram([1]), 'A1', 1)"
+    report = _fresh_python("-X", "importtime", "-c", code).stderr.splitlines()
+    assert "rpphilb.series" in [line.rpartition("|")[2].strip() for line in report]
 
 
 def test_brute_force_series_loads_rpp_when_called():

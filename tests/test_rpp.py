@@ -126,6 +126,22 @@ def test_grid_indicators_in_canonical_order(grid_diagram):
     assert [nu.to_text() for nu in indicators(grid_diagram)] == FT.GRID_INDICATORS
 
 
+def _text_is_kept(ind) -> bool:
+    """Both reads of the indicator's text give the same string, the RPP text of its values."""
+    first = ind.to_text()
+    return first == RPP(ind.diagram, ind.values).to_text() and ind.to_text() is first
+
+
+def test_indicators_keep_their_text():
+    for d in diagrams_up_to(6):
+        assert all(_text_is_kept(ind) for ind in indicators(d)), d
+        # the factorisations build indicators of their own, outside the shape table
+        for n in enumerate_rpps(d, 3)[1:]:
+            complete = complete_factorization(n)
+            built = [*standard_factorization(n).support, *(complete.support if complete else ())]
+            assert all(_text_is_kept(ind) for ind in built), n
+
+
 def test_is_indicator(square_rpp):
     # an RPP is irreducible exactly when its weight is one
     assert RPP.from_text("0 1 / 1 1").weight() == 1

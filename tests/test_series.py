@@ -245,6 +245,17 @@ def test_series_refuse_entries_that_are_not_ints(build):
     assert err.value.code == "parse-error"
 
 
+def test_single_variable_series_have_one_variable():
+    # the single-variable JSON form keeps the first exponent only, so a second would be lost
+    for build in (
+        lambda: TruncatedSeries(2, 2, {(1, 0): 1}, single_variable=True),
+        lambda: factor_power((1, 1), 1, -1, 2, 4, single_variable=True),
+    ):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert err.value.code == "parse-error"
+
+
 def test_factor_power_rejects_negative_exponents():
     for v in ((-1, 0), (-1, 2)):
         with pytest.raises(DomainError) as err:
