@@ -17,7 +17,14 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError
+from .errors import DomainError, read_json, text_int
+
+
+def _int_option(text: str) -> int:
+    try:
+        return text_int(text, "", text)
+    except DomainError:  # argparse reports a ValueError as it reports one from int()
+        raise ValueError(text) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,16 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _arg(cls, raw: str):
     """A ``cls`` (YoungDiagram or RPP) from its text form or from @file.json."""
-    obj = raw
-    if raw.startswith("@"):
-        path = raw[1:]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                obj = json.load(handle)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError("parse-error", f"cannot read {path}: {exc}", raw)
-        except json.JSONDecodeError as exc:
-            raise DomainError("parse-error", f"{path} is not valid JSON: {exc}", raw)
+    obj = read_json(raw[1:], raw[1:], raw) if raw.startswith("@") else raw
     return cls.from_text(obj) if isinstance(obj, str) else cls.from_json_obj(obj)
 
 
@@ -150,14 +148,9 @@ def _cmd_equations(args) -> int:
     from .rpp import RPP
 
     n = _arg(RPP, args.rpp)
-    if args.type == "I":
-        if args.minimal_border:
-            raise DomainError(
-                "unsupported-option", "--minimal-border applies to type II only", "--minimal-border"
-            )
-        ideal = type_i_ideal(n)
-    else:
-        ideal = type_ii_ideal(n, minimal_border=args.minimal_border)
+    if args.type == "I" and args.minimal_border:
+        raise DomainError("unsupported-option", "--minimal-border applies to type II only", "--minimal-border")
+    ideal = type_i_ideal(n) if args.type == "I" else type_ii_ideal(n, minimal_border=args.minimal_border)
     printed = ideal
     if args.tangent:
         dim, printed = tangent_embedding(ideal)
@@ -259,6 +252,7 @@ def build_parser() -> _Parser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.register("type", int, _int_option)  # type=int reads by text_int, and a refusal still names int
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)
         return p

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceeded, DomainError, ints
+from .errors import CapExceeded, DomainError, ints, text_int
 
 #: default guard against combinatorial blowup in upper-set enumeration
 MAX_DIAGRAM_BOXES = 30
@@ -119,11 +119,7 @@ class YoungDiagram:
             raise DomainError("parse-error", "empty diagram text", text)
         if not all(parts):
             raise DomainError("parse-error", f"empty column height in {text!r}", text)
-        try:
-            heights = [int(p) for p in parts]
-        except ValueError:
-            raise DomainError("parse-error", f"bad column height in {text!r}", text) from None
-        return cls(heights)
+        return cls([text_int(p, f"bad column height in {text!r}", text) for p in parts])
 
     def to_json_obj(self) -> dict:
         return {"cols": list(self.cols)}

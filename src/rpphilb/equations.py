@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, flag
 from .linalg import rank
 from .poly import SparsePoly, VarId, var_a, var_b, var_c
 from .rpp import RPP
@@ -158,6 +158,7 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     remaining chart has exactly the ambient/bundle dimensions of
     ambient_and_bundle.
     """
+    flag(minimal_border, "minimal_border")
     lam = n.diagram
     left, up = lam.left, lam.up
     v = (*n.values, 0)

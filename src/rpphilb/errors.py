@@ -1,4 +1,4 @@
-"""Shared error types and the library's one integer check.
+"""Shared error types and the library's input rules, one per input form.
 
 Domain errors carry a machine-readable code plus the offending input so the
 CLI can emit structured error objects (exit code 1).  Cap errors mean a
@@ -48,3 +48,35 @@ def ints(raw, what: str) -> tuple:
         if type(x) is not int:
             raise DomainError("parse-error", f"non-integer {what}", list(out))
     return out
+
+
+def flag(value, what: str) -> bool:
+    """``value`` if it is an exact bool; 0, 1, "no" or None is a parse-error naming ``what``."""
+    if type(value) is not bool:
+        raise DomainError("parse-error", f"{what} must be a boolean", value)
+    return value
+
+
+def text_int(text: str, message: str, offending) -> int:
+    """ASCII digits after an optional "-" as an int; int() also takes "+3", "1_0", blanks and "٣"."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # past Python's int-string conversion limit
+        pass
+    raise DomainError("parse-error", message, offending)
+
+
+def read_json(path, name: str, offending):
+    """The JSON in the file at ``path``; unreadable, invalid, too deep or too long is a parse-error."""
+    import json  # here, so that only reading a JSON file loads it
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise DomainError("parse-error", f"cannot read {name}: {exc}", offending) from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError("parse-error", f"{name} is not valid JSON: {exc}", offending) from None

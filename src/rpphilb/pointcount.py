@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .errors import CapExceeded, DomainError, ints
+from .errors import CapExceeded, DomainError, ints, text_int
 from .rpp import RPP
 from .univariate import monic_divmod, poly_mul
 
@@ -68,12 +68,7 @@ def configured_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(
-            "parse-error", f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}", raw
-        )
+    value = text_int(raw, f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}", raw)
     if value <= 0:
         raise DomainError(
             "parse-error", f"{BUDGET_ENV_VAR} must be positive, got {value}", value

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, ints
+from .errors import DomainError, ints, text_int
 from .univariate import format_terms, monic_divmod
 
 _KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4}
@@ -59,16 +59,17 @@ def parse_var_name(name: str) -> VarId:
     if name == "L":
         return L
     kind, *indices = name.split("_")
-    # only the printed form: int() would also take a sign, spaces, non-ASCII
-    # digits and leading zeros, and every chart coordinate has depth k >= 1
+    unknown = f"unknown variable name {name!r}"
+    # only the printed form: no sign and no leading zero, and every chart
+    # coordinate has depth k >= 1
     if (
         kind in ("a", "b", "c")
         and len(indices) == 3
-        and all(i.isascii() and i.isdigit() and str(int(i)) == i for i in indices)
+        and all(i.isdigit() and str(text_int(i, unknown, name)) == i for i in indices)
         and indices[2] != "0"
     ):
         return VarId(kind, *map(int, indices))
-    raise DomainError("parse-error", f"unknown variable name {name!r}", name)
+    raise DomainError("parse-error", unknown, name)
 
 
 # a monomial is a tuple of (VarId, exponent) pairs, sorted, exponents >= 1
@@ -308,10 +309,7 @@ def _tokenize(text: str) -> list:
             start = pos
             while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
-            try:
-                tokens.append(int(text[start:pos]))
-            except ValueError:  # more digits than Python's int-string conversion limit
-                raise DomainError("parse-error", "number too long in polynomial", text) from None
+            tokens.append(text_int(text[start:pos], "number too long in polynomial", text))
         elif ch.isalpha():
             start = pos
             while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .diagram import YoungDiagram, enumerate_upper_sets, upper_set_parts
-from .errors import CapExceeded, DomainError, ints
+from .errors import CapExceeded, DomainError, ints, text_int
 
 #: caps for the exhaustive factorisation search
 MAX_FACTORIZATION_WEIGHT = 12
@@ -145,17 +145,12 @@ class RPP:
     def from_text(cls, text: str) -> "RPP":
         if not isinstance(text, str):
             raise DomainError("parse-error", "RPP text must be a string", text)
-        rows = []
+        rows, bad = [], f"bad label in RPP text {text!r}"
         for chunk in text.split("/"):
             parts = chunk.split()
             if not parts:
                 raise DomainError("parse-error", f"empty row in RPP text {text!r}", text)
-            try:
-                rows.append([int(p) for p in parts])
-            except ValueError:
-                raise DomainError("parse-error", f"bad label in RPP text {text!r}", text) from None
-        if not rows:
-            raise DomainError("parse-error", "empty RPP text", text)
+            rows.append([text_int(p, bad, text) for p in parts])
         return cls.from_rows(rows)
 
     def to_json_obj(self) -> dict:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from struct import Struct
 
 from .diagram import YoungDiagram
-from .errors import DomainError, ints
+from .errors import DomainError, flag, ints
 from .univariate import format_terms, poly_mul
 
 
@@ -45,7 +45,7 @@ class TruncatedSeries:
         ints([n_vars, max_size], "n_vars and max_size")
         if max_size < 0:
             raise DomainError("negative-size", "max_size must be nonnegative", max_size)
-        if single_variable and n_vars != 1:
+        if flag(single_variable, "single_variable") and n_vars != 1:
             raise DomainError("parse-error", f"a single-variable series has 1 variable, not {n_vars}", n_vars)
         self.n_vars = n_vars
         self.max_size = max_size
@@ -286,7 +286,7 @@ def euler_series(
 ) -> TruncatedSeries:
     """Π_□ (1 − p_□)^{-chi}; with single_variable, p_□ collapses to q^{hook length}."""
     ints([chi], "chi")  # -chi would turn True into the power -1
-    if single_variable:
+    if flag(single_variable, "single_variable"):
         factors = [((diagram.hook_length(box),), 1, -chi) for box in diagram.boxes]
         return _product(1, max_size, factors, single_variable=True)
     return hook_product(diagram, 1, -chi, max_size)

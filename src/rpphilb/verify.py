@@ -12,7 +12,6 @@ finite-field point counts, and a seeded random-instance property sweep.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 
@@ -25,7 +24,7 @@ from .equations import (
     type_i_ideal,
     type_ii_ideal,
 )
-from .errors import DomainError, ints
+from .errors import DomainError, flag, ints, read_json
 from .poly import parse_poly, var_a, var_b, var_c
 from .pointcount import component_point, count_points
 from .rpp import (
@@ -63,19 +62,24 @@ def _kind(name: str):
 # -- row fields ----------------------------------------------------------------
 
 
-def _max_size(row: dict) -> int:
-    """The row's ``max_size``: an int of at least 1, since at 0 every series is the constant 1."""
-    [max_size] = ints([row["max_size"]], '"max_size"')
-    if max_size < 1:
-        raise DomainError("parse-error", '"max_size" must be at least 1', max_size)
-    return max_size
+def _at_least_1(value, what: str) -> None:
+    """An int of at least 1: at max_size 0 every series is the constant 1, and 0 cases check nothing."""
+    if ints([value], what)[0] < 1:
+        raise DomainError("parse-error", f"{what} must be at least 1", value)
 
 
-def _flag(value, key: str) -> bool:
-    """A row's JSON boolean field ``key``; 0 and 1 are not booleans."""
-    if type(value) is not bool:
-        raise DomainError("parse-error", f'"{key}" must be a JSON boolean', value)
-    return value
+def _equation_type(value, what: str) -> None:
+    if value not in ("I", "II"):
+        raise DomainError("parse-error", f'{what} must be "I" or "II", not {value!r}', value)
+
+
+#: the typed row fields; run_corpus checks each one a row has before the row runs
+_FIELDS = {
+    **dict.fromkeys(("max_size", "n_cases"), _at_least_1),
+    "seed": lambda value, what: ints([value], what),
+    "type": _equation_type,
+    **dict.fromkeys(("minimal_border", "expected_equal", "expected_match"), flag),
+}
 
 
 # -- row implementations ------------------------------------------------------
@@ -123,10 +127,9 @@ def _row_classify(row: dict) -> list:
 @_kind("equations")
 def _row_equations(row: dict) -> list:
     n = RPP.from_text(row["rpp"])
-    kind, expected = row["type"], row["expected"]
-    if kind not in ("I", "II"):
-        raise DomainError("parse-error", f'"type" must be "I" or "II", not {kind!r}', kind)
-    minimal = _flag(row.get("minimal_border", False), "minimal_border")
+    kind, expected, minimal = row["type"], row["expected"], row.get("minimal_border", False)
+    if kind == "I" and minimal:
+        raise DomainError("parse-error", '"minimal_border" applies to type II only', minimal)
     if not isinstance(expected, dict):
         raise DomainError("parse-error", 'equations "expected" must be an object', expected)
     tangent = expected.get("tangent")
@@ -184,8 +187,7 @@ def _row_ambient(row: dict) -> list:
 
 @_kind("gansner-box")
 def _row_gansner_box(row: dict) -> list:
-    diagram = YoungDiagram(row["cols"])
-    max_size, expected_equal = _max_size(row), _flag(row["expected_equal"], "expected_equal")
+    diagram, max_size, expected_equal = YoungDiagram(row["cols"]), row["max_size"], row["expected_equal"]
     lhs = rpp_series_bruteforce(diagram, max_size)
     rhs = hook_product(diagram, 1, -1, max_size)
     problems = []
@@ -203,8 +205,7 @@ def _row_gansner_box(row: dict) -> list:
 
 @_kind("gansner-diagonal")
 def _row_gansner_diagonal(row: dict) -> list:
-    diagram = YoungDiagram(row["cols"])
-    max_size = _max_size(row)
+    diagram, max_size = YoungDiagram(row["cols"]), row["max_size"]
     lhs = collapse_to_diagonals(diagram, rpp_series_bruteforce(diagram, max_size))
     rhs = collapse_to_diagonals(diagram, hook_product(diagram, 1, -1, max_size))
     if lhs != rhs:
@@ -214,8 +215,7 @@ def _row_gansner_diagonal(row: dict) -> list:
 
 @_kind("euler-single")
 def _row_euler_single(row: dict) -> list:
-    diagram = YoungDiagram(row["cols"])
-    max_size = _max_size(row)
+    diagram, max_size = YoungDiagram(row["cols"]), row["max_size"]
     series = euler_series(diagram, row["chi"], max_size, single_variable=True)
     problems = []
     if "hook_lengths" in row["expected"]:
@@ -236,8 +236,7 @@ def _row_euler_single(row: dict) -> list:
 
 @_kind("motivic-specialization")
 def _row_motivic_specialization(row: dict) -> list:
-    diagram = YoungDiagram(row["cols"])
-    max_size = _max_size(row)
+    diagram, max_size = YoungDiagram(row["cols"]), row["max_size"]
     problems = []
     if motivic_series(diagram, "A1", max_size).substitute_L(1) != euler_series(diagram, 1, max_size):
         problems.append("affine-line series at L=1 is not the chi=1 Euler series")
@@ -248,8 +247,7 @@ def _row_motivic_specialization(row: dict) -> list:
 
 @_kind("count-points")
 def _row_count_points(row: dict) -> list:
-    n = RPP.from_text(row["rpp"])
-    p, expected_match = row["p"], _flag(row["expected_match"], "expected_match")
+    n, p = RPP.from_text(row["rpp"]), row["p"]
     count = count_points(n, p)
     coeff = motivic_series(n.diagram, "A1", n.size).coefficient(n.values)
     motive = evaluate_motive(coeff, p)
@@ -258,16 +256,14 @@ def _row_count_points(row: dict) -> list:
         problems.append(f"count {count} != {row['expected_count']}")
     if motive != row["expected_motive_box"]:
         problems.append(f"box coefficient {motive} != {row['expected_motive_box']}")
-    if (count == motive) != expected_match:
+    if (count == motive) != row["expected_match"]:
         problems.append(f"match is {count == motive}")
     return problems
 
 
 @_kind("count-points-diagonal")
 def _row_count_points_diagonal(row: dict) -> list:
-    diagram = YoungDiagram(row["cols"])
-    p = row["p"]
-    max_size = _max_size(row)
+    diagram, p, max_size = YoungDiagram(row["cols"]), row["p"], row["max_size"]
     counts = {rpp.values: count_points(rpp, p) for rpp in enumerate_rpps(diagram, max_size)}
     counted = _diagonal_totals(diagram, TruncatedSeries(diagram.size, max_size, counts), p)
     predicted = _diagonal_totals(diagram, motivic_series(diagram, "A1", max_size), p)
@@ -286,10 +282,7 @@ def _diagonal_totals(diagram, series, p: int) -> dict:
 
 @_kind("random-properties")
 def _row_random_properties(row: dict) -> list:
-    seed, n_cases = ints([row["seed"], row["n_cases"]], 'random-properties "seed" and "n_cases"')
-    if n_cases < 1:
-        raise DomainError("parse-error", '"n_cases" must be at least 1', n_cases)
-    failures, cases = run_random_properties(seed, n_cases)
+    failures, cases = run_random_properties(row["seed"], row["n_cases"])
     problems = [f"{len(failures)} of {cases} cases failed"] if failures else []
     return problems + failures[:3]
 
@@ -407,15 +400,7 @@ def run_random_properties(seed: int, n_cases: int) -> tuple:
 def load_corpus(path: str | None = None) -> dict:
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "verify_corpus.json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError("parse-error", f"cannot read corpus: {exc}", str(path))
-    try:
-        corpus = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError("parse-error", f"corpus is not valid JSON: {exc}", str(path))
+    corpus = read_json(path, "corpus", str(path))
     rows = corpus.get("rows") if isinstance(corpus, dict) else None
     if not rows:
         raise DomainError("parse-error", "verify corpus has no rows", str(path))
@@ -438,6 +423,9 @@ def run_corpus(corpus: dict) -> list:
             results.append((name, False, f"unknown row kind {kind!r}"))
             continue
         try:
+            for key, check in _FIELDS.items():
+                if key in row:
+                    check(row[key], f'"{key}"')
             problems = fn(row)
         except DomainError as exc:
             problems = [f"{exc.code}: {exc.message}"]

@@ -313,21 +313,32 @@ def test_domain_error_payload_schema(tmp_path):
             ("indicators", {"cols": "21"}),
             ("indicators", {"cols": ""}),
             ("indicators", {"cols": [True]}),
+            ("weight", {"rows": []}),
         )
     ):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(payload))
         bad_json.append((command, f"@{path}"))
-    # a file that is not UTF-8 is unreadable, not a crash
-    not_utf8 = tmp_path / "not_utf8.json"
-    not_utf8.write_bytes(b"\xff\xfe")
-    bad_json += [("weight", f"@{not_utf8}"), ("verify", str(not_utf8))]
+    # a file that is not UTF-8 is unreadable, not a crash; so is one that is
+    # not JSON, nests past the decoder's recursion limit, or holds an integer
+    # past the int-string conversion limit, whether an argument or a corpus
+    unreadable = {
+        "not_utf8": b"\xff\xfe",
+        "not_json": b"{not json",
+        "deep": b"[" * 100000 + b"]" * 100000,
+        "long_int": b'{"rows": [[' + b"9" * 5000 + b"]]}",
+    }
+    for name, content in unreadable.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        bad_json += [("weight", f"@{path}"), ("verify", str(path))]
     for argv in [
         ("weight", "1 0"),
         ("bogus",),
         ("series", "2,2"),
         ("series", "--curve", "A1", "--euler", "1", "2,2"),
         ("series", "--euler", "1", "--max-size", "-3", "2,2"),
+        ("series", "--curve", "A1", "--single-variable", "2,2"),
         ("equations", "--type", "I", "--minimal-border", FT.SQUARE_TEXT),
         ("count-points", "1", "--p", "4"),
     ] + bad_json:
@@ -361,6 +372,9 @@ def test_cap_errors_exit_2():
     code, _, err = run_cli("count-points", "1", "--p", "11")
     assert code == 2
     assert json.loads(err)["code"] == "cap-exceeded"
+    code, _, err = run_cli("classify", "0 0 0 0 0 1 / 0 0 0 0 1 2 / 0 0 0 1 2 3")
+    assert code == 2
+    assert json.loads(err)["message"] == "83 indicators exceed the cap 64"
 
 
 def test_huge_modulus_is_refused_before_any_primality_test():
@@ -377,3 +391,36 @@ def test_budget_env_override(monkeypatch):
     code, _, err = run_cli("count-points", "3", "--p", "2")
     assert code == 2
     assert json.loads(err)["code"] == "budget-exceeded"
+
+
+#: integer text that int() reads and the text rule refuses; a filling or
+#: diagram text drops the blanks around its numbers, an option or variable does not
+NOT_ASCII_INTEGERS = ("1_0", "+3", "\u0663", "\uff13")
+
+
+def test_integers_in_text_are_ascii_digits(monkeypatch):
+    for text in ("x", *NOT_ASCII_INTEGERS, " 3"):
+        cases = {}
+        if text != " 3":
+            cases[("weight", text)] = ("parse-error", f"bad label in RPP text {text!r}", text)
+            cases[("indicators", text)] = ("parse-error", f"bad column height in {text!r}", text)
+        for option, argv in (
+            ("--max-size", ("series", "--euler", "1", "--max-size", text, "2,1")),
+            ("--euler", ("series", "--euler", text, "2,1")),
+            ("--p", ("count-points", "1", "--p", text)),
+        ):
+            cases[argv] = ("unsupported-option", f"argument {option}: invalid int value: {text!r}", None)
+        for argv, want in cases.items():
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (1, ""), argv
+            payload = json.loads(err)
+            check(payload, "error")
+            assert (payload["code"], payload["message"], payload["offending_input"]) == want, argv
+    budget = "RPPHILB_MAX_BUDGET"
+    for text in ("x", "0", *NOT_ASCII_INTEGERS, " 3"):
+        monkeypatch.setenv(budget, text)
+        code, out, err = run_cli("count-points", "1", "--p", "2")
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["code"] == "parse-error"
+        assert payload["message"].startswith(f"{budget} must be {'positive' if text == '0' else 'an integer'}")

@@ -1,9 +1,11 @@
-"""The library's one integer check, at every integer parameter it gates."""
+"""The library's input rules: the integer check at every integer parameter it
+gates, the boolean check at every flag, and the text-integer rule."""
 
 import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
-from rpphilb.errors import ints
+from rpphilb.equations import type_ii_ideal
+from rpphilb.errors import flag, ints, text_int
 from rpphilb.pointcount import is_prime
 from rpphilb.poly import X, SparsePoly
 from rpphilb.rpp import Factorization, Indicator, enumerate_rpps
@@ -71,3 +73,34 @@ def test_every_gated_parameter_accepts_an_int():
     # the gate stops only what is not an int: each call above succeeds at 1
     for gate, call in GATES.items():
         call(1)
+
+
+#: each library flag, as a call that takes the value x there
+FLAGS = {
+    "euler single_variable": lambda x: euler_series(D, 1, 3, single_variable=x),
+    "factor single_variable": lambda x: factor_power((1,), 1, -1, 1, 3, single_variable=x),
+    "series single_variable": lambda x: TruncatedSeries(1, 3, {}, single_variable=x),
+    "type II minimal_border": lambda x: type_ii_ideal(RPP.from_text("0 1 / 1 2"), minimal_border=x),
+}
+
+
+def test_every_flag_takes_an_exact_bool_only():
+    assert flag(True, "f") is True and flag(False, "f") is False
+    for name, call in FLAGS.items():
+        call(True)
+        call(False)
+        for value in ("no", "", 0, 1, None, 1.0, [True]):
+            with pytest.raises(DomainError) as err:
+                call(value)
+            assert err.value.code == "parse-error", (name, value)
+            assert err.value.offending_input == value
+
+
+def test_text_int_takes_ascii_digits_after_an_optional_minus():
+    for text, value in (("0", 0), ("-3", -3), ("007", 7), ("-0", 0), ("9" * 100, int("9" * 100))):
+        assert text_int(text, "bad", text) == value
+    too_long = "9" * 5000  # past Python's int-string conversion limit
+    for text in ("", "-", "+3", "--3", "1_0", "\u0663", "\uff13", "\u00b2", " 3", "3 ", "3.0", "0x1", too_long):
+        with pytest.raises(DomainError) as err:
+            text_int(text, "bad", [text])
+        assert (err.value.code, err.value.message, err.value.offending_input) == ("parse-error", "bad", [text])

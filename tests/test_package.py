@@ -1,6 +1,7 @@
 """The package surface: the public names, what each entry point imports,
 and the names the benchmark traces."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -142,6 +143,33 @@ def test_brute_force_series_loads_rpp_when_called():
         ]
     )
     assert "rpphilb.rpp" in _loaded_by(code)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "rpphilb.motivic_series(rpphilb.YoungDiagram([1]), 'A1', 1)",
+        "rpphilb.classify(rpphilb.RPP.from_text('0 2 / 2 4'))",
+    ],
+)
+def test_first_library_calls_load_no_json(call):
+    assert "json" not in _loaded_by(f"import rpphilb\n{call}")
+
+
+def test_only_errors_reads_json():
+    # one JSON file reader, errors.read_json, serves @file.json and corpus files
+    readers = set()
+    for path in (SRC / "rpphilb").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(call, ast.Attribute)
+                and call.attr in ("load", "loads")
+                and isinstance(call.value, ast.Name)
+                and call.value.id == "json"
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
+                readers.add(path.name)
+    assert readers == {"errors.py"}
 
 
 def test_classify_skips_equations_pointcount_and_verify():

@@ -1,5 +1,6 @@
 """Self-check corpus: loading, row evaluation, negative controls."""
 
+import copy
 import gc
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 from rpphilb import RPP, DomainError, verify
 from rpphilb.diagram import YoungDiagram, enumerate_upper_sets
 from rpphilb.pointcount import count_points
+from rpphilb.series import euler_series
 from rpphilb.poly import SparsePoly
 from rpphilb.rpp import (
     MAX_FACTORIZATION_INDICATORS,
@@ -286,3 +288,57 @@ def test_nested_polynomials_match_the_sparse_builder():
             assert fast == [_coefficients(p) for p in slow], n.to_text()
             assert [len(c) - 1 for c in fast] == list(n.values)
 
+
+
+def test_type_i_row_refuses_the_minimal_border():
+    # as on the command line, where --minimal-border with --type I is refused
+    row = {"name": "i-minimal", "kind": "equations", "rpp": "1 / 2", "type": "I", "expected": {}}
+    assert run_corpus({"rows": [{**row, "minimal_border": False}]}) == [("i-minimal", True, "ok")]
+    [(_, ok, detail)] = run_corpus({"rows": [{**row, "minimal_border": True}]})
+    assert not ok
+    assert detail == 'parse-error: "minimal_border" applies to type II only'
+
+
+def _perturbed(name, change):
+    """The bundled row ``name``, with ``change`` applied to a copy of its expectations."""
+    row = copy.deepcopy(next(row for row in load_corpus()["rows"] if row["name"] == name))
+    change(row["expected"])
+    return row
+
+
+#: per row kind with frozen expectations, one expectation changed, and the detail the row then fails with
+PERTURBATIONS = [
+    ("square-classification", lambda e: e.update(standard_index=1), "standard factorisation at 0 != 1"),
+    ("square-classification", lambda e: e.update(complete_index=0), "complete factorisation at 2 != 0"),
+    ("square-classification", lambda e: e["components"][1].update(smooth=True), "component 1: smooth False != True"),
+    ("equations-type-i", lambda e: e.update(n_generators=21), "n_generators 20 != 21"),
+    ("equations-type-ii", lambda e: e["tangent"].update(dim=8), "tangent dimension 9 != 8"),
+    ("equations-type-ii", lambda e: e["tangent"].update(degrees=[4, 5]), "reduced degrees [4, 4, 5, 5] != [4, 5]"),
+    ("euler-single-square", lambda e: e.update(hook_lengths=[3, 2, 1, 1]), "hook lengths [3, 2, 2, 1]"),
+    ("euler-single-square", lambda e: e["coefficients"].update({"10": 39}), "coefficients {"),
+]
+
+
+@pytest.mark.parametrize("name, change, detail", PERTURBATIONS)
+def test_a_changed_expectation_fails_with_its_detail(name, change, detail):
+    [(_, ok, got)] = run_corpus({"rows": [_perturbed(name, change)]})
+    assert not ok
+    assert got.startswith(detail), got
+
+
+def test_rows_without_expectations_fail_when_a_computation_changes(monkeypatch):
+    # the specialisation and diagonal-total rows compare two computations, so
+    # one of them is changed here instead of an expectation
+    rows = {row["name"]: row for row in load_corpus()["rows"]}
+    monkeypatch.setattr(verify, "euler_series", lambda diagram, chi, max_size: euler_series(diagram, chi + 1, max_size))
+    monkeypatch.setattr(verify, "count_points", lambda rpp, p: count_points(rpp, p) + 1)
+    results = run_corpus({"rows": [rows["motivic-specialization-square"], rows["count-points-diagonal-square-p2"]]})
+    assert results == [
+        (
+            "motivic-specialization-square",
+            False,
+            "affine-line series at L=1 is not the chi=1 Euler series; "
+            "projective-line series at L=1 is not the chi=2 Euler series",
+        ),
+        ("count-points-diagonal-square-p2", False, "diagonal totals differ, first at ((0, 0, 0), 1)"),
+    ]
