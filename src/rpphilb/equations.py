@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 from .errors import DomainError, flag
 from .linalg import rank
-from .poly import SparsePoly, VarId, var_a, var_b, var_c
+from .poly import SparsePoly, VarId, _raw, var_a, var_b, var_c
 from .rpp import RPP
-from .univariate import monic_divmod, poly_mul
+from .univariate import monic_divmod
 
 
 class AmbientSummary(NamedTuple):
@@ -109,8 +109,8 @@ class IdealPresentation:
 def _monic(d: int, var, box) -> tuple:
     """x^d + var(i,j,1)·x^(d-1) + … + var(i,j,d), the universal monic of degree d at a box.
 
-    The x-coefficient tuple, lowest power first, as ``poly_mul`` and
-    ``monic_divmod`` take it.
+    The x-coefficient tuple, lowest power first, as ``monic_divmod``
+    takes it.
     """
     i, j = box
     return (*(SparsePoly.variable(var(i, j, k)) for k in range(d, 0, -1)), 1)
@@ -154,50 +154,81 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     label(i,j) − label(i−1,j−1) coefficient conditions.
 
     ``minimal_border`` drops the redundant border variables (b on column 0
-    above the origin, c on row 0) together with the border equations; the
+    below the origin, c on row 0) together with the border equations; the
     remaining chart has exactly the ambient/bundle dimensions of
-    ambient_and_bundle.
+    ambient_and_bundle.  It is a filter of the full presentation: the
+    generators keep their order, and the surviving groups and variables
+    are the full chart's.
     """
     flag(minimal_border, "minimal_border")
     lam = n.diagram
-    left, up = lam.left, lam.up
     v = (*n.values, 0)
-    row_deg = [v[p] - v[l] for p, l in enumerate(left)]
-    col_deg = [v[p] - v[u] for p, u in enumerate(up)]
-    # the factor of an absent neighbour, read at position -1, is the constant 1
-    one = (1,)
-    rows = [_monic(d, var_b, b) for d, b in zip(row_deg, lam.boxes)] + [one]
-    cols = [_monic(d, var_c, b) for d, b in zip(col_deg, lam.boxes)] + [one]
-
-    # on the border, column 0 has no left neighbour and row 0 no upper one
-    ambient = [
-        var_b(b.i, b.j, k)
-        for p, b in enumerate(lam.boxes)
-        if not (minimal_border and left[p] < 0 <= up[p])
-        for k in range(1, row_deg[p] + 1)
-    ]
-    ambient += [
-        var_c(b.i, b.j, k)
-        for p, b in enumerate(lam.boxes)
-        if not (minimal_border and up[p] < 0)
-        for k in range(1, col_deg[p] + 1)
-    ]
-    ambient = tuple(sorted(ambient, key=VarId.sort_key))
+    # each box's row (b) and column (c) factor as its variables by depth k,
+    # None at depth 0 for the leading 1; an absent neighbour's factor, read
+    # at position -1, is the constant 1
+    rows, cols = [], []
+    for p, (b, l, u) in enumerate(zip(lam.boxes, lam.left, lam.up)):
+        rows.append((None, *(var_b(b.i, b.j, k) for k in range(1, v[p] - v[l] + 1))))
+        cols.append((None, *(var_c(b.i, b.j, k) for k in range(1, v[p] - v[u] + 1))))
+    rows.append((None,))
+    cols.append((None,))
+    ambient = [x for factor in rows + cols for x in factor[1:]]
 
     generators: list[SparsePoly] = []
     groups: list[dict] = []
-    for p, (box, l, u, ul) in enumerate(zip(lam.boxes, left, up, lam.up_left)):
-        if minimal_border and (l < 0 or u < 0):
-            continue
+    for p, (box, l, u, ul) in enumerate(zip(lam.boxes, lam.left, lam.up, lam.up_left)):
         D = v[p] - v[ul]
         if D == 0:
             continue
-        lhs, rhs = poly_mul(rows[p], cols[l]), poly_mul(cols[p], rows[u])
-        assert len(lhs) == len(rhs) == D + 1, "both products are monic of degree D"
-        generators.extend(a - b for a, b in zip(reversed(lhs[:D]), reversed(rhs[:D])))
+        # both products around the square are monic of degree D
+        assert len(rows[p]) + len(cols[l]) == len(cols[p]) + len(rows[u]) == D + 2
+        generators += (_square_coefficient(rows[p], cols[l], rows[u], cols[p], s) for s in range(1, D + 1))
         groups.append({"box": tuple(box), "size": D})
+    full = IdealPresentation(
+        ambient_vars=tuple(sorted(ambient, key=VarId.sort_key)),
+        generators=tuple(generators),
+        groups=tuple(groups),
+        condition_count=len(generators),
+    )
+    return _without_border(full) if minimal_border else full
+
+
+def _square_coefficient(row: tuple, left_col: tuple, up_row: tuple, col: tuple, s: int) -> SparsePoly:
+    """The x^(D−s) coefficient of L_{i,j}·U_{i-1,j} − U_{i,j}·L_{i,j-1}, D its degree.
+
+    Each factor is its variables by depth, None at depth 0 for the leading
+    1; a product's coefficient is the sum over k of b(k)·c(s−k).  A b
+    variable sorts before a c variable, and the two products share no
+    variable, so every monomial occurs once, with coefficient ±1.
+    """
+    terms = {}
+    for bs, cs, sign in ((row, left_col, 1), (up_row, col, -1)):
+        for k in range(max(0, s - len(cs) + 1), min(s, len(bs) - 1) + 1):
+            b, c = bs[k], cs[s - k]
+            terms[((c, 1),) if b is None else ((b, 1),) if c is None else ((b, 1), (c, 1))] = sign
+    return _raw(terms)
+
+
+def _without_border(full: IdealPresentation) -> IdealPresentation:
+    """The minimal-border chart of a full type II presentation.
+
+    Drops the groups and generators of the border boxes (column 0 or row
+    0), the b variables on column 0 below the origin and the c variables
+    on row 0; the inner boxes' generators use none of them.
+    """
+    generators: list[SparsePoly] = []
+    groups = []
+    start = 0
+    for g in full.groups:
+        end = start + g["size"]
+        if 0 not in g["box"]:
+            generators += full.generators[start:end]
+            groups.append(g)
+        start = end
     return IdealPresentation(
-        ambient_vars=ambient,
+        ambient_vars=tuple(
+            v for v in full.ambient_vars if not (v.i == 0 < v.j if v.kind == "b" else v.j == 0)
+        ),
         generators=tuple(generators),
         groups=tuple(groups),
         condition_count=len(generators),

@@ -268,7 +268,15 @@ def _accumulate(out: dict, other, sign: int) -> dict:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    return _monomial(m1 + m2) if m1 and m2 else m1 or m2
+    """The product monomial; two one-variable monomials are ordered without a sort."""
+    if not (m1 and m2):
+        return m1 or m2
+    if len(m1) == len(m2) == 1:
+        (v1, e1), (v2, e2) = m1[0], m2[0]
+        if v1 == v2:
+            return ((v1, e1 + e2),)
+        return m1 + m2 if v1.sort_key() < v2.sort_key() else m2 + m1
+    return _monomial(m1 + m2)
 
 
 def divmod_in_x(f: SparsePoly, g: SparsePoly) -> tuple[SparsePoly, SparsePoly]:

@@ -188,6 +188,17 @@ class Indicator(RPP):
             )
         self._text = None
 
+    @classmethod
+    def _of(cls, diagram: YoungDiagram, values: tuple[int, ...]) -> "Indicator":
+        """An indicator this module built, checked for nothing.
+
+        ``values`` must be the int 0/1 tuple of a nonempty, edge-connected
+        upper set of ``diagram``.
+        """
+        ind = object.__new__(cls)
+        ind.diagram, ind.values, ind._text = diagram, values, None
+        return ind
+
     def to_text(self) -> str:
         if self._text is None:
             self._text = super().to_text()
@@ -308,7 +319,8 @@ def standard_factorization(n: RPP) -> Factorization:
 
     For each distinct positive value k (ascending), the boxes with label >= k
     form an upper set; its connected parts enter with coefficient equal to
-    the gap from the previous level.
+    the gap from the previous level.  Each part is a nonempty connected
+    upper set by construction, so its indicator is built unchecked.
     """
     if n.is_zero():
         raise DomainError("zero-input", "the zero filling has no standard factorisation", n.to_text())
@@ -317,7 +329,7 @@ def standard_factorization(n: RPP) -> Factorization:
     prev = 0
     for k in levels:
         for part in upper_set_parts(n.diagram, tuple(int(v >= k) for v in n.values)):
-            ind = Indicator(n.diagram, part)
+            ind = Indicator._of(n.diagram, part)
             terms[ind] = terms.get(ind, 0) + (k - prev)
         prev = k
     fact = Factorization(terms)
@@ -330,7 +342,8 @@ def complete_factorization(n: RPP) -> Factorization | None:
 
     When it exists it is unique, and each indicator in its support is the
     principal upper set of a box where the derivative is positive: the
-    boxes weakly right of and below it, with it as unique minimal box.
+    boxes weakly right of and below it, with it as unique minimal box, so
+    its indicator is built unchecked.
     """
     deriv = n.derivative()
     if any(v < 0 for v in deriv):
@@ -339,7 +352,7 @@ def complete_factorization(n: RPP) -> Factorization | None:
     for box, dv in zip(n.diagram.boxes, deriv):
         if dv > 0:
             principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
-            terms[Indicator(n.diagram, principal)] = dv
+            terms[Indicator._of(n.diagram, principal)] = dv
     fact = Factorization(terms)
     assert fact.total() == n if terms else n.is_zero()
     return fact

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import os
 import random
+from functools import lru_cache
 
 from .components import classify, differential_injective, dimension_recursive, witness_texts
 from .diagram import YoungDiagram
 from .equations import (
+    _without_border,
     ambient_and_bundle,
     check_grading,
     tangent_embedding,
@@ -294,6 +296,12 @@ RANDOM_MAX_BOXES = 6
 RANDOM_MAX_ENTRY = 5
 
 
+@lru_cache(maxsize=None)
+def _diagram(cols: tuple[int, ...]) -> YoungDiagram:
+    """One diagram per shape of at most RANDOM_MAX_BOXES boxes, shared by the draws."""
+    return YoungDiagram(cols)
+
+
 def random_instance(rng: random.Random) -> RPP:
     """A random RPP on a random diagram, conditioned to the search caps."""
     while True:
@@ -305,7 +313,7 @@ def random_instance(rng: random.Random) -> RPP:
             cols.append(h)
             height = h
             budget -= h
-        diagram = YoungDiagram(cols)
+        diagram = _diagram(tuple(cols))
         values = [0] * (diagram.size + 1)  # the trailing 0 is the zero extension
         for p, (l, u) in enumerate(zip(diagram.left, diagram.up)):
             floor = max(values[l], values[u])
@@ -347,11 +355,8 @@ def check_random_instance(rng: random.Random) -> list:
             for fact in facts:
                 if not differential_injective(fact)[0]:
                     problems.append(f"{label}: weight <= 3 component not smooth")
-    presentations = {
-        "I": type_i_ideal(n),
-        "II": type_ii_ideal(n),
-        "II-minimal": type_ii_ideal(n, minimal_border=True),
-    }
+    full = type_ii_ideal(n)
+    presentations = {"I": type_i_ideal(n), "II": full, "II-minimal": _without_border(full)}
     for tag, ideal in presentations.items():
         if ideal.n_vars - ideal.condition_count != omega:
             problems.append(f"{label}: type {tag} vars minus conditions != weight")

@@ -6,10 +6,11 @@ import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
 from rpphilb.components import ComponentReport, bijective_on_points, differential_injective
+from rpphilb.diagram import upper_set_parts
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank
 from rpphilb.poly import X, SparsePoly, VarId, parse_var_name
-from rpphilb.rpp import Factorization, _first_fault, enumerate_rpps, indicators
+from rpphilb.rpp import Factorization, Indicator, _first_fault, enumerate_rpps, indicators
 from rpphilb.series import TruncatedSeries
 from rpphilb.univariate import poly_mul
 
@@ -156,6 +157,46 @@ def factorizations_by_tuple_search(n):
 
     search(n.values, 0)
     return results
+
+
+def standard_factorization_checked(n):
+    """The level-set factorisation with every indicator built by the validating constructor.
+
+    The oracle for ``rpp.standard_factorization``, which builds its
+    indicators unchecked.
+    """
+    if n.is_zero():
+        raise DomainError("zero-input", "the zero filling has no standard factorisation", n.to_text())
+    levels = sorted({v for v in n.values if v > 0})
+    terms: dict = {}
+    prev = 0
+    for k in levels:
+        for part in upper_set_parts(n.diagram, tuple(int(v >= k) for v in n.values)):
+            ind = Indicator(n.diagram, part)
+            terms[ind] = terms.get(ind, 0) + (k - prev)
+        prev = k
+    fact = Factorization(terms)
+    assert fact.total() == n
+    return fact
+
+
+def complete_factorization_checked(n):
+    """The principal-upper-set factorisation with every indicator built by the validating constructor.
+
+    The oracle for ``rpp.complete_factorization``, which builds its
+    indicators unchecked.
+    """
+    deriv = n.derivative()
+    if any(v < 0 for v in deriv):
+        return None
+    terms: dict = {}
+    for box, dv in zip(n.diagram.boxes, deriv):
+        if dv > 0:
+            principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
+            terms[Indicator(n.diagram, principal)] = dv
+    fact = Factorization(terms)
+    assert fact.total() == n if terms else n.is_zero()
+    return fact
 
 
 def classify_by_tuple_search(n):

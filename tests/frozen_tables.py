@@ -277,6 +277,10 @@ CLASSIFY_STDOUT_SHA256 = {
     (TRIPLE_GRID_TEXT, "json"): "9550e83d4433c36d165383e0abc9d58387b14e739e00faee758bfedd3e7584d6",
 }
 
+# SHA-256 of the texts, one per line, of the 120 instances that the bundled
+# corpus's random-properties row draws: verify.run_random_properties(20260817, 120).
+RANDOM_ROW_DRAWS_SHA256 = "0740f1fc59006a9484eaf48ff806ee4514d5fd98c7e79019c01ea54be5bf56cb"
+
 # Single-variable counts of fillings of the square by total size 0..10 and
 # the hook lengths of the square, used by the generating-series checks.
 SQUARE_RPP_COUNTS = [1, 1, 3, 4, 7, 9, 14, 17, 24, 29, 38]

@@ -104,3 +104,33 @@ def test_text_int_takes_ascii_digits_after_an_optional_minus():
         with pytest.raises(DomainError) as err:
             text_int(text, "bad", [text])
         assert (err.value.code, err.value.message, err.value.offending_input) == ("parse-error", "bad", [text])
+
+
+#: each library refusal of a well-typed argument, as a call and the code it raises
+REFUSALS = {
+    "negative multiplicity": (lambda: Factorization({Indicator(ONE_BOX, (1,)): -1}), "negative-multiplicity"),
+    "indicators on two diagrams": (
+        lambda: Factorization({Indicator(ONE_BOX, (1,)): 1, Indicator(D, (1, 1, 1)): 1}),
+        "diagram-mismatch",
+    ),
+    "total of the empty factorisation": (lambda: Factorization({}).total(), "empty-factorization"),
+    "sum across two diagrams": (lambda: RPP(ONE_BOX, [1]) + RPP(D, [0, 1, 1]), "diagram-mismatch"),
+    "negative enumeration max_size": (lambda: enumerate_rpps(D, -1), "negative-size"),
+    "diagram text that is not a string": (lambda: YoungDiagram.from_text(3), "parse-error"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_raises_its_code(name):
+    call, code = REFUSALS[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.value.code == code
+
+
+def test_a_zero_multiplicity_is_skipped():
+    one, full = Indicator(D, (0, 1, 0)), Indicator(D, (1, 1, 1))
+    assert Factorization({one: 0}).terms == {}
+    assert Factorization({one: 0, full: 2}).terms == {full: 2}
+    # a skipped term's indicator may even sit on another diagram
+    assert Factorization({Indicator(ONE_BOX, (1,)): 0, full: 1}).terms == {full: 1}

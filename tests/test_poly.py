@@ -1,6 +1,7 @@
 """Exact sparse polynomial arithmetic and monic division in x."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from rpphilb.poly import (
     X,
     SparsePoly,
     _coerce,
+    _merge_monomials,
+    _monomial,
     _split_x,
     _tokenize,
     divmod_in_x,
@@ -50,6 +53,14 @@ def test_constructor_adds_repeated_exponents():
     assert str(squared) == "x^2"
     assert SparsePoly({((X, 1), (L, 2), (X, 2)): 3, ((X, 3), (L, 2)): -1}) == parse_poly("2*x^3*L^2")
     assert SparsePoly({((X, 0),): 3}) == 3  # a zero exponent is dropped
+
+
+def test_one_variable_monomials_merge_as_the_sorting_constructor_merges():
+    # the product's fast path orders two one-variable monomials without _monomial's dict and sort
+    variables = [X, L, var_a(0, 0, 1), var_a(1, 0, 1), var_a(0, 1, 2), var_b(0, 0, 1), var_b(1, 1, 1), var_c(0, 1, 3)]
+    monomials = [(), *(((v, e),) for v in variables for e in (1, 2, 3))]
+    for m1, m2 in product(monomials, repeat=2):
+        assert _merge_monomials(m1, m2) == _monomial(m1 + m2), (m1, m2)
 
 
 @pytest.mark.parametrize("mono", [((X, -1),), ((X, 2), (X, -1)), ((X, 1.5),), ((X, True),)])

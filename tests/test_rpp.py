@@ -21,12 +21,14 @@ from rpphilb.series import _product
 
 import frozen_tables as FT
 from conftest import (
+    complete_factorization_checked,
     connected_parts,
     diagrams_up_to,
     enumerate_rpps_by_recursion,
     factorizations_by_tuple_search,
     rising_filling,
     search_oracle_fillings,
+    standard_factorization_checked,
     value,
 )
 
@@ -195,6 +197,29 @@ def test_standard_factorization_matches_connected_parts_oracle():
                     terms[nu] = terms.get(nu, 0) + k - prev
                 prev = k
             assert standard_factorization(n) == Factorization(terms), n
+
+
+def _built(fact):
+    """Each term of a factorisation as (class, diagram, values, multiplicity), in its stored order."""
+    return None if fact is None else [(type(ind), ind.diagram, ind.values, m) for ind, m in fact.terms.items()]
+
+
+def test_unchecked_factorizations_match_the_checked_builds():
+    fillings = [n for d in diagrams_up_to(7) for n in enumerate_rpps(d, 5)]
+    assert len(fillings) == 1828
+    for n in fillings:
+        if not n.is_zero():
+            assert _built(standard_factorization(n)) == _built(standard_factorization_checked(n)), n
+        assert _built(complete_factorization(n)) == _built(complete_factorization_checked(n)), n
+    # past the shape table's box cap, both are still answered
+    big = YoungDiagram((8, 8, 8, 7))
+    with pytest.raises(CapExceeded) as err:
+        indicators(big)
+    assert err.value.code == "diagram-too-large"
+    n = rising_filling(big, lambda: 1)
+    assert _built(standard_factorization(n)) == _built(standard_factorization_checked(n))
+    assert _built(complete_factorization(n)) == _built(complete_factorization_checked(n))
+    assert standard_factorization(n).length == n.weight()
 
 
 def test_complete_factorization_of_square(square_rpp):

@@ -2,13 +2,16 @@
 
 import copy
 import gc
+import hashlib
 import random
 import time
 
 import pytest
 
 from rpphilb import RPP, DomainError, verify
+from rpphilb.components import differential_injective, dimension_recursive
 from rpphilb.diagram import YoungDiagram, enumerate_upper_sets
+from rpphilb.equations import IdealPresentation, _without_border, type_i_ideal
 from rpphilb.pointcount import count_points
 from rpphilb.series import euler_series
 from rpphilb.poly import SparsePoly
@@ -16,6 +19,8 @@ from rpphilb.rpp import (
     MAX_FACTORIZATION_INDICATORS,
     MAX_FACTORIZATION_WEIGHT,
     Factorization,
+    Indicator,
+    all_factorizations,
     enumerate_rpps,
     indicators,
     standard_factorization,
@@ -30,6 +35,7 @@ from rpphilb.verify import (
 )
 
 from conftest import x_coefficients, x_power
+import frozen_tables as FT
 
 
 def test_bundled_corpus_passes_completely():
@@ -240,6 +246,83 @@ def test_non_nested_tuple_is_reported_as_a_divisibility_failure(monkeypatch):
     assert "malformed" not in detail and "parse-error" not in detail
     failures, _ = run_random_properties(5, 10)
     assert any(f.endswith("fails left divisibility") or f.endswith("fails up divisibility") for f in failures)
+
+
+def test_random_row_draws_are_frozen(monkeypatch):
+    # the bundled row's 120 instances, recorded as the sweep draws them
+    drawn = []
+
+    def recorded(rng):
+        drawn.append(random_instance(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_instance", recorded)
+    assert run_random_properties(20260817, 120) == ([], 120)
+    texts = "\n".join(n.to_text() for n in drawn)
+    assert hashlib.sha256(texts.encode()).hexdigest() == FT.RANDOM_ROW_DRAWS_SHA256
+    # draws on one shape share its diagram
+    assert len({id(n.diagram) for n in drawn}) == len({n.diagram.cols for n in drawn})
+
+
+def _changed(build, surplus=0, generator=None):
+    """``build``, with ``surplus`` added to the condition count and ``generator`` appended."""
+
+    def changed(*args):
+        ideal = build(*args)
+        extra = () if generator is None else (generator,)
+        return IdealPresentation(
+            ideal.ambient_vars, ideal.generators + extra, ideal.groups, ideal.condition_count + surplus
+        )
+
+    return changed
+
+
+#: a non-smooth component of the square, and a smooth factorisation of length 1
+SINGULAR = next(f for f in all_factorizations(RPP.from_text("0 2 / 2 4")) if not differential_injective(f)[0])
+ONE_INDICATOR = Factorization({Indicator(YoungDiagram((1,)), (1,)): 1})
+ONE = SparsePoly.constant(1)
+
+#: per problem line of check_random_instance, a computation of the sweep
+#: changed, and every problem the sweep then reports, without its instance
+SWEEP_CHANGES = {
+    "dimension": ("dimension_recursive", lambda n: dimension_recursive(n) + 1, {"recursive dimension != weight"}),
+    "length": (
+        "all_factorizations",
+        lambda n: [*all_factorizations(n), ONE_INDICATOR],
+        {"a factorisation length differs from the weight"},
+    ),
+    "complete": ("complete_factorization", lambda n: SINGULAR, {"standard/complete component not smooth"}),
+    "differential": (
+        "differential_injective",
+        lambda fact: (False,),
+        {"standard/complete component not smooth", "weight <= 3 component not smooth"},
+    ),
+    "grading": (
+        "check_grading",
+        lambda ideal: False,
+        {f"type {tag} presentation inhomogeneous" for tag in ("I", "II", "II-minimal")},
+    ),
+    "type-i": ("type_i_ideal", _changed(type_i_ideal, generator=ONE), {"type I generator nonzero on a nested tuple"}),
+    # the minimal chart is derived from the full one, and still checked on its own
+    "minimal-count": (
+        "_without_border",
+        _changed(_without_border, surplus=1),
+        {"type II-minimal vars minus conditions != weight"},
+    ),
+    "minimal-generator": (
+        "_without_border",
+        _changed(_without_border, generator=ONE),
+        {"type II-minimal generator nonzero on a nested tuple"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CHANGES))
+def test_a_changed_computation_fails_the_sweep_with_its_problem(monkeypatch, case):
+    name, replacement, problems = SWEEP_CHANGES[case]
+    monkeypatch.setattr(verify, name, replacement)
+    failures, _ = run_random_properties(20260817, 40)
+    assert {f.split(": ", 1)[1] for f in failures} == problems
 
 
 # -- SparsePoly arithmetic, kept as the oracle for the integer fast path ------
