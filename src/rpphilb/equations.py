@@ -58,6 +58,8 @@ def ambient_and_bundle(n: RPP) -> AmbientSummary:
 
 
 class IdealPresentation:
+    """Ambient variables, generators, and their groups in the JSON form ``to_json_obj`` prints."""
+
     __slots__ = ("ambient_vars", "generators", "groups", "condition_count")
 
     def __init__(
@@ -92,41 +94,27 @@ class IdealPresentation:
             "ambient_vars": [str(v) for v in self.ambient_vars],
             "grading": {str(v): v.k for v in self.ambient_vars},
             "generators": [str(g) for g in self.generators],
-            "groups": [
-                {
-                    "box": list(g["box"]),
-                    "divisor_box": list(g["divisor_box"]) if g.get("divisor_box") else None,
-                    "size": g["size"],
-                }
-                for g in self.groups
-            ],
+            "groups": [dict(g) for g in self.groups],
             "n_vars": self.n_vars,
             "n_generators": self.n_generators,
             "condition_count": self.condition_count,
         }
 
 
-def _monic(d: int, var, box) -> tuple:
-    """x^d + var(i,j,1)·x^(d-1) + … + var(i,j,d), the universal monic of degree d at a box.
-
-    The x-coefficient tuple, lowest power first, as ``monic_divmod``
-    takes it.
-    """
-    i, j = box
-    return (*(SparsePoly.variable(var(i, j, k)) for k in range(d, 0, -1)), 1)
-
-
 def type_i_ideal(n: RPP) -> IdealPresentation:
     """Divisibility presentation: one monic polynomial per box, remainders vanish.
 
-    Variables a(i,j,k) for 1 ≤ k ≤ label(i,j).  Per box in row-major order,
-    the remainder against the left neighbour is imposed before the one
-    against the upper neighbour; degree-0 divisors impose nothing.
+    Variables a(i,j,k) for 1 ≤ k ≤ d = label(i,j); the box's universal monic
+    is x^d + a(i,j,1)·x^(d-1) + … + a(i,j,d), held as its x-coefficient
+    tuple, lowest power first, as ``monic_divmod`` takes it.  Per box in
+    row-major order, the remainder against the left neighbour is imposed
+    before the one against the upper neighbour; degree-0 divisors impose
+    nothing.
     """
     lam = n.diagram
-    ambient = tuple(var_a(b.i, b.j, k) for b, d in zip(lam.boxes, n.values) for k in range(1, d + 1))
+    a = [tuple(var_a(b.i, b.j, k) for k in range(1, d + 1)) for b, d in zip(lam.boxes, n.values)]
+    polys = [(*map(SparsePoly.variable, reversed(x)), 1) for x in a]
     v = (*n.values, 0)
-    polys = [_monic(d, var_a, b) for b, d in zip(lam.boxes, n.values)]
     generators: list[SparsePoly] = []
     groups: list[dict] = []
     conditions = sum(v[l] + v[u] - v[ul] for l, u, ul in zip(lam.left, lam.up, lam.up_left))
@@ -136,9 +124,9 @@ def type_i_ideal(n: RPP) -> IdealPresentation:
             if d == 0:
                 continue
             generators.extend(reversed(monic_divmod(polys[p], polys[q])[1]))
-            groups.append({"box": tuple(box), "divisor_box": tuple(lam.boxes[q]), "size": d})
+            groups.append({"box": list(box), "divisor_box": list(lam.boxes[q]), "size": d})
     return IdealPresentation(
-        ambient_vars=ambient,
+        ambient_vars=tuple(x for box_vars in a for x in box_vars),
         generators=tuple(generators),
         groups=tuple(groups),
         condition_count=conditions,
@@ -183,7 +171,7 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
         # both products around the square are monic of degree D
         assert len(rows[p]) + len(cols[l]) == len(cols[p]) + len(rows[u]) == D + 2
         generators += (_square_coefficient(rows[p], cols[l], rows[u], cols[p], s) for s in range(1, D + 1))
-        groups.append({"box": tuple(box), "size": D})
+        groups.append({"box": list(box), "divisor_box": None, "size": D})
     full = IdealPresentation(
         ambient_vars=tuple(sorted(ambient, key=VarId.sort_key)),
         generators=tuple(generators),

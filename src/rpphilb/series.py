@@ -186,6 +186,15 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
     variable p, so moving a term by j·v is one addition.  No exponent
     exceeds max_size, so no digit carries, and a list of max_size + 1
     dicts cannot exist unless max_size < 2^64, the widest digit.
+
+    A one-entry sum that cancels is deleted.  A longer one needs an
+    L-dependent weight, and never cancels: the P1 series has nonnegative
+    entries, and ``hook_product`` and ``factor_power`` multiply over
+    linearly independent vectors (a box leads its hook), so a key is
+    e′ + M·v for at most one e′ in the support of S, the earlier factors'
+    product.  A downward pass writes such a key once; an upward pass that
+    has applied c_j for every j ≥ J leaves ±C(M − 1, J − 1)·C(M + |k| − J,
+    |k| − J)·w^M·S[e′] there, never 0.
     """
     TruncatedSeries(n_vars, max_size, single_variable=single_variable)  # checks the arguments
     graded = [{0: (1,)}] + [{} for _ in range(max_size)]
@@ -234,10 +243,8 @@ def _product(n_vars: int, max_size: int, factors, single_variable: bool = False)
                             target[key] = (s,)
                         else:
                             del target[key]
-                    elif s := _add(old, term):
-                        target[key] = s
                     else:
-                        del target[key]
+                        target[key] = _add(old, term)
     unpack, n_bytes = Struct(f"<{n_vars}{code}").unpack, width * n_vars
     terms = {unpack(e.to_bytes(n_bytes, "little")): c for by_size in graded for e, c in by_size.items()}
     return TruncatedSeries._of(n_vars, max_size, terms, single_variable)

@@ -19,9 +19,10 @@ from .errors import DomainError
 
 
 def poly_mul(f, g) -> tuple:
-    """Product of two coefficient tuples, lowest power first; entries are ints or SparsePolys."""
-    if not f or not g:
-        return ()
+    """Product of two coefficient tuples, lowest power first; entries are ints or SparsePolys.
+
+    Both are nonempty: callers pass monics, nonzero weights and stored (nonzero) series coefficients.
+    """
     # each entry starts from its first product, f[0]·g[k] or f[i]·g[-1], never from the int 0
     last = len(g) - 1
     out = [f[0] * b for b in g] + [a * g[last] for a in f[1:]]

@@ -101,6 +101,18 @@ def filling_of_weight(rng, diagram, weight):
             return n
 
 
+def conjugate(n):
+    """The transpose of a filling, on the conjugate shape: the label at box (i, j) moves to (j, i)."""
+    rows = n.rows()
+    return RPP.from_rows([row[r] for row in rows if len(row) > r] for r in range(len(rows[0])))
+
+
+def pad(n, side):
+    """A filling with a zero row added on top (side "row") or a zero column added at the left."""
+    rows = n.rows()
+    return RPP.from_rows([[0] * len(rows[0]), *rows] if side == "row" else [[0, *row] for row in rows])
+
+
 def enumerate_rpps_by_recursion(diagram, max_size):
     """Value tuples of the RPPs with label total <= max_size, sorted by (total, values).
 

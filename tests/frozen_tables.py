@@ -303,3 +303,75 @@ REFINEMENT_GAP_TEXT = "0 1 / 1 2"
 REFINEMENT_GAP_P = 2
 REFINEMENT_GAP_COUNT = 6
 REFINEMENT_GAP_BOX_PREDICTION = 4
+
+# The answer atlas: one SHA-256 per shape (its columns as text) over every
+# filling of total at most 5 on the shapes of at most 8 boxes, recorded by
+# tests/record_atlas.py, which says what each digest covers.
+ATLAS_SHA256 = {
+    "1": "a41a2bb439a7322d6613ddc437d537431afba4eaa3f471deebd85facc1e04047",
+    "2": "17d4bec63ff1c0dfdbbc064ad8171afcd09602d2c3c4d08157f04ec321d8a09f",
+    "1,1": "ac247584a6760129bcf00ce2e191e52f2300bb84a0ab1c2c214c3c72009f1f3e",
+    "3": "fed75746bcd8ddc50668c3b991664daffe9bcfd6cd5763948299f7915adb5c2a",
+    "2,1": "deb0df6007a86ecc9868064b11a32284bc598712f49d0f612805a0058d2c1415",
+    "1,1,1": "61c57dde7ca71a4a0fadcb28e2cf3c878760f14b5ebb36e83584608509b36eac",
+    "4": "c04d67c7976f59f5f2676d9a8f1a2526d486c3a2775c3d1a0788f00fd6c4e99c",
+    "3,1": "7cb03f30dc0937c062de0147ea91615492d21b2f62c5182622ae92009826ee78",
+    "2,2": "37cc401d3fe734d0c8c90e3aaf3bde55b28c852f1ca7ea33f01f7e44df95a932",
+    "2,1,1": "926d26849f9e0cfdf9deb4431d426e6b8ddeea1bca6473d54ebbd9fec26d078a",
+    "1,1,1,1": "baead849c56410bae08abc430199d16fc6e9bd2737fea8b13ab801765bff58c7",
+    "5": "cb8a61aab5a188ab2a90ffdeeb4eb884de51ab018e0fd0c4231c416a4ffab0cf",
+    "4,1": "3e88c151fa5566c1a7c5fa1c9bbf53f6652159fc569403e7c6cab32a7e4eafb0",
+    "3,2": "cc8d34b29b5ff6c3485363bebaf0b878d8f51b45969f744a7f1ea48b193a8845",
+    "3,1,1": "d6c8c4044ed3ee2435fb06554855d1ee777f03da504d1ba2cae40303534b44b7",
+    "2,2,1": "c032850745fef0d423ec2c40fabee98925c767dbae3f8ae2fb0cc2792ef56692",
+    "2,1,1,1": "fe086c2c672a577fd8f7aae19b5ac02d6444f5eefcc0c29299310e965f9f8b29",
+    "1,1,1,1,1": "bd7725a13f1c0d55621068d4dccbc8e9dd7586615e2d80337e75aa411e879999",
+    "6": "88add075ff505a9ac2309f0d816ac263c41a16ab4a11f92aa3ee77e476882c23",
+    "5,1": "929ff289e3bd46543b081ac82d20e49feeb2e93b359fe3bc044a77e62b150132",
+    "4,2": "2b05eae0dd2c1a6effcb489cb97a95f857530c081f3c23a66297576f10cad0fe",
+    "4,1,1": "0060fdce403e7ebfa942bbb186423be1ca82ee26d3ae78934e8ea408207e2d9c",
+    "3,3": "9326095a817db44e6833c8e34637c81f7d8f912da0fedada7969e21dda543a14",
+    "3,2,1": "c001cfaa5549875b62d827568625658602faefb1bdb23a4a986c65c5c75e693d",
+    "3,1,1,1": "651a251119b06293d28daffad6f5cecca16d4f81d92d2a8e9ccff214bc7deca8",
+    "2,2,2": "162e1fe87db3f6de21ad3a2adceac441d8a942b3b274468f4db1f2513e919007",
+    "2,2,1,1": "65143ee4221a3bfba7e3bd2281d89c337de95cce17e482dc17c040b1345af375",
+    "2,1,1,1,1": "343f8913d32e7f682b5ee290311d53d147445d28b6b5bede67ee76d83f337c77",
+    "1,1,1,1,1,1": "f35be452bc3c44dc2a041fcc744d021ae7c135015fb04a68d39adbc3dffe9a57",
+    "7": "eaebab9e0b34807c3fa9d0d0e735d34bc8c9ef1fd4e938bd0f6be5374b8260c9",
+    "6,1": "bf27a9644890dab9b0222e9d81ec7d3b3074c41abe40e7633aa4436a36e3b207",
+    "5,2": "350aff99109a7272bff1fbd177aa85fe40bb956f17f491c978ce922ff68d60e1",
+    "5,1,1": "613fd5860102c0c693b5ef1966d4c1328e78906f67d817f310945caa870abc45",
+    "4,3": "d2d102fc917e79679145f048d040b8b6faa8f118e0a4bb750bdbe99f894d93fd",
+    "4,2,1": "2f5605fe48ac17d58837b74ce6a06ecb3ed1975e4db93b425e4584ab418d6c2c",
+    "4,1,1,1": "1fd94a595fa96c54cabea7345f4b190f75efc045e8cb336b09142d168955390c",
+    "3,3,1": "e5f859012f1dd95485b3c6ad449d4ede1d1f14cb74255ea141a6f180dd4c6be6",
+    "3,2,2": "721d4e3062ef2e965f8742cd7ecace1436a4ed88a2f93d739f9bec8074c09ab3",
+    "3,2,1,1": "1a09ec43a990e5918bd4e4e49803bc2a12db0c63b726fb3d591796556077ed96",
+    "3,1,1,1,1": "a70a8211c099e91f60bbc1cd4779d31f4a3471d78c6601593ba9aa22a13dbc08",
+    "2,2,2,1": "04f0e45613d6361c9be9bedbfeb8e1ff7326d1801e4a7b37325d53db68d2bfea",
+    "2,2,1,1,1": "a58cd9261dcaec6461bda36aae1b903133c754eca5ed4e1424df8224afb78191",
+    "2,1,1,1,1,1": "c10a7964af64a394d8a5904a347cab98a07654aee7147bc6be12aa74e7b28d45",
+    "1,1,1,1,1,1,1": "866beea94be0050a48aa7c3b6bcf8550bbdf6ffc697efdc2e1dcab5f9bcae577",
+    "8": "87abe7f0a47514673372a85e8a6b9d3a87f78ae0ff59e6ab679f7790153d983d",
+    "7,1": "a7617128464723f37e87dd21cb79c2184b40f61d822a84706c8e2761278833d7",
+    "6,2": "fb551e180b231d510e3041901bc30d32698f384415514f2eff02f9b4f7d5eeed",
+    "6,1,1": "1d1d90fdd687611aa5e073fb10c35741a5e1c6e2422e206a86a76fa33087afa6",
+    "5,3": "887bab54fa3e78e955b6f0890ba8646d3a7e4e0bbade4a8d5ceab366f5ed8b9b",
+    "5,2,1": "c15faba1473097e4e4958b8a619b088dedda9eea0650d9b602da4362533aa2c1",
+    "5,1,1,1": "aaf55db6bd23ba3d380d3f27981d7b5e2a0ab9abe016c9575b198c185b453f78",
+    "4,4": "42800a35f8ae1463cdf459114f901372bb4b7fb8daf4740adbee5e689ec51e5f",
+    "4,3,1": "862504d49301c4ee622698a33f0b99a6e7a300ffc462571d9a2041002761c6f1",
+    "4,2,2": "b1b56bb805ebe4619125225d8423d94ae921e7bbfaca2227aba3f61cade63278",
+    "4,2,1,1": "e4b32114c45394352ccfcd3900fc94e87990f052a8c32251fd813ebe580ae0d2",
+    "4,1,1,1,1": "2941cda28d78197649b683602624be3a2ce20efa7bb09c9f7b97610f704be396",
+    "3,3,2": "08896204c7996c301e659f3db8f6918cc1b63dee9fc8175e6ab5e8019869b803",
+    "3,3,1,1": "ae7bdc3d9598c1af0fba8e88de16fe9cda5db9f3af1db8af560b9171110d5ff7",
+    "3,2,2,1": "a4de546465380f5761769fea7ef298f17862835184ac7c3834b808e897d430a8",
+    "3,2,1,1,1": "72975c782c7aa65f59f5a7247b4df1058933e900c5b880b23b96aa1f35b8b144",
+    "3,1,1,1,1,1": "d7e54f7baf93a7e6ba7d3deccc811f9ad5a88eb7fa5353bc17dcc38854b84ac1",
+    "2,2,2,2": "494b550660f6a45837b18299381d9a1d0944bbbfc888ba3f356e7c45e8ae8908",
+    "2,2,2,1,1": "438de83cb6f9c4bdc52fd500d6e3ef3865cb54e0e67d30156588c7f88cf57352",
+    "2,2,1,1,1,1": "755563de3fb3e49427d9286b55c77cbf991ef15f034a7ba488f1df328c983ccc",
+    "2,1,1,1,1,1,1": "c9984921faab5c4b5d55ba0ee91eb71fd14120590560640cbb54b59498c25cdc",
+    "1,1,1,1,1,1,1,1": "38fa332efb38584ed70038cf26decaaee0e184bb86bc3adbd82dd9a2c4f75324",
+}

@@ -11,7 +11,6 @@ import pytest
 from rpphilb import RPP, DomainError
 from rpphilb.equations import (
     IdealPresentation,
-    _monic,
     ambient_and_bundle,
     check_grading,
     tangent_embedding,
@@ -96,10 +95,10 @@ def test_single_box_is_affine_space():
 
 
 def test_universal_monic_shape():
-    p = _monic(5, var_a, (2, 1))  # the label 5 at box (2, 1) of the grid
-    assert len(p) == 6  # x-coefficients, lowest power first
-    assert str(p[5]) == "1"
-    assert str(p[3]) == "a_2_1_2"
+    # x^2 + a_1_0_1·x + a_1_0_2 at the label 2, divided by x + a_0_0_1, leaves its value at -a_0_0_1
+    ideal = type_i_ideal(RPP.from_text("1 2"))
+    assert ideal.ambient_vars == (var_a(0, 0, 1), var_a(1, 0, 1), var_a(1, 0, 2))
+    assert [str(g) for g in ideal.generators] == ["a_0_0_1^2 - a_0_0_1*a_1_0_1 + a_1_0_2"]
 
 
 def test_ideal_json_shape(square_rpp):
@@ -318,7 +317,7 @@ def _type_ii_oracle(n, minimal_border):
         coeffs = x_coefficients(eq)
         coeffs += [SparsePoly.constant(0)] * (D - len(coeffs))
         generators.extend(coeffs[deg] for deg in range(D - 1, -1, -1))
-        groups.append({"box": tuple(box), "size": D})
+        groups.append({"box": list(box), "divisor_box": None, "size": D})
     return ambient, tuple(generators), tuple(groups), len(generators)
 
 
@@ -360,7 +359,7 @@ def _type_i_oracle(n):
             coeffs = x_coefficients(r)
             coeffs += [SparsePoly.constant(0)] * (d - len(coeffs))
             generators.extend(coeffs[::-1])
-            groups.append({"box": (i, j), "divisor_box": nb, "size": d})
+            groups.append({"box": [i, j], "divisor_box": list(nb), "size": d})
     return ambient, tuple(generators), tuple(groups), conditions
 
 

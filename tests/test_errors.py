@@ -1,18 +1,21 @@
 """The library's input rules: the integer check at every integer parameter it
 gates, the boolean check at every flag, and the text-integer rule."""
 
+import json
+
 import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
-from rpphilb.equations import type_ii_ideal
+from rpphilb.equations import IdealPresentation, tangent_embedding, type_ii_ideal
 from rpphilb.errors import flag, ints, text_int
 from rpphilb.pointcount import is_prime
-from rpphilb.poly import X, SparsePoly
+from rpphilb.poly import X, SparsePoly, var_a
 from rpphilb.rpp import Factorization, Indicator, enumerate_rpps
 from rpphilb.series import TruncatedSeries, euler_series, factor_power, hook_product
 
 D = YoungDiagram((2, 1))
 ONE_BOX = YoungDiagram((1,))
+A = var_a(0, 0, 1)
 
 #: each gated integer parameter, as a call that takes the value x there
 GATES = {
@@ -117,6 +120,21 @@ REFUSALS = {
     "sum across two diagrams": (lambda: RPP(ONE_BOX, [1]) + RPP(D, [0, 1, 1]), "diagram-mismatch"),
     "negative enumeration max_size": (lambda: enumerate_rpps(D, -1), "negative-size"),
     "diagram text that is not a string": (lambda: YoungDiagram.from_text(3), "parse-error"),
+    "growing row lengths": (lambda: RPP.from_rows([[1], [1, 2]]), "parse-error"),
+    "RPP JSON cols that disagree with its rows": (
+        lambda: RPP.from_json_obj({"cols": [2], "rows": [[0, 1]]}),
+        "parse-error",
+    ),
+    "series exponent vector of the wrong length": (lambda: TruncatedSeries(2, 3, {(1,): 1}), "parse-error"),
+    "negative series exponent": (lambda: TruncatedSeries(1, 3, {(-1,): 1}), "parse-error"),
+    "zero factor vector": (lambda: factor_power((0, 0), 1, -1, 2, 3), "zero-input"),
+    "factor vector of the wrong length": (lambda: factor_power((1, 0), 1, -1, 1, 3), "parse-error"),
+    "negative polynomial power": (lambda: SparsePoly.variable(X) ** -1, "parse-error"),
+    "labels that do not fit the diagram": (lambda: RPP(D, [0, 1]), "parse-error"),
+    "tangent reduction of an inhomogeneous presentation": (
+        lambda: tangent_embedding(IdealPresentation((A,), (SparsePoly.variable(A) + 1,))),
+        "parse-error",
+    ),
 }
 
 
@@ -134,3 +152,14 @@ def test_a_zero_multiplicity_is_skipped():
     assert Factorization({one: 0, full: 2}).terms == {full: 2}
     # a skipped term's indicator may even sit on another diagram
     assert Factorization({Indicator(ONE_BOX, (1,)): 0, full: 1}).terms == {full: 1}
+
+
+def test_a_series_exponent_past_max_size_is_dropped():
+    series = TruncatedSeries(2, 3, {(2, 2): 5, (1, 2): 7})
+    assert series.coefficients == {(1, 2): (7,)}
+
+
+def test_an_offending_input_that_is_not_json_is_reported_as_text():
+    error = DomainError("parse-error", "bad", (D, 2))
+    assert error.as_json() == {"code": "parse-error", "message": "bad", "offending_input": str((D, 2))}
+    assert json.loads(json.dumps(error.as_json())) == error.as_json()

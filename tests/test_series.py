@@ -328,6 +328,16 @@ def test_graded_product_matches_the_term_by_term_loop():
     assert _product(d.size, 8, mixed) == graded_product_by_terms(d.size, 8, mixed)
 
 
+def test_l_dependent_hook_products_match_the_term_by_term_loop():
+    # a sum longer than one entry is stored unchecked, an empty one would show here: none cancels
+    for d in diagrams_up_to(4):
+        hooks = [d.hook(box) for box in d.boxes]
+        for w in ((0, 1), (1, -1), (-1, 1), (2, -1, 1)):
+            for power in (-4, -3, -2, 2, 3):
+                want = graded_product_by_terms(d.size, 6, [(v, w, power) for v in hooks])
+                assert hook_product(d, w, power, 6) == want, (d.cols, w, power)
+
+
 def test_exponents_past_one_byte_keep_their_digits():
     # inside a product an exponent is a byte-aligned digit: 2 bytes past 255, 4 past 65535
     row = YoungDiagram((1, 1))

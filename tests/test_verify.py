@@ -11,9 +11,16 @@ import pytest
 from rpphilb import RPP, DomainError, verify
 from rpphilb.components import differential_injective, dimension_recursive
 from rpphilb.diagram import YoungDiagram, enumerate_upper_sets
-from rpphilb.equations import IdealPresentation, _without_border, type_i_ideal
+from rpphilb.equations import (
+    AmbientSummary,
+    IdealPresentation,
+    _without_border,
+    ambient_and_bundle,
+    type_i_ideal,
+    type_ii_ideal,
+)
 from rpphilb.pointcount import count_points
-from rpphilb.series import euler_series
+from rpphilb.series import euler_series, hook_product
 from rpphilb.poly import SparsePoly
 from rpphilb.rpp import (
     MAX_FACTORIZATION_INDICATORS,
@@ -221,9 +228,7 @@ def test_random_instance_respects_documented_bounds():
 
 
 def test_random_properties_run_clean():
-    failures, cases = run_random_properties(20260817, 40)
-    assert failures == []
-    assert cases == 40
+    assert run_random_properties(20260817, 40) == []
 
 
 def test_check_random_instance_lists_no_failures():
@@ -244,7 +249,7 @@ def test_non_nested_tuple_is_reported_as_a_divisibility_failure(monkeypatch):
     assert not ok
     assert "divisibility" in detail
     assert "malformed" not in detail and "parse-error" not in detail
-    failures, _ = run_random_properties(5, 10)
+    failures = run_random_properties(5, 10)
     assert any(f.endswith("fails left divisibility") or f.endswith("fails up divisibility") for f in failures)
 
 
@@ -257,7 +262,7 @@ def test_random_row_draws_are_frozen(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(verify, "random_instance", recorded)
-    assert run_random_properties(20260817, 120) == ([], 120)
+    assert run_random_properties(20260817, 120) == []
     texts = "\n".join(n.to_text() for n in drawn)
     assert hashlib.sha256(texts.encode()).hexdigest() == FT.RANDOM_ROW_DRAWS_SHA256
     # draws on one shape share its diagram
@@ -321,7 +326,7 @@ SWEEP_CHANGES = {
 def test_a_changed_computation_fails_the_sweep_with_its_problem(monkeypatch, case):
     name, replacement, problems = SWEEP_CHANGES[case]
     monkeypatch.setattr(verify, name, replacement)
-    failures, _ = run_random_properties(20260817, 40)
+    failures = run_random_properties(20260817, 40)
     assert {f.split(": ", 1)[1] for f in failures} == problems
 
 
@@ -399,6 +404,9 @@ PERTURBATIONS = [
     ("equations-type-ii", lambda e: e["tangent"].update(degrees=[4, 5]), "reduced degrees [4, 4, 5, 5] != [4, 5]"),
     ("euler-single-square", lambda e: e.update(hook_lengths=[3, 2, 1, 1]), "hook lengths [3, 2, 2, 1]"),
     ("euler-single-square", lambda e: e["coefficients"].update({"10": 39}), "coefficients {"),
+    ("equations-type-ii-minimal", lambda e: e.update(group_sizes=[2, 5, 5]), "group_sizes [2, 5, 5, 3] != [2, 5, 5]"),
+    ("equations-domino-type-i", lambda e: e.update(first_generator="a_0_0_1"), "first generator 'a_0_0_1^2 - "),
+    ("ambient-bundle", lambda e: e.update(rank_bundle=14), "{'dim_ambient': 20, 'rank_bundle': 15, 'expected"),
 ]
 
 
@@ -409,19 +417,62 @@ def test_a_changed_expectation_fails_with_its_detail(name, change, detail):
     assert got.startswith(detail), got
 
 
+#: per row, a computation changed, and the detail the row then fails with
+COMPUTATION_CHANGES = [
+    # rows that only compare two computations fail when one changes; so do the other rows' cross-checks
+    (
+        "motivic-specialization-square",
+        "euler_series",
+        lambda diagram, chi, max_size: euler_series(diagram, chi + 1, max_size),
+        "affine-line series at L=1 is not the chi=1 Euler series; "
+        "projective-line series at L=1 is not the chi=2 Euler series",
+    ),
+    (
+        "count-points-diagonal-square-p2",
+        "count_points",
+        lambda rpp, p: count_points(rpp, p) + 1,
+        "diagonal totals differ, first at ((0, 0, 0), 1)",
+    ),
+    (
+        "equations-domino-type-i",
+        "type_i_ideal",
+        _changed(type_i_ideal, surplus=1),
+        "condition_count 2 != 1; vars minus conditions is not the weight",
+    ),
+    (
+        "equations-domino-type-i",
+        "type_i_ideal",
+        type_ii_ideal,
+        "n_vars 5 != 3; n_generators 3 != 1; group_sizes [1, 2] != [1]; condition_count 3 != 1; "
+        "first generator 'b_0_0_1 - c_0_0_1'",
+    ),
+    ("equations-domino-type-i", "check_grading", lambda ideal: False, "presentation is not homogeneous"),
+    ("equations-domino-type-i", "parse_poly", lambda text: ONE, "first generator does not round-trip"),
+    (
+        "ambient-bundle",
+        "ambient_and_bundle",
+        lambda n: AmbientSummary(*ambient_and_bundle(n)[:2], 4),
+        "{'dim_ambient': 20, 'rank_bundle': 15, 'expected_dim': 4} != "
+        "{'dim_ambient': 20, 'rank_bundle': 15, 'expected_dim': 5}; expected dimension is not the weight",
+    ),
+    (
+        "gansner-diagonal-square",
+        "hook_product",
+        lambda diagram, w, power, max_size: hook_product(diagram, w, power - 1, max_size),
+        "diagonal-collapsed series differ",
+    ),
+    (
+        "euler-single-square",
+        "enumerate_rpps",
+        lambda diagram, max_size: list(enumerate_rpps(diagram, max_size))[1:],
+        "series disagrees with direct enumeration",
+    ),
+]
+
+
 def test_rows_without_expectations_fail_when_a_computation_changes(monkeypatch):
-    # the specialisation and diagonal-total rows compare two computations, so
-    # one of them is changed here instead of an expectation
     rows = {row["name"]: row for row in load_corpus()["rows"]}
-    monkeypatch.setattr(verify, "euler_series", lambda diagram, chi, max_size: euler_series(diagram, chi + 1, max_size))
-    monkeypatch.setattr(verify, "count_points", lambda rpp, p: count_points(rpp, p) + 1)
-    results = run_corpus({"rows": [rows["motivic-specialization-square"], rows["count-points-diagonal-square-p2"]]})
-    assert results == [
-        (
-            "motivic-specialization-square",
-            False,
-            "affine-line series at L=1 is not the chi=1 Euler series; "
-            "projective-line series at L=1 is not the chi=2 Euler series",
-        ),
-        ("count-points-diagonal-square-p2", False, "diagonal totals differ, first at ((0, 0, 0), 1)"),
-    ]
+    for name, computation, replacement, detail in COMPUTATION_CHANGES:
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, computation, replacement)
+            assert run_corpus({"rows": [rows[name]]}) == [(name, False, detail)]
