@@ -83,9 +83,11 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
     every support indicator ν (n_ν the multiplicity).  The search assigns
     every free column of the reduced support matrix a value in its box and
     solves for the pivot columns, which visits each rational kernel vector
-    at most once, so it is exhaustive within the box.  Among the witnesses
-    found, the one with the smallest coefficient sum (then lexicographically
-    smallest) is returned.
+    at most once, so it is exhaustive within the box.  Box and kernel are
+    symmetric under negation, so of each ± pair only the assignment with a
+    positive first nonzero value is solved.  Each witness found is signed
+    to a positive first nonzero entry, and the one with the smallest
+    coefficient sum (then lexicographically smallest) is returned.
     """
     support = T.support
     if not support:
@@ -109,7 +111,7 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
 
     best: tuple | None = None
     for values in itertools.product(*(range(-mults[f], mults[f] + 1) for f in free)):
-        if all(v == 0 for v in values):
+        if next((v for v in values if v), 0) <= 0:
             continue
         ints = solve_from_rref(reduced, pivots, dict(zip(free, values)), len(support))
         if ints is None or any(abs(m) > bound for m, bound in zip(ints, mults)):

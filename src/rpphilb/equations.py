@@ -65,9 +65,8 @@ class IdealPresentation:
     def __init__(
         self, ambient_vars: tuple, generators: tuple, groups: tuple = (), condition_count: int | None = None
     ):
-        used = {v for g in generators for mono in g.terms for v, _ in mono}
-        stray = sorted(used.difference(ambient_vars), key=VarId.sort_key)
-        assert not stray, f"generators use variables outside the ambient ring: {stray}"
+        stray = {v for g in generators for mono in g.terms for v, _ in mono}.difference(ambient_vars)
+        assert not stray, f"generators use variables outside the ambient ring: {sorted(stray, key=VarId.sort_key)}"
         assert all(v.k >= 1 for v in ambient_vars), "every ambient variable has k ≥ 1"
         self.ambient_vars = ambient_vars
         self.generators = generators
@@ -137,7 +136,8 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
     """Commuting-square presentation via row/column difference factors.
 
     Variables b(i,j,k) up to the row difference and c(i,j,k) up to the
-    column difference of each box.  Per box, the two products around the
+    column difference of each box, built in VarId.sort_key order: b before
+    c, each by row-major box, then k.  Per box, the two products around the
     square agree up to the common monic leading term, leaving
     label(i,j) − label(i−1,j−1) coefficient conditions.
 
@@ -160,7 +160,6 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
         cols.append((None, *(var_c(b.i, b.j, k) for k in range(1, v[p] - v[u] + 1))))
     rows.append((None,))
     cols.append((None,))
-    ambient = [x for factor in rows + cols for x in factor[1:]]
 
     generators: list[SparsePoly] = []
     groups: list[dict] = []
@@ -173,7 +172,7 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
         generators += (_square_coefficient(rows[p], cols[l], rows[u], cols[p], s) for s in range(1, D + 1))
         groups.append({"box": list(box), "divisor_box": None, "size": D})
     full = IdealPresentation(
-        ambient_vars=tuple(sorted(ambient, key=VarId.sort_key)),
+        ambient_vars=tuple(x for factor in rows + cols for x in factor[1:]),
         generators=tuple(generators),
         groups=tuple(groups),
         condition_count=len(generators),

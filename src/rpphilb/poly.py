@@ -110,10 +110,6 @@ class SparsePoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def variables(self) -> list[VarId]:
-        seen = {v for mono in self.terms for v, _ in mono}
-        return sorted(seen, key=lambda v: v.sort_key())
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "SparsePoly":
@@ -219,7 +215,7 @@ class SparsePoly:
     def _sort_terms(self) -> list:
         """Descending graded lex: total degree first, then the exponent vector
         over the canonically ordered variables (x most significant)."""
-        all_vars = self.variables()
+        all_vars = sorted({v for mono in self.terms for v, _ in mono}, key=VarId.sort_key)
         pos = {v: p for p, v in enumerate(all_vars)}
 
         def key(item):

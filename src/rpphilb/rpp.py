@@ -320,7 +320,8 @@ def standard_factorization(n: RPP) -> Factorization:
     For each distinct positive value k (ascending), the boxes with label >= k
     form an upper set; its connected parts enter with coefficient equal to
     the gap from the previous level.  Each part is a nonempty connected
-    upper set by construction, so its indicator is built unchecked.
+    upper set by construction, so its indicator is built unchecked; the
+    levels do not come in canonical order, so the public constructor sorts.
     """
     if n.is_zero():
         raise DomainError("zero-input", "the zero filling has no standard factorisation", n.to_text())
@@ -333,7 +334,7 @@ def standard_factorization(n: RPP) -> Factorization:
             terms[ind] = terms.get(ind, 0) + (k - prev)
         prev = k
     fact = Factorization(terms)
-    assert fact.total() == n
+    assert fact._total_values() == n.values
     return fact
 
 
@@ -342,8 +343,9 @@ def complete_factorization(n: RPP) -> Factorization | None:
 
     When it exists it is unique, and each indicator in its support is the
     principal upper set of a box where the derivative is positive: the
-    boxes weakly right of and below it, with it as unique minimal box, so
-    its indicator is built unchecked.
+    boxes weakly right of and below it, with it as unique minimal box and
+    first 1.  So its indicator is built unchecked, and the terms, built in
+    row-major box order, are descending-lex already and stored as built.
     """
     deriv = n.derivative()
     if any(v < 0 for v in deriv):
@@ -353,8 +355,8 @@ def complete_factorization(n: RPP) -> Factorization | None:
         if dv > 0:
             principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
             terms[Indicator._of(n.diagram, principal)] = dv
-    fact = Factorization(terms)
-    assert fact.total() == n if terms else n.is_zero()
+    fact = Factorization._of(terms)
+    assert fact._total_values() == n.values if terms else n.is_zero()
     return fact
 
 

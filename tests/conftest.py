@@ -5,10 +5,10 @@ from operator import add
 import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram
-from rpphilb.components import ComponentReport, bijective_on_points, differential_injective
+from rpphilb.components import ComponentReport, _relation, _support_matrix, bijective_on_points, differential_injective
 from rpphilb.diagram import upper_set_parts
 from rpphilb.equations import IdealPresentation
-from rpphilb.linalg import rank
+from rpphilb.linalg import rank, rref, solve_from_rref
 from rpphilb.poly import X, SparsePoly, VarId, parse_var_name
 from rpphilb.rpp import Factorization, Indicator, _first_fault, enumerate_rpps, indicators
 from rpphilb.series import TruncatedSeries
@@ -227,6 +227,39 @@ def classify_by_tuple_search(n):
         lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
         reports.append(ComponentReport(T, dim, bij, inj, lifted))
     return reports
+
+
+def bijective_on_points_full_box(T):
+    """``components.bijective_on_points`` solving every nonzero point of the free columns' box.
+
+    The oracle for the library's search, which solves only the points whose
+    first nonzero value is positive, one of each ± pair.  It has no cap.
+    """
+    support = T.support
+    if not support:
+        return True, None
+    mults = list(T.terms.values())
+    reduced, pivots = rref(_support_matrix(T))
+    free = [c for c in range(len(support)) if c not in pivots]
+    best = None
+    for values in product(*(range(-mults[f], mults[f] + 1) for f in free)):
+        if not any(values):
+            continue
+        ints = solve_from_rref(reduced, pivots, dict(zip(free, values)), len(support))
+        if ints is None or any(abs(m) > bound for m, bound in zip(ints, mults)):
+            continue
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        score = (sum(abs(m) for m in ints), tuple(ints))
+        if best is None or score < best:
+            best = score
+    return (True, None) if best is None else _relation(T, best[1])
+
+
+def order_fillings():
+    """The RPPs of total at most 6 on at most 7 boxes, then the paper's three grids."""
+    fillings = [n for d in diagrams_up_to(7) for n in enumerate_rpps(d, 6)]
+    return fillings + [RPP.from_text(t) for t in (FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT)]
 
 
 def search_oracle_fillings():

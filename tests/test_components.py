@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import rpphilb.components
 import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, YoungDiagram
 from rpphilb.components import (
@@ -17,8 +18,16 @@ from rpphilb.components import (
 from rpphilb.pointcount import PrimeField, component_point, count_points
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
+import conftest
 import frozen_tables as FT
-from conftest import classify_by_tuple_search, diagrams_up_to, filling_of_weight, search_oracle_fillings, value
+from conftest import (
+    bijective_on_points_full_box,
+    classify_by_tuple_search,
+    diagrams_up_to,
+    filling_of_weight,
+    search_oracle_fillings,
+    value,
+)
 
 
 def _report_rows(reports, diagram):
@@ -182,6 +191,37 @@ def test_witness_search_matches_the_full_multiplicity_box():
             assert found == _brute_force_bijective(T), (n.to_text(), T)
             verdicts.append(found[0])
     assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_witness_search_matches_the_full_box_oracle(monkeypatch):
+    fillings = [n for d in diagrams_up_to(6) for n in enumerate_rpps(d, 4)]
+    fillings += [RPP.from_text(t) for t in (FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT)]
+
+    def reports():
+        return [[(r.to_json_obj(), r.relation_witness) for r in classify(n)] for n in fillings]
+
+    got = reports()
+    monkeypatch.setattr(rpphilb.components, "bijective_on_points", bijective_on_points_full_box)
+    assert got == reports()
+    assert any(not r["bijective_on_points"] for per_n in got for r, _ in per_n)
+
+
+def test_witness_search_solves_one_of_each_plus_minus_pair(monkeypatch):
+    # every nonzero point of a box symmetric under negation has its negation there too
+    calls = {"search": 0, "oracle": 0}
+
+    def counted(name, solve):
+        def wrapper(*args):
+            calls[name] += 1
+            return solve(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rpphilb.components, "solve_from_rref", counted("search", rpphilb.components.solve_from_rref))
+    monkeypatch.setattr(conftest, "solve_from_rref", counted("oracle", conftest.solve_from_rref))
+    for T in all_factorizations(RPP.from_text(FT.TRIPLE_GRID_TEXT)):
+        assert bijective_on_points(T) == bijective_on_points_full_box(T), T
+    assert 0 < 2 * calls["search"] == calls["oracle"], calls
 
 
 def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():

@@ -17,13 +17,14 @@ from rpphilb.equations import (
     type_i_ideal,
     type_ii_ideal,
 )
-from rpphilb.poly import SparsePoly, parse_poly, var_a, var_b, var_c
+from rpphilb.poly import SparsePoly, VarId, parse_poly, var_a, var_b, var_c
 from rpphilb.rpp import enumerate_rpps
 from rpphilb.verify import check_random_instance, load_corpus
 
 import frozen_tables as FT
 from conftest import (
     diagrams_up_to,
+    order_fillings,
     shift_subtract_divmod,
     tangent_by_linear_parts,
     value,
@@ -329,6 +330,14 @@ def test_type_ii_matches_coordinate_oracle():
             ideal = type_ii_ideal(n, minimal_border=minimal_border)
             got = (ideal.ambient_vars, ideal.generators, ideal.groups, ideal.condition_count)
             assert got == _type_ii_oracle(n, minimal_border), (n.to_text(), minimal_border)
+
+
+def test_type_ii_ambient_ring_is_built_in_variable_order():
+    for n in order_fillings():
+        full = type_ii_ideal(n)
+        for ideal in (full, type_ii_ideal(n, minimal_border=True)):
+            assert ideal.ambient_vars == tuple(sorted(ideal.ambient_vars, key=VarId.sort_key)), n.to_text()
+    assert any(v.kind == "b" for v in full.ambient_vars) and any(v.kind == "c" for v in full.ambient_vars)
 
 
 # -- x-power type I, kept as the oracle for the coefficient-tuple build ---------

@@ -26,6 +26,7 @@ from conftest import (
     diagrams_up_to,
     enumerate_rpps_by_recursion,
     factorizations_by_tuple_search,
+    order_fillings,
     rising_filling,
     search_oracle_fillings,
     standard_factorization_checked,
@@ -220,6 +221,15 @@ def test_unchecked_factorizations_match_the_checked_builds():
     assert _built(standard_factorization(n)) == _built(standard_factorization_checked(n))
     assert _built(complete_factorization(n)) == _built(complete_factorization_checked(n))
     assert standard_factorization(n).length == n.weight()
+
+
+def test_complete_factorization_is_stored_in_the_constructors_order():
+    fillings = order_fillings()
+    assert len(fillings) == 3032 + 3
+    for n in fillings:
+        complete = complete_factorization(n)
+        if complete is not None:
+            assert list(complete.terms.items()) == list(Factorization(complete.terms).terms.items()), n
 
 
 def test_complete_factorization_of_square(square_rpp):
