@@ -91,11 +91,10 @@ def _cmd_factorizations(args) -> int:
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
     weight = facts[0].length  # the search asserts that every length is the weight
-    standard_index = None
-    if not n.is_zero():
-        standard_index = facts.index(standard_factorization(n))
-    complete = complete_factorization(n)
-    complete_index = facts.index(complete) if complete is not None else None
+    standard_index, complete_index = (
+        None if fact is None else facts.index(fact)
+        for fact in (standard_factorization(n), complete_factorization(n))
+    )
 
     def as_json():
         return {

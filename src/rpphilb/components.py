@@ -70,8 +70,6 @@ def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
     On failure returns a primitive integer relation as a dict
     {indicator: coefficient} with Σ coeff·indicator = 0.
     """
-    if not T.support:
-        return True, None
     basis = kernel_basis(_support_matrix(T))
     return _relation(T, basis[0]) if basis else (True, None)
 
@@ -90,8 +88,6 @@ def bijective_on_points(T: Factorization) -> tuple[bool, dict | None]:
     coefficient sum (then lexicographically smallest) is returned.
     """
     support = T.support
-    if not support:
-        return True, None
     mults = list(T.terms.values())
     reduced, pivots = rref(_support_matrix(T))
     pivot_set = set(pivots)

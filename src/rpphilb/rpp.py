@@ -227,7 +227,7 @@ def _shape_table(cols: tuple[int, ...]) -> tuple:
     diagram = YoungDiagram(cols)
     # the empty upper set has no parts, so this keeps the nonempty connected ones
     vectors = [v for v in enumerate_upper_sets(diagram) if len(upper_set_parts(diagram, v)) == 1]
-    inds = tuple(Indicator(diagram, v) for v in vectors)
+    inds = tuple(Indicator._of(diagram, v) for v in vectors)
     left, up = diagram.left, diagram.up
     members = tuple(tuple(p for p, x in enumerate(v) if x) for v in vectors)
     guards = tuple(
@@ -314,8 +314,8 @@ class Factorization:
         return [{"indicator": ind.to_text(), "multiplicity": m} for ind, m in self.terms.items()]
 
 
-def standard_factorization(n: RPP) -> Factorization:
-    """Level-set factorisation: always exists for a nonzero RPP.
+def standard_factorization(n: RPP) -> Factorization | None:
+    """Level-set factorisation: exists exactly when ``n`` is nonzero, else ``None``.
 
     For each distinct positive value k (ascending), the boxes with label >= k
     form an upper set; its connected parts enter with coefficient equal to
@@ -324,7 +324,7 @@ def standard_factorization(n: RPP) -> Factorization:
     levels do not come in canonical order, so the public constructor sorts.
     """
     if n.is_zero():
-        raise DomainError("zero-input", "the zero filling has no standard factorisation", n.to_text())
+        return None
     levels = sorted({v for v in n.values if v > 0})
     terms: dict = {}
     prev = 0

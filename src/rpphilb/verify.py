@@ -104,11 +104,12 @@ def _row_classify(row: dict) -> list:
         problems.append(f"{len(reports)} components != {len(expected['components'])}")
         return problems
     facts = [r.factorization for r in reports]
-    std = facts.index(standard_factorization(n))
+    std, comp_idx = (
+        None if fact is None else facts.index(fact)
+        for fact in (standard_factorization(n), complete_factorization(n))
+    )
     if std != expected["standard_index"]:
         problems.append(f"standard factorisation at {std} != {expected['standard_index']}")
-    comp = complete_factorization(n)
-    comp_idx = facts.index(comp) if comp is not None else None
     if comp_idx != expected["complete_index"]:
         problems.append(f"complete factorisation at {comp_idx} != {expected['complete_index']}")
     for k, (report, want) in enumerate(zip(reports, expected["components"])):
@@ -345,16 +346,14 @@ def check_random_instance(rng: random.Random) -> list:
     facts = all_factorizations(n)
     if any(f.length != omega for f in facts):
         problems.append(f"{label}: a factorisation length differs from the weight")
-    standard = Factorization({})
-    if not n.is_zero():
-        standard = standard_factorization(n)
-        for fact in (standard, complete_factorization(n)):
-            if fact is not None and not differential_injective(fact)[0]:
-                problems.append(f"{label}: standard/complete component not smooth")
-        if omega <= 3:
-            for fact in facts:
-                if not differential_injective(fact)[0]:
-                    problems.append(f"{label}: weight <= 3 component not smooth")
+    standard = standard_factorization(n) or Factorization({})
+    for fact in (standard, complete_factorization(n)):
+        if fact is not None and not differential_injective(fact)[0]:
+            problems.append(f"{label}: standard/complete component not smooth")
+    if omega <= 3:
+        for fact in facts:
+            if not differential_injective(fact)[0]:
+                problems.append(f"{label}: weight <= 3 component not smooth")
     full = type_ii_ideal(n)
     presentations = {"I": type_i_ideal(n), "II": full, "II-minimal": _without_border(full)}
     for tag, ideal in presentations.items():

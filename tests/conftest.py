@@ -178,7 +178,7 @@ def standard_factorization_checked(n):
     indicators unchecked.
     """
     if n.is_zero():
-        raise DomainError("zero-input", "the zero filling has no standard factorisation", n.to_text())
+        return None
     levels = sorted({v for v in n.values if v > 0})
     terms: dict = {}
     prev = 0

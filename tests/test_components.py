@@ -129,7 +129,9 @@ def test_differential_injectivity_flags(square_rpp):
     ok, witness = differential_injective(reports[1].factorization)
     assert not ok
     assert witness is not None
-    assert differential_injective(reports[0].factorization) == (True, None)
+    # a smooth component and the empty factorisation, the zero filling's only one
+    for smooth in (reports[0].factorization, Factorization({})):
+        assert differential_injective(smooth) == bijective_on_points(smooth) == (True, None)
 
 
 def test_witness_search_cap(square_rpp):

@@ -3,12 +3,13 @@
 import copy
 import gc
 import hashlib
+import json
 import random
 import time
 
 import pytest
 
-from rpphilb import RPP, DomainError, verify
+from rpphilb import RPP, DomainError, cli, verify
 from rpphilb.components import differential_injective, dimension_recursive
 from rpphilb.diagram import YoungDiagram, enumerate_upper_sets
 from rpphilb.equations import (
@@ -41,7 +42,7 @@ from rpphilb.verify import (
     run_random_properties,
 )
 
-from conftest import x_coefficients, x_power
+from conftest import diagrams_up_to, x_coefficients, x_power
 import frozen_tables as FT
 
 
@@ -51,6 +52,38 @@ def test_bundled_corpus_passes_completely():
     assert len(results) == len(corpus["rows"]) == 22
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert failures == []
+
+
+def test_zero_filling_classify_row_passes():
+    # the zero filling's one component is the empty factorisation, which is
+    # complete (no positive derivative) but not a level-set factorisation
+    empty = {
+        "factorization": {},
+        "smooth": True,
+        "bijective_on_points": True,
+        "differential_injective": True,
+        "witness": None,
+    }
+    expected = {"n_indicators": 5, "weight": 0, "standard_index": None, "complete_index": 0, "components": [empty]}
+    row = {"name": "zero", "kind": "classify", "rpp": "0 0 / 0 0", "expected": expected}
+    assert run_corpus({"rows": [row]}) == [("zero", True, "ok")]
+
+
+def test_classify_rows_agree_with_the_factorizations_command(capsys):
+    # every filling of total <= 3 on <= 4 boxes: a row built from the CLI's
+    # answer passes, the zero fillings among them
+    fillings = [n for d in diagrams_up_to(4) for n in enumerate_rpps(d, 3)]
+    assert (len(fillings), sum(n.is_zero() for n in fillings)) == (90, 11)
+    rows = []
+    for n in fillings:
+        text = n.to_text()
+        assert cli.main(["factorizations", text, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expected = {key: out[key] for key in ("weight", "standard_index", "complete_index")}
+        expected["n_indicators"] = len(indicators(n.diagram))
+        expected["components"] = [{"normalization": fact} for fact in out["factorizations"]]
+        rows.append({"name": text, "kind": "classify", "rpp": text, "expected": expected})
+    assert run_corpus({"rows": rows}) == [(row["name"], True, "ok") for row in rows]
 
 
 def test_library_calls_leave_no_reference_cycles():
@@ -335,9 +368,7 @@ def test_a_changed_computation_fails_the_sweep_with_its_problem(monkeypatch, cas
 
 def _sparse_nested_polynomials(rng, n):
     """Monic SparsePoly per box, row-major, nested by left/up divisibility."""
-    if n.is_zero():
-        return [SparsePoly.constant(1)] * n.diagram.size
-    factorization = standard_factorization(n)
+    factorization = standard_factorization(n) or Factorization({})
     factors = []
     for indicator, multiplicity in factorization.terms.items():
         poly = x_power(multiplicity)
@@ -366,7 +397,7 @@ def test_nested_polynomials_match_the_sparse_builder():
         rng = random.Random(seed)
         instances = fillings + [random_instance(rng) for _ in range(30)]
         for n in instances:
-            standard = Factorization({}) if n.is_zero() else standard_factorization(n)
+            standard = standard_factorization(n) or Factorization({})
             state = rng.getstate()
             fast = _random_nested_polynomials(rng, n, standard)
             after = rng.getstate()
