@@ -10,10 +10,19 @@ integer relation among them would stay nonzero mod 2.  Then the rational
 RREF is the identity over zero rows and no elimination runs.  Otherwise
 it eliminates exactly, on the distinct nonzero rows only, since repeated
 and zero rows add nothing to the row space.
+
+``rref`` keeps its last answer (``functools.lru_cache(maxsize=1)``, keyed
+by the matrix's values), because ``classify`` tests each component with
+two reductions of one support matrix in a row: ``differential_injective``
+through ``kernel_basis``, then ``bijective_on_points``.  The second is a
+hit.  One entry, and no more: the next matrix evicts it, so no answer
+outlives its component, and a matrix met again later is reduced again.
+An elimination shared by the two tests is to replace this cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 # byte b -> b mod 2: bytes(column).translate(_PARITY) is the column mod 2
@@ -64,9 +73,20 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
     pivot * row - entry * pivot_row and, unless the pivot is 1, divides the
     result by the gcd of its entries.  The rational RREF is unique, so the
     rows do not depend on the elimination order or on which rows repeat.
+
+    The answer for the last matrix reduced is kept (see the module
+    docstring); the key is a snapshot of the matrix's values, and the
+    rows and pivots returned are new lists on every call.
     """
+    rows, pivots = _reduce(tuple(map(tuple, matrix)))
+    return [list(row) for row in rows], list(pivots)
+
+
+@lru_cache(maxsize=1)
+def _reduce(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``rref``'s elimination of a tuple of row tuples, answered in tuples; ``__wrapped__`` skips the cache."""
     if not matrix:
-        return [], []
+        return (), ()
     n_rows, n_cols = len(matrix), len(matrix[0])
     if n_cols <= n_rows:
         try:
@@ -74,11 +94,10 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
         except ValueError:
             certified = False
         if certified:
-            out = [[0] * n_cols for _ in range(n_rows)]
-            for c in range(n_cols):
-                out[c][c] = 1
-            return out, list(range(n_cols))
-    m = [list(row) for row in dict.fromkeys(map(tuple, matrix)) if any(row)]
+            zero = (0,) * n_cols
+            identity = tuple(zero[:c] + (1,) + zero[c + 1 :] for c in range(n_cols))
+            return identity + (zero,) * (n_rows - n_cols), tuple(range(n_cols))
+    m = [list(row) for row in dict.fromkeys(matrix) if any(row)]
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
@@ -104,9 +123,8 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
         if row == len(m):
             break
     # a pivot is the first nonzero entry of its row
-    out = [_primitive(m[r]) for r in range(len(pivots))]
-    out += [[0] * n_cols for _ in range(n_rows - len(pivots))]
-    return out, pivots
+    out = tuple(tuple(_primitive(m[r])) for r in range(len(pivots)))
+    return out + ((0,) * n_cols,) * (n_rows - len(pivots)), tuple(pivots)
 
 
 def rank(matrix) -> int:

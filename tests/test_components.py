@@ -1,12 +1,16 @@
 """Component classification: smoothness, point bijectivity, witnesses."""
 
+import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import rpphilb.components
+import rpphilb.linalg
 import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, YoungDiagram
 from rpphilb.components import (
@@ -22,6 +26,7 @@ import conftest
 import frozen_tables as FT
 from conftest import (
     bijective_on_points_full_box,
+    certify_report,
     classify_by_tuple_search,
     diagrams_up_to,
     filling_of_weight,
@@ -253,6 +258,55 @@ def test_classify_matches_the_validated_leaf_oracle():
         assert [r.relation_witness for r in got] == [r.relation_witness for r in want], n
         singular += sum(not r.smooth for r in got)
     assert singular > 0
+
+
+def test_classify_reduces_each_support_matrix_once():
+    # both tests of a component reduce one support matrix; rref's one-entry cache answers the second
+    rpphilb.linalg._reduce.cache_clear()
+    reports = classify(RPP.from_text(FT.EVEN_GRID_TEXT))
+    info = rpphilb.linalg._reduce.cache_info()
+    assert (info.misses, info.hits) == (149, 149) == (len(reports), len(reports))
+    # the answers are the frozen ones: the digest of `rpphilb classify --format json`'s stdout
+    stdout = json.dumps([r.to_json_obj() for r in reports], indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == FT.CLASSIFY_STDOUT_SHA256[(FT.EVEN_GRID_TEXT, "json")]
+
+
+def _certified_fillings():
+    """The three grids of the frozen tables and the eight fillings 0 0 a / 0 b 5 / c 5 5, a, b, c in {2, 3}."""
+    texts = [FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT]
+    texts += [f"0 0 {a} / 0 {b} 5 / {c} 5 5" for a, b, c in itertools.product((2, 3), repeat=3)]
+    return [RPP.from_text(text) for text in texts]
+
+
+def test_every_report_on_the_grids_is_certified():
+    verdicts = Counter()
+    singular_bijective = 0
+    for n in _certified_fillings():
+        inds = indicators(n.diagram)
+        for report in classify(n):
+            verdicts[certify_report(report, inds)] += 1
+            singular_bijective += not report.smooth and report.bijective_on_points
+    assert verdicts == {"certified": 1212}
+    assert singular_bijective == 153
+
+
+def test_the_certificate_rejects_a_flipped_flag_or_a_witness_out_of_its_box():
+    rejected = Counter()
+    for n in [RPP.from_text(FT.GRID_TEXT)] + _certified_fillings()[3:]:
+        inds = indicators(n.diagram)
+        for report in classify(n):
+            assert certify_report(replace(report, differential_injective=not report.smooth), inds) == "rejected"
+            flipped = certify_report(replace(report, bijective_on_points=not report.bijective_on_points), inds)
+            assert flipped != "certified", report  # "uncertified" where the kernel may be 2-dimensional
+            rejected["bijective"] += flipped == "rejected"
+            if report.relation_witness is None:
+                continue
+            tripled = tuple(3 * c for c in report.relation_witness)
+            mults = [report.factorization.terms.get(ind, 0) for ind in inds]
+            if any(abs(c) > m for c, m in zip(tripled, mults)):
+                assert certify_report(replace(report, relation_witness=tripled), inds) == "rejected"
+                rejected["tripled"] += 1
+    assert rejected["bijective"] > 0 and rejected["tripled"] > 0, rejected
 
 
 def _component_image(diagram, T, p):

@@ -3,7 +3,9 @@
 The Fraction path below (Gauss-Jordan, kernel vectors, integer
 normalisation, back-substitution) is the oracle for the integer one, on
 both of its paths: the mod-2 certificate of full column rank and the
-exact elimination of the distinct nonzero rows.
+exact elimination of the distinct nonzero rows.  ``rref`` keeps its last
+answer; the elimination without that cache, ``_reduce.__wrapped__``, is
+the oracle for every answer it hands out.
 """
 
 import random
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from rpphilb import linalg
 from rpphilb.components import _support_matrix
 from rpphilb.linalg import kernel_basis, rank, rref, solve_from_rref
 from rpphilb.rpp import all_factorizations, enumerate_rpps
@@ -95,16 +98,24 @@ def _fraction_solve(reduced, pivots, free_values, n_cols):
     return vec
 
 
+def _uncached_rref(matrix):
+    """``rref`` by the elimination under its cache, called directly."""
+    rows, pivots = linalg._reduce.__wrapped__(tuple(map(tuple, matrix)))
+    return [list(row) for row in rows], list(pivots)
+
+
 def _assert_matches_oracle(matrix):
-    """rref, kernel_basis and solve_from_rref against the Fraction path.
+    """rref, kernel_basis and solve_from_rref against the Fraction path, rref also uncached.
 
     Back-substitution is checked at every free-value vector in {-1..2}^free
     when there are at most three free columns, else at 64 seeded random
     vectors with entries in -3..3.
     """
     reduced, pivots = rref(matrix)
+    assert (reduced, pivots) == _uncached_rref(matrix), matrix
     expected, expected_pivots = _fraction_rref(matrix)
     assert pivots == expected_pivots, matrix
+    assert rank(matrix) == len(expected_pivots), matrix
     assert all(type(x) is int for row in reduced for x in row), matrix
     for r, row in enumerate(reduced):
         if r < len(pivots):
@@ -285,3 +296,49 @@ def test_every_support_matrix_of_small_fillings():
     for matrix in seen:
         _assert_matches_oracle([list(row) for row in matrix])
         assert rref(matrix) == rref([list(row) for row in matrix]), matrix
+
+
+def test_repeated_matrices_get_the_answers_of_fresh_ones():
+    # a seeded run of small integer matrices in the order A, A, B, A, B, B, so that
+    # hits and misses alternate; half the draws are tall 0/1 matrices, which the
+    # mod-2 certificate answers, and each answer is checked against both oracles
+    rng = random.Random(41)
+
+    def draw():
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            return [[rng.randint(0, 1) for _ in range(min(n_cols, n_rows))] for _ in range(n_rows)]
+        return [[rng.choice((0, 0, 1, -1, 2, rng.randint(-7, 7))) for _ in range(n_cols)] for _ in range(n_rows)]
+
+    linalg._reduce.cache_clear()
+    for _ in range(60):
+        a, b = draw(), draw()
+        for matrix in (a, a, b, a, b, b):
+            _assert_matches_oracle(matrix)
+    info = linalg._reduce.cache_info()
+    assert info.maxsize == info.currsize == 1
+    assert info.hits > info.misses > 0
+
+
+def test_changing_an_answer_or_the_matrix_reaches_no_later_answer():
+    # a certified matrix (the identity path) and an eliminated one (rank 2 of 3 columns)
+    for matrix in ([[1, 0], [0, 1], [1, 1]], [[1, 2, 0], [2, 4, 1], [0, 0, 3], [1, 2, 0]]):
+        want = _uncached_rref(matrix)
+        reduced, pivots = rref(matrix)
+        reduced[0][0] = 99
+        reduced[-1].append(5)
+        reduced.pop()
+        pivots.append(7)
+        pivots[0] = 3
+        assert rref(matrix) == want, matrix
+        _assert_matches_oracle(matrix)
+
+    # the cache holds a snapshot of the values, so a matrix changed in place is reduced afresh
+    matrix = [[1, 1], [1, 1], [0, 0]]
+    assert rref(matrix) == ([[1, 1], [0, 0], [0, 0]], [0])
+    matrix[1][0] = 0
+    assert rref(matrix) == _uncached_rref(matrix) == ([[1, 0], [0, 1], [0, 0]], [0, 1])
+    assert rank(matrix) == 2 and kernel_basis(matrix) == []
+    matrix[1][1] = 0
+    _assert_matches_oracle(matrix)
+    assert rank(matrix) == 1
