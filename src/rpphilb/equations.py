@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, flag
-from .linalg import rank
 from .poly import SparsePoly, VarId, _raw, var_a, var_b, var_c
 from .rpp import RPP
 from .univariate import monic_divmod
@@ -52,9 +51,7 @@ def ambient_and_bundle(n: RPP) -> AmbientSummary:
             dim += v[p] - v[u]
         if ul >= 0:
             rk += v[p] - v[ul]
-    summary = AmbientSummary(dim, rk, dim - rk)
-    assert summary.expected_dim == n.weight(), "ambient minus bundle must equal the weight"
-    return summary
+    return AmbientSummary(dim, rk, dim - rk)
 
 
 class IdealPresentation:
@@ -230,24 +227,25 @@ def check_grading(I: IdealPresentation) -> bool:
 def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     """Embedding dimension at the origin and the reduced presentation.
 
-    The tangent dimension is #variables minus the rank of the generators'
-    linear parts.  The reduction repeatedly eliminates the variable of
-    smallest depth k (ties by canonical variable order, then generator
-    order) whose linear term in some generator has coefficient ±1; that
-    generator is solved for it and the solution is substituted into the
-    rest.  Homogeneity, with every variable weighing its depth k ≥ 1, keeps
-    such a variable out of that generator's other monomials, so an
-    inhomogeneous presentation is refused.  Raises when generators with
-    surviving linear parts stall before the rank is exhausted.
+    The reduction repeatedly eliminates the variable of smallest depth k
+    (ties by canonical variable order, then generator order) whose linear
+    term in some generator g has coefficient s = ±1: g is dropped and
+    v := −s·(g − s·v) is substituted into the rest.  Homogeneity, with
+    every variable weighing its depth k ≥ 1, keeps v out of g's other
+    monomials, so an inhomogeneous presentation is refused.
+
+    The tangent dimension, #variables minus the rank of the generators'
+    linear parts, is the number of variables left.  Each substitution
+    changes every other generator's linear part by one row operation with
+    the pivot ±1 of v, so the rank of the linear parts falls by exactly
+    one.  When no ±1 term is left, a surviving linear part raises
+    ``no-eliminable-variable``; otherwise no linear part is left, and the
+    eliminations were exactly the pivots of the linear-part matrix.
     """
     if not check_grading(I):
         raise DomainError("parse-error", "tangent reduction requires a homogeneous presentation")
-    var_order = list(I.ambient_vars)
-    lin_matrix = [[lp.get(v, 0) for v in var_order] for lp in (g.linear_part() for g in I.generators)]
-    tangent_dim = len(var_order) - rank(lin_matrix)
-
     gens = [g for g in I.generators if g]
-    remaining = list(var_order)
+    remaining = list(I.ambient_vars)
     while True:
         # v is eliminable from g when g's linear term in v has coefficient ±1
         candidates = [
@@ -275,7 +273,6 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
                 "reduction stalled while linear parts remain",
                 str(g),
             )
-    assert len(remaining) == tangent_dim, "eliminations must account for the full linear rank"
     reduced = IdealPresentation(
         ambient_vars=tuple(remaining),
         generators=tuple(gens),
@@ -283,4 +280,4 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
         condition_count=None,
     )
     assert check_grading(reduced), "substitution must preserve homogeneity"
-    return tangent_dim, reduced
+    return len(remaining), reduced

@@ -29,13 +29,6 @@ MAX_FACTORIZATION_WEIGHT = 12
 MAX_FACTORIZATION_INDICATORS = 64
 
 
-@lru_cache(maxsize=256)
-def _socle_vectors(cols: tuple[int, ...]) -> tuple:
-    """The socle and subsocle vectors of a shape, for ``RPP.weight``."""
-    diagram = YoungDiagram(cols)
-    return diagram.socle(), diagram.subsocle()
-
-
 class RPP:
     """Nonnegative integer labels on a diagram's boxes, row-major, nondecreasing rightward and downward."""
 
@@ -118,13 +111,8 @@ class RPP:
         return tuple(v[p] - v[l] - v[u] + v[ul] for p, (l, u, ul) in enumerate(triples))
 
     def weight(self) -> int:
-        """Total of the derivative; equals socle sum minus subsocle sum."""
-        w = sum(self.derivative())
-        socle, subsocle = _socle_vectors(self.diagram.cols)
-        soc = sum(v * x for v, x in zip(self.values, socle))
-        sub = sum(v * x for v, x in zip(self.values, subsocle))
-        assert w == soc - sub, f"weight formulas disagree: {w} vs {soc - sub}"
-        return w
+        """Total of the derivative; it telescopes to the socle sum minus the subsocle sum."""
+        return sum(self.derivative())
 
     # -- serialisation ----------------------------------------------------------
 

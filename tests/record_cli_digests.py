@@ -68,9 +68,9 @@ FILES = {
 
 def _argvs() -> dict:
     """{group: [argv, ...]}; a group is a subcommand, or ``usage`` for argparse's refusals."""
-    both = [(*argv, *fmt) for fmt in TEXT_AND_JSON for argv in (("weight", n) for n in FILLINGS)]
-    groups = {
-        "weight": both + [("weight", n) for n in (*REFUSED_FILLINGS, "@square.json")],
+    return {
+        "weight": [("weight", n, *fmt) for fmt in TEXT_AND_JSON for n in FILLINGS]
+        + [("weight", n) for n in (*REFUSED_FILLINGS, "@square.json")],
         "indicators": [
             ("indicators", d, *fmt) for fmt in TEXT_AND_JSON for d in ("2,2", "1", "3,2,1", "@square_diagram.json")
         ]
@@ -118,9 +118,7 @@ def _argvs() -> dict:
             for fmt in TEXT_AND_JSON
             for n, p in ((SQUARE, "2"), ("0 1 / 1 2", "2"), ("1 / 2", "3"), ("0", "5"))
         ]
-        + [
-            ("count-points", SQUARE, "--p", p) for p in ("4", "11", "1", "0", "-2")
-        ]
+        + [("count-points", SQUARE, "--p", p) for p in ("4", "11", "1", "0", "-2")]
         + [("count-points", "5 5 / 5 5", "--p", "7"), ("count-points", "x", "--p", "2")],
         "verify": [("verify", *fmt) for fmt in TEXT_AND_JSON]
         + [("verify", "corpus.json", *fmt) for fmt in TEXT_AND_JSON]
@@ -139,7 +137,6 @@ def _argvs() -> dict:
             ("classify", SQUARE, "--verbose"),
         ],
     }
-    return groups
 
 
 def _record(argv: tuple) -> str:
@@ -179,10 +176,9 @@ def first_moved(group: str, digest: str):
     """The first argv of ``group`` whose fingerprint differs from ``digest``'s, or None."""
     frozen = digest.split()
     got = fingerprints(group)
-    for k, (argv, fp) in enumerate(got):
-        if k >= len(frozen) or fp != frozen[k]:
-            return argv
-    return None if len(got) == len(frozen) else "(argv list is shorter than the frozen digest)"
+    if len(got) != len(frozen):
+        raise ValueError(f"{group}: {len(got)} argv against {len(frozen)} frozen fingerprints")
+    return next((argv for (argv, fp), old in zip(got, frozen) if fp != old), None)
 
 
 def groups() -> list:

@@ -179,9 +179,10 @@ def test_classify_skips_equations_pointcount_and_verify():
 
 
 def test_equations_skips_the_classifier_verify_and_dataclasses():
-    loaded = _cli_loads("equations", "--type", "I", "0 1 / 1 2")
+    # the tangent dimension is the count of variables left, so no rank is taken
+    loaded = _cli_loads("equations", "--type", "I", "--tangent", "0 1 / 1 2")
     assert "rpphilb.equations" in loaded
-    assert loaded & {"rpphilb.components", "rpphilb.verify", "dataclasses"} == set()
+    assert loaded & {"rpphilb.components", "rpphilb.verify", "rpphilb.linalg", "dataclasses"} == set()
 
 
 def test_the_benchmarks_own_tests_pass():

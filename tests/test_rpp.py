@@ -8,6 +8,7 @@ import pytest
 import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, DomainError, YoungDiagram
 from rpphilb.diagram import enumerate_upper_sets
+from rpphilb.equations import ambient_and_bundle
 from rpphilb.rpp import (
     Factorization,
     Indicator,
@@ -95,11 +96,22 @@ def test_derivative_and_weight(square_rpp, grid_rpp):
 
 
 def test_weight_equals_socle_minus_subsocle():
+    # the weight is one formula, the derivative's total; the socle formula and
+    # the ambient chart's dimension minus the bundle's rank are its oracles here
     n = RPP.from_text("1 3 / 2")
     d = n.diagram
     socle_sum = sum(value(n, b) for b, x in zip(d.boxes, d.socle()) if x)
     subsocle_sum = sum(value(n, b) for b, x in zip(d.boxes, d.subsocle()) if x)
     assert n.weight() == socle_sum - subsocle_sum == 3 + 2 - 1
+    atlas = [n for d in diagrams_up_to(8) for n in enumerate_rpps(d, 5)]
+    assert len(atlas) == 3277
+    grids = [RPP.from_text(text) for text in (FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT)]
+    for n in atlas + grids:
+        d, w = n.diagram, n.weight()
+        socle_sum = sum(v * x for v, x in zip(n.values, d.socle()))
+        subsocle_sum = sum(v * x for v, x in zip(n.values, d.subsocle()))
+        assert w == socle_sum - subsocle_sum, n.to_text()
+        assert ambient_and_bundle(n).expected_dim == w, n.to_text()
 
 
 def test_add_and_scale(square_rpp):

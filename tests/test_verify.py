@@ -29,6 +29,7 @@ from rpphilb.rpp import (
     Factorization,
     Indicator,
     all_factorizations,
+    complete_factorization,
     enumerate_rpps,
     indicators,
     standard_factorization,
@@ -361,6 +362,33 @@ def test_a_changed_computation_fails_the_sweep_with_its_problem(monkeypatch, cas
     monkeypatch.setattr(verify, name, replacement)
     failures = run_random_properties(20260817, 40)
     assert {f.split(": ", 1)[1] for f in failures} == problems
+
+
+def test_the_sweep_tests_each_distinct_factorisation_once(monkeypatch):
+    # the named factorisations often coincide, and at weight <= 3 are among all of them
+    tested = []
+    monkeypatch.setattr(verify, "differential_injective", lambda f: tested.append(f) or differential_injective(f))
+    assert run_random_properties(20260817, 120) == []
+    assert len(tested) == 123
+
+
+def test_an_unsmooth_answer_is_reported_once_per_factorisation_checked(monkeypatch):
+    drawn = []
+
+    def recorded(rng):
+        drawn.append(random_instance(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_instance", recorded)
+    monkeypatch.setattr(verify, "differential_injective", lambda f: (False,))
+    failures = run_random_properties(20260817, 40)
+    expected = []
+    for n in drawn:
+        named = (standard_factorization(n) or Factorization({}), complete_factorization(n))
+        expected += [f"{n.to_text()}: standard/complete component not smooth"] * (len(named) - named.count(None))
+        if n.weight() <= 3:
+            expected += [f"{n.to_text()}: weight <= 3 component not smooth"] * len(all_factorizations(n))
+    assert failures == expected
 
 
 # -- SparsePoly arithmetic, kept as the oracle for the integer fast path ------
