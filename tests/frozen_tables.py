@@ -376,8 +376,8 @@ ATLAS_SHA256 = {
     "1,1,1,1,1,1,1,1": "38fa332efb38584ed70038cf26decaaee0e184bb86bc3adbd82dd9a2c4f75324",
 }
 
-# The CLI byte atlas, printed by tests/record_cli_digests.py: per subcommand
-# (and ``usage``, argparse's own refusals), its argv's 8-hex fingerprints in order.
+# The CLI byte atlas, printed by tests/record_cli_digests.py: per subcommand,
+# its argv's 8-hex fingerprints in order.
 CLI_DIGESTS = {
     "weight": (
         "39365145 869723f1 5762004e eadd310b 8d3c5ed9 25a8cebf 9bde3767 177b1301 "
@@ -393,17 +393,17 @@ CLI_DIGESTS = {
         "3f2a7c6c 53b84700"
     ),
     "classify": (
-        "c77c8877 c7385212 6aec12c1 403dd8c4 d5fe7514 cb7dde26 c167f2f6 090523f5 "
-        "45e319df a4159984 e4cce2c2 41b9b90f 4e52ec01 5906879b"
+        "c77c8877 403dd8c4 d5fe7514 cb7dde26 c167f2f6 a4159984 e4cce2c2 41b9b90f "
+        "4e52ec01 5906879b"
     ),
     "equations": (
-        "19a8afa8 63aa2a15 0a306733 04366688 f0e6a7ec c57f9589 6db7165a a0caa162 "
-        "cbbc0b9d d6adf17c 8352c3d3 bd4cfd77 75a4a911 5bd03cf8 8b917119 93e0b309 "
-        "45935260 c45cfed5 946eda4c 6ad35e83 58b75876 171ece46 0fb012db 2370fe6e "
-        "fbbdd5ca 0399de2c 76cd82ed 7b6733b4 24a054bd e4a04952 ce1479f6 3d2bbcd2 "
-        "22da013a d94a6e90 3160519a 1dfbe69e d934a458 32b52b46 02d2c967 7ba9d472 "
-        "d3352f15 54f4fb28 939d02a1 c0758025 eb651b34 83716276 290da7b1 c70f0c35 "
-        "8dded984 ebecaf67 e3db408b 8bf81ed7 245028e0 c467f206 cdc7779f"
+        "19a8afa8 63aa2a15 0a306733 04366688 f0e6a7ec c57f9589 6db7165a cbbc0b9d "
+        "8352c3d3 bd4cfd77 75a4a911 5bd03cf8 8b917119 93e0b309 45935260 c45cfed5 "
+        "946eda4c 6ad35e83 58b75876 171ece46 0fb012db 2370fe6e fbbdd5ca 0399de2c "
+        "76cd82ed 7b6733b4 24a054bd e4a04952 ce1479f6 3d2bbcd2 22da013a d94a6e90 "
+        "3160519a 1dfbe69e d934a458 32b52b46 02d2c967 7ba9d472 d3352f15 54f4fb28 "
+        "939d02a1 c0758025 eb651b34 83716276 290da7b1 c70f0c35 245028e0 c467f206 "
+        "cdc7779f"
     ),
     "series": (
         "90c040ef b9061c9e f136b1e7 f2bc3b3f 8535373b e60861c5 f3678816 10f3afee "
@@ -415,9 +415,5 @@ CLI_DIGESTS = {
     ),
     "verify": (
         "71821540 2db17db0 73cf43c3 99db6934 530e871b 6665c57e ae957db7"
-    ),
-    "usage": (
-        "8845921b 517dfac3 ba79c3d0 43fbab4e 0f963dcb 3f74c2e4 54e1680b 03dce8c5 "
-        "019efe57 4a801605 6f54bc0a"
     ),
 }
