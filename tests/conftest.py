@@ -16,19 +16,7 @@ from rpphilb.series import TruncatedSeries
 from rpphilb.univariate import poly_mul
 
 import frozen_tables as FT
-
-
-def diagrams_up_to(n_boxes):
-    """Every Young diagram with 1 to n_boxes boxes, by size, then columns descending."""
-
-    def parts(n, largest):
-        if n == 0:
-            yield ()
-        for k in range(min(n, largest), 0, -1):
-            for rest in parts(n - k, k):
-                yield (k,) + rest
-
-    return [YoungDiagram(p) for n in range(1, n_boxes + 1) for p in parts(n, n)]
+from shapes import diagrams_up_to
 
 
 def connected_parts(diagram, vector):

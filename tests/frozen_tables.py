@@ -376,6 +376,42 @@ ATLAS_SHA256 = {
     "1,1,1,1,1,1,1,1": "38fa332efb38584ed70038cf26decaaee0e184bb86bc3adbd82dd9a2c4f75324",
 }
 
+# The singular band: one SHA-256 per shape over every filling of weight at
+# most 5 on the shapes of at most 6 boxes, and the eight 3x3 fillings
+# 0 0 a / 0 b 5 / c 5 5 (a, b, c in {2, 3}); recorded by tests/record_atlas.py.
+SINGULAR_BAND_SHA256 = {
+    "1": "1406fd63cad9e29ab28421ecfcc0d1db455ce095f7f936f004da6835b3c59c20",
+    "2": "98146f3591718d5eb8728446c5c0f7b39131b460b77f45cd8344ed13a69a212c",
+    "1,1": "ad92286abff8db6ef6090eecd8b1dc99472234f87cf52b3bd5c92193a40331a2",
+    "3": "542566dd04cfa4c2cb28783efde909d57ca018d38442a56357e7b7d0e9a07bc0",
+    "2,1": "49b7a14e058321e4bbd255032c4c097c4f0de101b4f805614496c2d141168e74",
+    "1,1,1": "da67798af6aee2880bd4bb65ab4b1d857354b96e0de23784803ded2f7afc44a0",
+    "4": "091d6a85433d6e10ed234e8a1b3a2e85d3f9c02cb2a23b6754dda5ee36382699",
+    "3,1": "4c6444df565087957866fce7ca422a248d5e3fbaeea018784da173568e2512b9",
+    "2,2": "b8451b41abd23cc775e6997a5e459b0c1f0779c2c2e145a6dddfae94ccd38965",
+    "2,1,1": "cdc357bc4f96f44b6554de2db8d492f03918e24de6cfaafaaf8941ac43ca6602",
+    "1,1,1,1": "e6fdd8eefd8084127016700f3d60c4813f49e5484e88859dfe32b158e547a67e",
+    "5": "df659860dc4e6bf9ca5209bd42949a97ec2c10ca84d3f2fbc961d596b1dd27aa",
+    "4,1": "6067e7104ca2904608c7cc58c6c4916ec405966d29ba73a05045f6ba871bf273",
+    "3,2": "6163ba681a0d3525fcf590ff60c8bfe7e844799bffe796f73d42a21724a81055",
+    "3,1,1": "afc1899f4bf62b0718ab9cfbe6417cc7a8ae5a2c9bf777e10e34085b08853103",
+    "2,2,1": "5b72ab0ee35f807dea4c2084370b30cf58170923263d2dd20296451257165f7b",
+    "2,1,1,1": "73110741dd009549c5df3f1426d6de415cb3a8954adad4bf652e1c6013565444",
+    "1,1,1,1,1": "5a60db205045f158d2239832777ab826881f05add51a10dc112ac93f550293eb",
+    "6": "0db7b5500683a681faa8357d110b9e439c960800574aeaa0c3c0a21ad9cedde0",
+    "5,1": "04d2c7a6ca0442e3b46b8418bec78edbcab6e0b7114517bc7c11526a61fcff08",
+    "4,2": "698e73627a8f74b32ce33417b802f7772bc1a58cd496d6b3ffc774841038865b",
+    "4,1,1": "f21066956f547a8c5f93beb8898ba4269062362ffa8d6e954d4282c8e2e30c97",
+    "3,3": "1a60cb729e224c428e62babc965813a095889e06cd2996460e1adf4b397f6c2e",
+    "3,2,1": "7a455d8b02f7b2a492574bdb8dc6478801d59e842bdb1d355b305071129b466b",
+    "3,1,1,1": "663514ae7501ac6701cd5ca7723f3cf7290bf73faef23fae39f4c49740c29b81",
+    "2,2,2": "469635b19b28012ea5d6bc8df6835d1c3f96d0641262b428d84e6fbc7aff18d0",
+    "2,2,1,1": "a5d4df40f14f34d497059851251fa8259cda37a7bb98cf583ef2bf6570d6be72",
+    "2,1,1,1,1": "6d13823c3c4854a2ef0a0f1491ad30d5950fdaa315215a343c249abd7eed6fe8",
+    "1,1,1,1,1,1": "618a5dc3d1f07e02a3ea789dcfd32e73116e5ae244d085af17a64185d40b6650",
+    "3,3,3": "cc9aadbb1f3dc2496dabe34083b931f2255ae8898667fb2d9ff92440e975158b",
+}
+
 # The CLI byte atlas, printed by tests/record_cli_digests.py: per subcommand,
 # its argv's 8-hex fingerprints in order.
 CLI_DIGESTS = {
