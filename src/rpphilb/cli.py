@@ -90,7 +90,7 @@ def _cmd_factorizations(args) -> int:
 
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
-    weight = facts[0].length  # the search asserts that every length is the weight
+    weight = n.weight()
     standard_index, complete_index = (
         None if fact is None else facts.index(fact)
         for fact in (standard_factorization(n), complete_factorization(n))

@@ -53,15 +53,11 @@ def _support_matrix(T: Factorization) -> list[tuple[int, ...]]:
 
 
 def _relation(T: Factorization, vector) -> tuple[bool, dict]:
-    """A failed test's answer: the kernel vector as {indicator: coefficient}, zeros left out."""
-    coeffs = {ind: c for ind, c in zip(T.support, vector) if c}
-    total = [0] * T.support[0].diagram.size
-    for ind, c in coeffs.items():
-        for row, x in enumerate(ind.values):
-            if x:
-                total[row] += c
-    assert not any(total), "relation witness does not reconstruct to zero"
-    return False, coeffs
+    """A failed test's answer: the kernel vector as {indicator: coefficient}, zeros left out.
+
+    It solves M·m = 0 exactly (``kernel_basis``, ``solve_from_rref``), so Σ coefficient·indicator = 0.
+    """
+    return False, {ind: c for ind, c in zip(T.support, vector) if c}
 
 
 def differential_injective(T: Factorization) -> tuple[bool, dict | None]:
@@ -163,7 +159,7 @@ def classify(n: RPP) -> list[ComponentReport]:
     the search's own refusals come first.
     """
     facts = all_factorizations(n)
-    dim = facts[0].length  # the search asserts that every length is the weight
+    dim = n.weight()  # every factorisation's length, by the paper's theorem
     inds = indicators(n.diagram)
     reports = []
     for T in facts:

@@ -164,8 +164,7 @@ def type_ii_ideal(n: RPP, minimal_border: bool = False) -> IdealPresentation:
         D = v[p] - v[ul]
         if D == 0:
             continue
-        # both products around the square are monic of degree D
-        assert len(rows[p]) + len(cols[l]) == len(cols[p]) + len(rows[u]) == D + 2
+        # both products around the square are monic of degree D: (v[p] − v[l]) + (v[l] − v[ul]) = D
         generators += (_square_coefficient(rows[p], cols[l], rows[u], cols[p], s) for s in range(1, D + 1))
         groups.append({"box": list(box), "divisor_box": None, "size": D})
     full = IdealPresentation(
@@ -232,7 +231,8 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
     term in some generator g has coefficient s = ±1: g is dropped and
     v := −s·(g − s·v) is substituted into the rest.  Homogeneity, with
     every variable weighing its depth k ≥ 1, keeps v out of g's other
-    monomials, so an inhomogeneous presentation is refused.
+    monomials, so an inhomogeneous presentation is refused; the
+    replacement has v's weight k, so the result stays homogeneous.
 
     The tangent dimension, #variables minus the rank of the generators'
     linear parts, is the number of variables left.  Each substitution
@@ -273,11 +273,9 @@ def tangent_embedding(I: IdealPresentation) -> tuple[int, IdealPresentation]:
                 "reduction stalled while linear parts remain",
                 str(g),
             )
-    reduced = IdealPresentation(
+    return len(remaining), IdealPresentation(
         ambient_vars=tuple(remaining),
         generators=tuple(gens),
         groups=(),
         condition_count=None,
     )
-    assert check_grading(reduced), "substitution must preserve homogeneity"
-    return len(remaining), reduced

@@ -275,12 +275,8 @@ class Factorization:
         """The RPP this factorisation decomposes: sum of multiplicity * indicator."""
         if not self.terms:
             raise DomainError("empty-factorization", "cannot total an empty factorisation", None)
-        return RPP(next(iter(self.terms)).diagram, self._total_values())
-
-    def _total_values(self) -> tuple[int, ...]:
-        """The values of ``total()``: per box, the sum of multiplicity times indicator label."""
         scaled = (ind.values if m == 1 else [m * v for v in ind.values] for ind, m in self.terms.items())
-        return tuple(map(sum, zip(*scaled)))
+        return RPP(next(iter(self.terms)).diagram, tuple(map(sum, zip(*scaled))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factorization):
@@ -307,9 +303,10 @@ def standard_factorization(n: RPP) -> Factorization | None:
 
     For each distinct positive value k (ascending), the boxes with label >= k
     form an upper set; its connected parts enter with coefficient equal to
-    the gap from the previous level.  Each part is a nonempty connected
-    upper set by construction, so its indicator is built unchecked; the
-    levels do not come in canonical order, so the public constructor sorts.
+    the gap from the previous level, so a box labelled v gets gaps summing
+    to v.  Each part is a nonempty connected upper set by construction, so
+    its indicator is built unchecked; the levels do not come in canonical
+    order, so the public constructor sorts.
     """
     if n.is_zero():
         return None
@@ -321,9 +318,7 @@ def standard_factorization(n: RPP) -> Factorization | None:
             ind = Indicator._of(n.diagram, part)
             terms[ind] = terms.get(ind, 0) + (k - prev)
         prev = k
-    fact = Factorization(terms)
-    assert fact._total_values() == n.values
-    return fact
+    return Factorization(terms)
 
 
 def complete_factorization(n: RPP) -> Factorization | None:
@@ -334,6 +329,8 @@ def complete_factorization(n: RPP) -> Factorization | None:
     boxes weakly right of and below it, with it as unique minimal box and
     first 1.  So its indicator is built unchecked, and the terms, built in
     row-major box order, are descending-lex already and stored as built.
+    Box b lies in the principal upper sets of the boxes weakly up-left of
+    it, whose derivatives telescope to b's label, so the terms total n.
     """
     deriv = n.derivative()
     if any(v < 0 for v in deriv):
@@ -343,9 +340,7 @@ def complete_factorization(n: RPP) -> Factorization | None:
         if dv > 0:
             principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
             terms[Indicator._of(n.diagram, principal)] = dv
-    fact = Factorization._of(terms)
-    assert fact._total_values() == n.values if terms else n.is_zero()
-    return fact
+    return Factorization._of(terms)
 
 
 def _first_fault(diagram: YoungDiagram, vals: tuple[int, ...]) -> int | None:
@@ -387,9 +382,10 @@ def all_factorizations(n: RPP) -> list[Factorization]:
     A leaf counts its path into a dict.  The path's positions are
     nondecreasing, so the dict lists the support descending-lex, the
     canonical order, with positive int multiplicities on one diagram; it
-    is stored without the public constructor's checks and re-sort.  Every
-    leaf is still checked: its length against the weight, and its total,
-    as a value tuple, against n's values.
+    is stored without the public constructor's checks and re-sort.  The
+    guards keep the remainder a nonnegative RPP and a leaf's remainder
+    totals 0, so its path sums to n (the zero filling's root is such a
+    leaf); its length is the weight, by the paper's theorem.
     """
     w = n.weight()
     if w > MAX_FACTORIZATION_WEIGHT:
@@ -403,8 +399,6 @@ def all_factorizations(n: RPP) -> list[Factorization]:
             f"{len(inds)} indicators exceed the cap {MAX_FACTORIZATION_INDICATORS}",
             n.to_text(),
         )
-    if n.is_zero():
-        return [Factorization({})]
 
     _, members, guards, stop = _shape_table(n.diagram.cols)
     vals = [*n.values, 0]  # the remainder, decremented and restored in place
@@ -435,9 +429,6 @@ def all_factorizations(n: RPP) -> list[Factorization]:
 
     search(0, 0, n.size)
     del search  # it holds itself through its closure cell; drop that cycle now, not at a GC pass
-    for fact in results:
-        assert fact.length == w, "factorisation length must equal the weight"
-        assert fact._total_values() == n.values
     return results
 
 

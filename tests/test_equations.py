@@ -197,6 +197,7 @@ def test_tangent_reduction_matches_linear_part_oracle():
         dim, reduced = tangent_embedding(ideal)
         want_dim, want = tangent_by_linear_parts(ideal)
         assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj()), n.to_text()
+        assert check_grading(reduced), n.to_text()
 
 
 def test_minimal_presentation_is_a_complete_intersection_after_reduction():
