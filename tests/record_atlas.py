@@ -149,8 +149,8 @@ def band_digests(inspect=None) -> dict:
 
 
 def moved(got: dict, frozen: dict) -> list:
-    """The shapes whose digest differs from the frozen one, or is missing on either side."""
-    return [shape for shape in got.keys() | frozen.keys() if got.get(shape) != frozen.get(shape)]
+    """The shapes whose digest differs from the frozen one, or is missing on either side, in table order."""
+    return [shape for shape in frozen | got if got.get(shape) != frozen.get(shape)]
 
 
 TABLES = {"ATLAS_SHA256": atlas, "SINGULAR_BAND_SHA256": band_digests}
@@ -162,7 +162,7 @@ def _check() -> int:
     failed = 0
     for name, compute in TABLES.items():
         shapes = moved(compute(), getattr(frozen_tables, name))
-        print(f"{name}: {'ok' if not shapes else f'moved on shapes {sorted(shapes)}'}")
+        print(f"{name}: {'ok' if not shapes else f'moved on shapes {shapes}'}")
         failed += bool(shapes)
     return 1 if failed else 0
 
