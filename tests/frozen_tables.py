@@ -429,21 +429,23 @@ CLI_DIGESTS = {
         "3f2a7c6c 53b84700"
     ),
     "classify": (
-        "c77c8877 403dd8c4 d5fe7514 cb7dde26 c167f2f6 a4159984 e4cce2c2 41b9b90f "
-        "4e52ec01 5906879b"
+        "c77c8877 403dd8c4 d5fe7514 cb7dde26 c7385212 6aec12c1 614a1348 c167f2f6 "
+        "a4159984 e4cce2c2 41b9b90f 090523f5 45e319df 7102dbf0 4e52ec01 5906879b"
     ),
     "equations": (
-        "19a8afa8 63aa2a15 0a306733 04366688 f0e6a7ec c57f9589 6db7165a cbbc0b9d "
-        "8352c3d3 bd4cfd77 75a4a911 5bd03cf8 8b917119 93e0b309 45935260 c45cfed5 "
-        "946eda4c 6ad35e83 58b75876 171ece46 0fb012db 2370fe6e fbbdd5ca 0399de2c "
-        "76cd82ed 7b6733b4 24a054bd e4a04952 ce1479f6 3d2bbcd2 22da013a d94a6e90 "
-        "3160519a 1dfbe69e d934a458 32b52b46 02d2c967 7ba9d472 d3352f15 54f4fb28 "
-        "939d02a1 c0758025 eb651b34 83716276 290da7b1 c70f0c35 245028e0 c467f206 "
-        "cdc7779f"
+        "19a8afa8 63aa2a15 0a306733 04366688 f0e6a7ec c57f9589 6db7165a a0caa162 "
+        "cbbc0b9d d6adf17c 8352c3d3 bd4cfd77 75a4a911 5bd03cf8 8b917119 93e0b309 "
+        "45935260 c45cfed5 946eda4c 6ad35e83 58b75876 171ece46 0fb012db 2370fe6e "
+        "fbbdd5ca 0399de2c 76cd82ed 7b6733b4 24a054bd e4a04952 ce1479f6 3d2bbcd2 "
+        "22da013a d94a6e90 3160519a 1dfbe69e d934a458 32b52b46 02d2c967 7ba9d472 "
+        "d3352f15 54f4fb28 939d02a1 c0758025 eb651b34 83716276 290da7b1 c70f0c35 "
+        "8dded984 ebecaf67 e3db408b 8bf81ed7 245028e0 c467f206 cdc7779f"
     ),
     "series": (
         "90c040ef b9061c9e f136b1e7 f2bc3b3f 8535373b e60861c5 f3678816 10f3afee "
-        "6a0eb305 3d6e7f51 e3097aa8 19cec0b6 74dd3790 99067c42 99843ee1"
+        "6a0eb305 3d6e7f51 e3097aa8 19cec0b6 74dd3790 99067c42 99843ee1 4db220d4 "
+        "c7cf4575 46e20a4b ab1e7d8d da1cd6b4 85ab6ba1 0a472e1f be0a4d66 038b0516 "
+        "a20a88f5"
     ),
     "count-points": (
         "72dc0aa0 a3d811a6 94ea2497 723ea265 57175395 cc514911 2b79a2a2 8d93c832 "

@@ -9,14 +9,12 @@ unset and the working directory a fresh folder that holds the
 An argv's fingerprint is the first 8 hex digits of the SHA-256 of the JSON
 list (argv, stdout, stderr, exit code), and a subcommand's digest is its
 argv's fingerprints in order, so a failure names the first argv whose bytes
-moved.  Two kinds of argv are left out.  Those that argparse itself
-refuses quote its wording, which changes between patch releases (3.13.0
-prints ``(choose from 'A1', 'P1')``, some 3.13 builds ``(choose from A1,
-P1)``), so ``test_cli.py`` checks only their exit code and error code.
-The grids' ``equations --tangent`` and ``classify`` runs already have
-their stdout pinned by ``TANGENT_STDOUT_SHA256`` and
-``CLASSIFY_STDOUT_SHA256``.  The script prints the table that ``frozen_tables.CLI_DIGESTS`` holds;
-re-record it only when CLI output is meant to change.
+moved.  The argv that argparse itself refuses are left out: they quote its
+wording, which changes between patch releases (3.13.0 prints ``(choose
+from 'A1', 'P1')``, some 3.13 builds ``(choose from A1, P1)``), so
+``test_cli.py`` checks only their exit code and error code.  The script
+prints the table that ``frozen_tables.CLI_DIGESTS`` holds; re-record it
+only when CLI output is meant to change.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ from rpphilb.cli import main
 SQUARE = "0 2 / 2 4"
 GRID = "0 0 3 / 0 2 5 / 3 5 5"
 EVEN_GRID = "0 2 4 / 2 4 6 / 4 6 8"
+TRIPLE_GRID = "0 3 6 / 3 6 9 / 6 9 12"
+GRIDS = (GRID, EVEN_GRID, TRIPLE_GRID)
 FILLINGS = (SQUARE, GRID, "1 / 2", "0 1 / 1 2", "0 1 2 / 1 2", "3", "0", "0 0 / 0 0")
 REFUSED_FILLINGS = ("x", "0 1 / 0 0", "-1", "1 / 2 3", "", "@missing.json", "@not_json.json")
 TEXT_AND_JSON = ((), ("--format", "json"))
-#: the grid's text ``equations --tangent`` runs, whose stdout ``TANGENT_STDOUT_SHA256`` pins
-TANGENT_PINNED = {("equations", GRID, "--type", kind, "--tangent") for kind in ("I", "II")}
 
 #: the ``@file.json`` inputs, written into the working folder
 FILES = {
@@ -84,17 +82,17 @@ def _argvs() -> dict:
         "classify": [
             ("classify", n, *fmt)
             for fmt in TEXT_AND_JSON
-            for n in (SQUARE, "0 1 / 1 2", "0", "@square.json")
+            for n in (SQUARE, "0 1 / 1 2", "0", "@square.json", *GRIDS)
         ]
         + [("classify", n) for n in ("0 13", "0 1 / 0 0")],
         "equations": [
-            argv
+            ("equations", n, "--type", *kind, *tangent, *fmt)
             for fmt in TEXT_AND_JSON
             for n in (SQUARE, GRID, "1 / 2", "3")
             for kind in (("I",), ("II",), ("II", "--minimal-border"))
             for tangent in ((), ("--tangent",))
-            if (argv := ("equations", n, "--type", *kind, *tangent, *fmt)) not in TANGENT_PINNED
         ]
+        + [("equations", n, "--type", kind, "--tangent") for n in (EVEN_GRID, TRIPLE_GRID) for kind in ("I", "II")]
         + [("equations", EVEN_GRID, "--type", "II", "--tangent", "--minimal-border", "--format", "json")]
         + [("equations", SQUARE, "--type", "I", "--minimal-border"), ("equations", "x", "--type", "I")],
         "series": [
@@ -114,6 +112,17 @@ def _argvs() -> dict:
             ("series", "2,2", "--curve", "A1", "--single-variable"),
             ("series", "2,2", "--euler", "1", "--max-size", "-3"),
             ("series", "31", "--curve", "A1"),
+        ]
+        + [
+            ("series", "4,3,2,1", *opts, *fmt)
+            for opts in (
+                ("--curve", "A1", "--max-size", "12"),
+                ("--curve", "P1", "--max-size", "8"),
+                ("--euler", "2", "--max-size", "12"),
+                ("--euler", "-1", "--max-size", "10"),
+                ("--euler", "2", "--max-size", "12", "--single-variable"),
+            )
+            for fmt in TEXT_AND_JSON
         ],
         "count-points": [
             ("count-points", n, "--p", p, *fmt)
