@@ -324,15 +324,15 @@ def random_instance(rng: random.Random) -> RPP:
             return n
 
 
-def _random_nested_polynomials(rng: random.Random, n: RPP, standard: Factorization) -> list:
+def _random_nested_polynomials(rng: random.Random, n: RPP, fact: Factorization) -> list:
     """Monic integer polynomials per box, row-major, nested by left/up divisibility.
 
-    ``standard`` is the standard factorisation of ``n`` (empty when ``n``
-    is zero); each of its indicators draws one random monic factor, and
-    ``pointcount.component_point`` multiplies them into the boxes.
+    ``fact`` is the standard factorisation of ``n`` (the empty complete one
+    when ``n`` is zero, which has no standard one); each of its indicators
+    draws one random monic factor, and ``component_point`` multiplies them.
     """
-    factors = [(*[rng.randint(-3, 3) for _ in range(m)], 1) for m in standard.terms.values()]
-    return component_point(n.diagram, standard, factors)
+    factors = [(*[rng.randint(-3, 3) for _ in range(m)], 1) for m in fact.terms.values()]
+    return component_point(n.diagram, fact, factors)
 
 
 def check_random_instance(rng: random.Random) -> list:
@@ -346,8 +346,7 @@ def check_random_instance(rng: random.Random) -> list:
     facts = all_factorizations(n)
     if any(f.length != omega for f in facts):
         problems.append(f"{label}: a factorisation length differs from the weight")
-    standard = standard_factorization(n) or Factorization({})
-    named = [f for f in (standard, complete_factorization(n)) if f is not None]
+    named = [f for f in (standard_factorization(n), complete_factorization(n)) if f is not None]
     # the named factorisations often coincide, and at weight <= 3 are among facts: test each once
     tested = dict.fromkeys(named + facts if omega <= 3 else named)
     smooth = {f: differential_injective(f)[0] for f in tested}
@@ -369,7 +368,7 @@ def check_random_instance(rng: random.Random) -> list:
     # the zero extension), the left and the up neighbour; they share no variable
     diagram = n.diagram
     degrees = (*n.values, 0)
-    polys = (*_random_nested_polynomials(rng, n, standard), (1,))
+    polys = (*_random_nested_polynomials(rng, n, named[0]), (1,))
     point, undivided = {}, []
     for p, box in enumerate(diagram.boxes):
         for kind, other, maker in (

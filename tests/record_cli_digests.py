@@ -33,7 +33,6 @@ SQUARE = "0 2 / 2 4"
 GRID = "0 0 3 / 0 2 5 / 3 5 5"
 EVEN_GRID = "0 2 4 / 2 4 6 / 4 6 8"
 TRIPLE_GRID = "0 3 6 / 3 6 9 / 6 9 12"
-GRIDS = (GRID, EVEN_GRID, TRIPLE_GRID)
 FILLINGS = (SQUARE, GRID, "1 / 2", "0 1 / 1 2", "0 1 2 / 1 2", "3", "0", "0 0 / 0 0")
 REFUSED_FILLINGS = ("x", "0 1 / 0 0", "-1", "1 / 2 3", "", "@missing.json", "@not_json.json")
 TEXT_AND_JSON = ((), ("--format", "json"))
@@ -82,7 +81,7 @@ def _argvs() -> dict:
         "classify": [
             ("classify", n, *fmt)
             for fmt in TEXT_AND_JSON
-            for n in (SQUARE, "0 1 / 1 2", "0", "@square.json", *GRIDS)
+            for n in (SQUARE, "0 1 / 1 2", "0", "@square.json", GRID, EVEN_GRID, TRIPLE_GRID)
         ]
         + [("classify", n) for n in ("0 13", "0 1 / 0 0")],
         "equations": [
@@ -113,6 +112,7 @@ def _argvs() -> dict:
             ("series", "2,2", "--euler", "1", "--max-size", "-3"),
             ("series", "31", "--curve", "A1"),
         ]
+        # chi = 2 takes two updates per term; chi = -1, a positive power, walks the sizes downward and cancels
         + [
             ("series", "4,3,2,1", *opts, *fmt)
             for opts in (

@@ -14,3 +14,6 @@ def test_no_argv_of_the_group_moves_its_bytes(group):
 
 def test_every_group_is_frozen():
     assert list(FT.CLI_DIGESTS) == record_cli_digests.groups()
+    # each run is frozen in one place only
+    argvs = [argv for group in record_cli_digests._argvs().values() for argv in group]
+    assert len(argvs) == len(set(argvs))

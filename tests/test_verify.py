@@ -384,7 +384,7 @@ def test_an_unsmooth_answer_is_reported_once_per_factorisation_checked(monkeypat
     failures = run_random_properties(20260817, 40)
     expected = []
     for n in drawn:
-        named = (standard_factorization(n) or Factorization({}), complete_factorization(n))
+        named = (standard_factorization(n), complete_factorization(n))
         expected += [f"{n.to_text()}: standard/complete component not smooth"] * (len(named) - named.count(None))
         if n.weight() <= 3:
             expected += [f"{n.to_text()}: weight <= 3 component not smooth"] * len(all_factorizations(n))
