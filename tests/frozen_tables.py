@@ -385,7 +385,7 @@ CLI_DIGESTS = {
     ),
     "factorizations": (
         "69361cc6 bf0c5960 ab6974d9 92ff2154 57ac591e a5bc2aae 4915c9e3 96fe519e "
-        "3f2a7c6c 53b84700"
+        "3f2a7c6c 53b84700 9ea81456 6de813b1"
     ),
     "classify": (
         "c77c8877 403dd8c4 d5fe7514 cb7dde26 c7385212 6aec12c1 614a1348 c167f2f6 "
@@ -398,13 +398,14 @@ CLI_DIGESTS = {
         "fbbdd5ca 0399de2c 76cd82ed 7b6733b4 24a054bd e4a04952 ce1479f6 3d2bbcd2 "
         "22da013a d94a6e90 3160519a 1dfbe69e d934a458 32b52b46 02d2c967 7ba9d472 "
         "d3352f15 54f4fb28 939d02a1 c0758025 eb651b34 83716276 290da7b1 c70f0c35 "
-        "8dded984 ebecaf67 e3db408b 8bf81ed7 245028e0 c467f206 cdc7779f"
+        "8dded984 ebecaf67 e3db408b 8bf81ed7 245028e0 c467f206 cdc7779f 58e0c1c7 "
+        "61a930da"
     ),
     "series": (
         "90c040ef b9061c9e f136b1e7 f2bc3b3f 8535373b e60861c5 f3678816 10f3afee "
         "6a0eb305 3d6e7f51 e3097aa8 19cec0b6 74dd3790 99067c42 99843ee1 4db220d4 "
         "c7cf4575 46e20a4b ab1e7d8d da1cd6b4 85ab6ba1 0a472e1f be0a4d66 038b0516 "
-        "a20a88f5"
+        "a20a88f5 a90cbd7a b3bb2db2 ff637dac 71b7f06f"
     ),
     "count-points": (
         "72dc0aa0 a3d811a6 94ea2497 723ea265 57175395 cc514911 2b79a2a2 8d93c832 "

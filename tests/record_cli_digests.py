@@ -77,7 +77,8 @@ def _argvs() -> dict:
         "factorizations": [
             ("factorizations", n, *fmt) for fmt in TEXT_AND_JSON for n in (SQUARE, GRID, "0 1 / 1 2", "0 0 / 0 0")
         ]
-        + [("factorizations", n) for n in ("0 13", "x")],
+        + [("factorizations", n) for n in ("0 13", "x")]
+        + [("factorizations", "0", *fmt) for fmt in TEXT_AND_JSON],
         "classify": [
             ("classify", n, *fmt)
             for fmt in TEXT_AND_JSON
@@ -93,7 +94,8 @@ def _argvs() -> dict:
         ]
         + [("equations", n, "--type", kind, "--tangent") for n in (EVEN_GRID, TRIPLE_GRID) for kind in ("I", "II")]
         + [("equations", EVEN_GRID, "--type", "II", "--tangent", "--minimal-border", "--format", "json")]
-        + [("equations", SQUARE, "--type", "I", "--minimal-border"), ("equations", "x", "--type", "I")],
+        + [("equations", SQUARE, "--type", "I", "--minimal-border"), ("equations", "x", "--type", "I")]
+        + [("equations", "0", "--type", "II", *fmt) for fmt in TEXT_AND_JSON],
         "series": [
             ("series", d, *opts, *fmt)
             for fmt in TEXT_AND_JSON
@@ -123,6 +125,12 @@ def _argvs() -> dict:
                 ("--euler", "2", "--max-size", "12", "--single-variable"),
             )
             for fmt in TEXT_AND_JSON
+        ]
+        + [
+            ("series", "2,2", "--curve", "A1", "--max-size", "3", "--format", "json"),
+            ("series", "2,2", "--euler", "1", "--max-size", "4", "--single-variable", "--format", "json"),
+            ("series", "1", "--curve", "P1", "--max-size", "3"),
+            ("series", "2", "--euler", "-2", "--max-size", "3", "--single-variable"),
         ],
         "count-points": [
             ("count-points", n, "--p", p, *fmt)
