@@ -69,14 +69,26 @@ def text_int(text: str, message: str, offending) -> int:
 
 
 def read_json(path, name: str, offending):
-    """The JSON in the file at ``path``; unreadable, invalid, too deep or too long is a parse-error."""
+    """The JSON in the file at ``path``; unreadable, invalid, too deep or too long is a parse-error.
+
+    ``NaN``, ``Infinity`` and a float overflow are invalid too: RFC 8259 has no
+    non-finite number, and a refusal quoting one would print invalid JSON.
+    """
     import json  # here, so that only reading a JSON file loads it
+    from math import isfinite
+
+    def finite(number: str) -> float:
+        value = float(number)
+        if not isfinite(value):
+            raise ValueError(f"{number} is not a finite number")
+        return value
+
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DomainError("parse-error", f"cannot read {name}: {exc}", offending) from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_constant=finite)
     except (ValueError, RecursionError) as exc:
         raise DomainError("parse-error", f"{name} is not valid JSON: {exc}", offending) from None

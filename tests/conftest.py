@@ -1,4 +1,6 @@
+import json
 import random
+from importlib.resources import files
 from itertools import product, zip_longest
 from math import gcd
 from operator import add
@@ -17,6 +19,14 @@ from rpphilb.univariate import poly_mul
 
 import frozen_tables as FT
 from shapes import diagrams_up_to
+
+
+def check_schema(instance, name):
+    """Validate ``instance`` against the shipped ``schemas/<name>.schema.json``."""
+    import jsonschema  # here, so that only the tests of JSON output need it
+
+    schema = files("rpphilb").joinpath(f"schemas/{name}.schema.json").read_text(encoding="utf-8")
+    jsonschema.validate(instance, json.loads(schema))
 
 
 def connected_parts(diagram, vector):

@@ -15,6 +15,13 @@ from 'A1', 'P1')``, some 3.13 builds ``(choose from A1, P1)``), so
 ``test_cli.py`` checks only their exit code and error code.  The script
 prints the table that ``frozen_tables.CLI_DIGESTS`` holds; re-record it
 only when CLI output is meant to change.
+
+The same pass holds every run to the exit rule (``exit_rule_breach``): an
+answer on stdout and exit 0, or exit 1 or 2 with nothing on stdout and one
+strict JSON error object on stderr, so that ``--check`` fails on a run that
+exits 0 with nothing to say even where its bytes were recorded that way.
+``test_cli_digests.py`` validates the JSON of the same runs against the
+shipped schemas.
 """
 
 from __future__ import annotations
@@ -145,12 +152,50 @@ def _argvs() -> dict:
     }
 
 
-def _record(argv: tuple) -> str:
-    """The fingerprint of one run: 8 hex digits of SHA-256 over (argv, stdout, stderr, exit code)."""
+def run_cli(*argv) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main`` on ``argv``, run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    blob = json.dumps([list(argv), out.getvalue(), err.getvalue(), code])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no ``NaN``, ``Infinity`` or ``-Infinity``."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def exit_rule_breach(argv: tuple, code: int, out: str, err: str):
+    """How one run breaks the exit rule, or None.
+
+    Exit 0 prints an answer on stdout and nothing on stderr.  Exit 1 or 2
+    prints nothing on stdout and one error object, strict JSON, on stderr;
+    the one exception is ``verify`` with a failed row, which exits 2 with
+    its report on stdout and nothing on stderr.
+    """
+    if code == 0:
+        return None if out and not err else "exit 0 without an answer alone on stdout"
+    if code not in (1, 2):
+        return f"exit code {code!r}"
+    if code == 2 and argv[0] == "verify" and out and not err:
+        return None
+    if out:
+        return f"exit {code} with stdout"
+    try:
+        if isinstance(strict_json(err), dict):
+            return None
+    except ValueError:
+        pass
+    return f"exit {code} without one strict JSON error object on stderr"
+
+
+def _fingerprint(argv: tuple, code: int, out: str, err: str) -> str:
+    """8 hex digits of SHA-256 over (argv, stdout, stderr, exit code)."""
+    blob = json.dumps([list(argv), out, err, code])
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
@@ -172,19 +217,23 @@ def _cli_environment():
                 os.environ["RPPHILB_MAX_BUDGET"] = saved_budget
 
 
-def fingerprints(group: str) -> list:
-    """[(argv, fingerprint), ...] for one group, in order."""
+def runs(group: str) -> list:
+    """[(argv, exit code, stdout, stderr), ...] for one group, in order."""
     with _cli_environment():
-        return [(argv, _record(argv)) for argv in _argvs()[group]]
+        return [(argv, *run_cli(*argv)) for argv in _argvs()[group]]
 
 
-def first_moved(group: str, digest: str):
-    """The first argv of ``group`` whose fingerprint differs from ``digest``'s, or None."""
+def first_moved(group_runs: list, digest: str):
+    """The argv of the first run whose fingerprint differs from ``digest``'s, or None."""
     frozen = digest.split()
-    got = fingerprints(group)
-    if len(got) != len(frozen):
-        raise ValueError(f"{group}: {len(got)} argv against {len(frozen)} frozen fingerprints")
-    return next((argv for (argv, fp), old in zip(got, frozen) if fp != old), None)
+    if len(group_runs) != len(frozen):
+        raise ValueError(f"{len(group_runs)} argv against {len(frozen)} frozen fingerprints")
+    return next((run[0] for run, old in zip(group_runs, frozen) if _fingerprint(*run) != old), None)
+
+
+def breaches(group_runs: list) -> list:
+    """[(argv, how the run breaks the exit rule), ...] over the runs that break it."""
+    return [(run[0], why) for run in group_runs if (why := exit_rule_breach(*run))]
 
 
 def groups() -> list:
@@ -194,7 +243,7 @@ def groups() -> list:
 def _print_table() -> None:
     print("CLI_DIGESTS = {")
     for group in groups():
-        fps = [fp for _, fp in fingerprints(group)]
+        fps = [_fingerprint(*run) for run in runs(group)]
         print(f'    "{group}": (')
         for k in range(0, len(fps), 8):
             tail = "" if k + 8 >= len(fps) else " "
@@ -206,12 +255,17 @@ def _print_table() -> None:
 def _check() -> int:
     from frozen_tables import CLI_DIGESTS
 
-    moved = 0
+    failed = 0
     for group in groups():
-        argv = first_moved(group, CLI_DIGESTS[group])
-        print(f"{group}: {'ok' if argv is None else f'moved, first at {argv}'}")
-        moved += argv is not None
-    return 1 if moved else 0
+        got = runs(group)
+        moved = first_moved(got, CLI_DIGESTS[group])
+        broken = breaches(got)
+        faults = [] if moved is None else [f"moved, first at {moved}"]
+        if broken:
+            faults.append(f"{len(broken)} runs break the exit rule, first {broken[0][0]}: {broken[0][1]}")
+        print(f"{group}: {'; '.join(faults) or 'ok'}")
+        failed += bool(faults)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

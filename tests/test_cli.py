@@ -1,38 +1,23 @@
-"""Command line surface: formats, schemas, exit codes, determinism."""
+"""Command line surface beyond the CLI byte atlas.
 
-import io
-import contextlib
+``test_cli_digests.py`` runs every argv of the atlas (``record_cli_digests.py``)
+once and checks its bytes, the exit rule and, for JSON, its schema.  The tests
+here add what a frozen run cannot say: a property across two commands,
+argparse's refusals (whose wording varies between Python builds), inputs
+written to a test's own files or read from the environment, and timing.  The
+happy-path tests also re-run atlas argv, each to name the values it checks.
+"""
+
 import json
 import time
 
-import jsonschema
 import pytest
 
-from rpphilb.cli import main
 from rpphilb.rpp import RPP, all_factorizations
 
-try:
-    from importlib.resources import files as _resource_files
-except ImportError:  # pragma: no cover
-    _resource_files = None
-
 import frozen_tables as FT
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def load_schema(name):
-    path = _resource_files("rpphilb").joinpath(f"schemas/{name}.schema.json")
-    return json.loads(path.read_text())
-
-
-def check(instance, schema_name):
-    jsonschema.validate(instance, load_schema(schema_name))
+from conftest import check_schema
+from record_cli_digests import run_cli, strict_json
 
 
 # -- happy paths -------------------------------------------------------------
@@ -43,7 +28,7 @@ def test_weight_text_and_json():
     assert (code, out) == (0, "4\n")
     code, out, _ = run_cli("weight", FT.SQUARE_TEXT, "--format", "json")
     obj = json.loads(out)
-    check(obj, "weight")
+    check_schema(obj, "weight")
     assert obj["weight"] == 4
 
 
@@ -51,7 +36,7 @@ def test_indicators_json_schema():
     code, out, _ = run_cli("indicators", "2,2", "--format", "json")
     assert code == 0
     obj = json.loads(out)
-    check(obj, "indicators")
+    check_schema(obj, "indicators")
     assert obj["count"] == 5
     assert [entry["text"] for entry in obj["indicators"]] == FT.SQUARE_INDICATORS
 
@@ -68,7 +53,7 @@ def test_factorizations_text_marks_standard_and_complete():
 def test_factorizations_json_schema():
     code, out, _ = run_cli("factorizations", FT.SQUARE_TEXT, "--format", "json")
     obj = json.loads(out)
-    check(obj, "factorizations")
+    check_schema(obj, "factorizations")
     assert obj["count"] == 3
     assert obj["standard_index"] == 0
     assert obj["complete_index"] == 2
@@ -80,7 +65,7 @@ def test_factorizations_of_the_zero_filling():
         assert (code, out) == (0, "1 factorizations of weight 0\n1: (empty) (complete)\n")
         code, out, _ = run_cli("factorizations", text, "--format", "json")
         obj = json.loads(out)
-        check(obj, "factorizations")
+        check_schema(obj, "factorizations")
         assert (obj["count"], obj["complete_index"]) == (1, 0)
 
 
@@ -105,7 +90,7 @@ def test_classify_text_headline_and_json():
     assert out.splitlines()[0] == "3 components, 1 singular"
     code, out, _ = run_cli("classify", FT.SQUARE_TEXT, "--format", "json")
     reports = json.loads(out)
-    check(reports, "classify")
+    check_schema(reports, "classify")
     assert [rep["smooth"] for rep in reports] == [True, False, True]
 
 
@@ -118,7 +103,7 @@ def test_equations_json_schema():
     ):
         code, out, _ = run_cli(*argv, "--format", "json")
         assert code == 0
-        check(json.loads(out), "equations")
+        check_schema(json.loads(out), "equations")
 
 
 def test_equations_tangent_payload():
@@ -130,51 +115,13 @@ def test_equations_tangent_payload():
     assert obj["presentation"]["n_vars"] == FT.TYPE_II_N_VARS
 
 
-def test_equations_without_generators_say_so():
-    for argv in (("3", "--type", "I"), ("0", "--type", "II"), ("1 / 2", "--type", "I", "--tangent")):
-        code, out, _ = run_cli("equations", *argv)
-        assert (code, out) == (0, "(no generators)\n")
-        code, out, _ = run_cli("equations", *argv, "--format", "json")
-        obj = json.loads(out)
-        check(obj, "equations")
-        assert obj.get("reduced", obj)["generators"] == []
-
-
-def test_series_json_schema_both_modes():
-    code, out, _ = run_cli("series", "--curve", "A1", "--max-size", "3", "2,2", "--format", "json")
-    assert code == 0
-    entries = json.loads(out)
-    check(entries, "series")
-    assert entries[0] == {"exponents": [0, 0, 0, 0], "coefficient": {"0": 1}}
-    code, out, _ = run_cli(
-        "series", "--euler", "1", "--single-variable", "--max-size", "4", "2,2", "--format", "json"
-    )
-    entries = json.loads(out)
-    check(entries, "series")
-    assert [entry["coefficient"]["0"] for entry in entries] == [1, 1, 3, 4, 7]
-
-
-def test_series_text_lines():
-    code, out, _ = run_cli("series", "--curve", "P1", "--max-size", "3", "1")
-    assert code == 0
-    assert out.splitlines() == [
-        "[0]: 1",
-        "[1]: L + 1",
-        "[2]: L^2 + L + 1",
-        "[3]: L^3 + L^2 + L + 1",
-    ]
-    code, out, _ = run_cli("series", "--euler", "-2", "--single-variable", "--max-size", "3", "2")
-    assert code == 0
-    assert out.splitlines() == ["0: 1", "1: -2", "2: -1", "3: 4"]
-
-
 def test_count_points_json():
     code, out, _ = run_cli(
         "count-points", FT.REFINEMENT_GAP_TEXT, "--p", "2", "--format", "json"
     )
     assert code == 0
     obj = json.loads(out)
-    check(obj, "count_points")
+    check_schema(obj, "count_points")
     assert obj["count"] == FT.REFINEMENT_GAP_COUNT
     assert obj["motive_at_p"] == FT.REFINEMENT_GAP_BOX_PREDICTION
     assert obj["match"] is False
@@ -205,7 +152,7 @@ def test_verify_bundled_corpus_passes():
 def test_verify_json_schema():
     code, out, _ = run_cli("verify", "--format", "json")
     assert code == 0
-    check(json.loads(out), "verify")
+    check_schema(json.loads(out), "verify")
 
 
 def test_verify_perturbed_corpus_fails(tmp_path):
@@ -267,7 +214,7 @@ def test_verify_malformed_rows_fail_and_keep_the_schema(tmp_path):
     code, out, err = run_cli("verify", str(bad), "--format", "json")
     assert (code, err) == (2, "")
     obj = json.loads(out)
-    check(obj, "verify")
+    check_schema(obj, "verify")
     assert obj["failed"] == 5
     assert [row["name"] for row in obj["rows"]] == ["oops", "free", "None", "5", "['x']"]
     assert obj["rows"][0]["detail"] == "parse-error: component 0 expectation must be an object"
@@ -299,13 +246,16 @@ def test_domain_error_payload_schema(tmp_path):
         path.write_text(json.dumps(payload))
         bad_json.append((command, f"@{path}"))
     # a file that is not UTF-8 is unreadable, not a crash; so is one that is
-    # not JSON, nests past the decoder's recursion limit, or holds an integer
-    # past the int-string conversion limit, whether an argument or a corpus
+    # not JSON, nests past the decoder's recursion limit, holds an integer
+    # past the int-string conversion limit, or holds a number that is not
+    # finite (not RFC 8259 JSON), whether an argument or a corpus
     unreadable = {
         "not_utf8": b"\xff\xfe",
         "not_json": b"{not json",
         "deep": b"[" * 100000 + b"]" * 100000,
         "long_int": b'{"rows": [[' + b"9" * 5000 + b"]]}",
+        "nan": b'{"rows": [[NaN]]}',
+        "overflow": b'{"rows": [[1e400]]}',
     }
     for name, content in unreadable.items():
         path = tmp_path / f"{name}.json"
@@ -336,8 +286,8 @@ def test_domain_error_payload_schema(tmp_path):
         code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
-        payload = json.loads(err)
-        check(payload, "error")
+        payload = strict_json(err)
+        check_schema(payload, "error")
         if argv in bad_json:
             assert payload["code"] == "parse-error"
         if argv in refused_by_argparse:
@@ -349,7 +299,7 @@ def test_empty_column_heights_are_a_parse_error():
         code, out, err = run_cli("indicators", text)
         assert (code, out) == (1, "")
         payload = json.loads(err)
-        check(payload, "error")
+        check_schema(payload, "error")
         assert payload["code"] == "parse-error"
     code, out, _ = run_cli("indicators", "2, 1")
     assert code == 0
@@ -360,7 +310,7 @@ def test_cap_errors_exit_2():
     code, _, err = run_cli("count-points", "30", "--p", "2")
     assert code == 2
     payload = json.loads(err)
-    check(payload, "error")
+    check_schema(payload, "error")
     assert payload["code"] == "budget-exceeded"
     code, _, err = run_cli("count-points", "1", "--p", "11")
     assert code == 2
@@ -407,7 +357,7 @@ def test_integers_in_text_are_ascii_digits(monkeypatch):
             code, out, err = run_cli(*argv)
             assert (code, out) == (1, ""), argv
             payload = json.loads(err)
-            check(payload, "error")
+            check_schema(payload, "error")
             assert (payload["code"], payload["message"], payload["offending_input"]) == want, argv
     budget = "RPPHILB_MAX_BUDGET"
     for text in ("x", "0", *NOT_ASCII_INTEGERS, " 3"):
