@@ -4,8 +4,7 @@
 once and checks its bytes, the exit rule and, for JSON, its schema.  The tests
 here add what a frozen run cannot say: a property across two commands,
 argparse's refusals (whose wording varies between Python builds), inputs
-written to a test's own files or read from the environment, and timing.  The
-happy-path tests also re-run atlas argv, each to name the values it checks.
+written to a test's own files or read from the environment, and timing.
 """
 
 import json
@@ -20,53 +19,7 @@ from conftest import check_schema
 from record_cli_digests import run_cli, strict_json
 
 
-# -- happy paths -------------------------------------------------------------
-
-
-def test_weight_text_and_json():
-    code, out, _ = run_cli("weight", FT.SQUARE_TEXT)
-    assert (code, out) == (0, "4\n")
-    code, out, _ = run_cli("weight", FT.SQUARE_TEXT, "--format", "json")
-    obj = json.loads(out)
-    check_schema(obj, "weight")
-    assert obj["weight"] == 4
-
-
-def test_indicators_json_schema():
-    code, out, _ = run_cli("indicators", "2,2", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    check_schema(obj, "indicators")
-    assert obj["count"] == 5
-    assert [entry["text"] for entry in obj["indicators"]] == FT.SQUARE_INDICATORS
-
-
-def test_factorizations_text_marks_standard_and_complete():
-    code, out, _ = run_cli("factorizations", FT.SQUARE_TEXT)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "3 factorizations of weight 4"
-    assert lines[1].endswith("(standard)")
-    assert lines[3].endswith("(complete)")
-
-
-def test_factorizations_json_schema():
-    code, out, _ = run_cli("factorizations", FT.SQUARE_TEXT, "--format", "json")
-    obj = json.loads(out)
-    check_schema(obj, "factorizations")
-    assert obj["count"] == 3
-    assert obj["standard_index"] == 0
-    assert obj["complete_index"] == 2
-
-
-def test_factorizations_of_the_zero_filling():
-    for text in ("0", "0 0 / 0 0"):
-        code, out, _ = run_cli("factorizations", text)
-        assert (code, out) == (0, "1 factorizations of weight 0\n1: (empty) (complete)\n")
-        code, out, _ = run_cli("factorizations", text, "--format", "json")
-        obj = json.loads(out)
-        check_schema(obj, "factorizations")
-        assert (obj["count"], obj["complete_index"]) == (1, 0)
+# -- one JSON form across two commands ---------------------------------------
 
 
 @pytest.mark.parametrize("text", [FT.GRID_TEXT, FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT])
@@ -84,95 +37,7 @@ def test_factorizations_and_reports_share_one_json_form(text):
     ]
 
 
-def test_classify_text_headline_and_json():
-    code, out, _ = run_cli("classify", FT.SQUARE_TEXT)
-    assert code == 0
-    assert out.splitlines()[0] == "3 components, 1 singular"
-    code, out, _ = run_cli("classify", FT.SQUARE_TEXT, "--format", "json")
-    reports = json.loads(out)
-    check_schema(reports, "classify")
-    assert [rep["smooth"] for rep in reports] == [True, False, True]
-
-
-def test_equations_json_schema():
-    for argv in (
-        ("equations", "--type", "I", FT.GRID_TEXT),
-        ("equations", "--type", "II", FT.GRID_TEXT),
-        ("equations", "--type", "II", "--minimal-border", FT.GRID_TEXT),
-        ("equations", "--type", "I", "--tangent", FT.GRID_TEXT),
-    ):
-        code, out, _ = run_cli(*argv, "--format", "json")
-        assert code == 0
-        check_schema(json.loads(out), "equations")
-
-
-def test_equations_tangent_payload():
-    code, out, _ = run_cli(
-        "equations", "--type", "II", "--tangent", FT.GRID_TEXT, "--format", "json"
-    )
-    obj = json.loads(out)
-    assert obj["tangent_dim"] == FT.TANGENT_DIM
-    assert obj["presentation"]["n_vars"] == FT.TYPE_II_N_VARS
-
-
-def test_count_points_json():
-    code, out, _ = run_cli(
-        "count-points", FT.REFINEMENT_GAP_TEXT, "--p", "2", "--format", "json"
-    )
-    assert code == 0
-    obj = json.loads(out)
-    check_schema(obj, "count_points")
-    assert obj["count"] == FT.REFINEMENT_GAP_COUNT
-    assert obj["motive_at_p"] == FT.REFINEMENT_GAP_BOX_PREDICTION
-    assert obj["match"] is False
-
-
-def test_rpp_argument_accepts_json_file(tmp_path):
-    payload = tmp_path / "filling.json"
-    payload.write_text(json.dumps({"rows": [[0, 2], [2, 4]]}))
-    code, out, _ = run_cli("weight", f"@{payload}")
-    assert (code, out) == (0, "4\n")
-
-
-def test_output_is_deterministic():
-    first = run_cli("classify", FT.GRID_TEXT, "--format", "json")
-    second = run_cli("classify", FT.GRID_TEXT, "--format", "json")
-    assert first == second
-
-
-# -- verify ------------------------------------------------------------------
-
-
-def test_verify_bundled_corpus_passes():
-    code, out, _ = run_cli("verify")
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "22/22 rows passed"
-
-
-def test_verify_json_schema():
-    code, out, _ = run_cli("verify", "--format", "json")
-    assert code == 0
-    check_schema(json.loads(out), "verify")
-
-
-def test_verify_perturbed_corpus_fails(tmp_path):
-    from rpphilb.verify import load_corpus
-
-    corpus = load_corpus()
-    corpus["rows"][0]["expected"]["weight"] = 99
-    bad = tmp_path / "corpus.json"
-    bad.write_text(json.dumps(corpus))
-    code, out, _ = run_cli("verify", str(bad))
-    assert code == 2
-    assert "FAIL" in out
-
-
-def test_verify_empty_corpus_is_an_error(tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"version": 1, "rows": []}))
-    code, _, err = run_cli("verify", str(empty))
-    assert code == 1
-    assert json.loads(err)["code"] == "parse-error"
+# -- malformed corpora -------------------------------------------------------
 
 
 def test_verify_non_object_row_is_an_error(tmp_path):
@@ -274,15 +139,7 @@ def test_domain_error_payload_schema(tmp_path):
         ("count-points", FT.SQUARE_TEXT),
         ("classify", FT.SQUARE_TEXT, "--verbose"),
     ]
-    for argv in [
-        ("weight", "1 0"),
-        ("series", "2,2"),
-        ("series", "--curve", "A1", "--euler", "1", "2,2"),
-        ("series", "--euler", "1", "--max-size", "-3", "2,2"),
-        ("series", "--curve", "A1", "--single-variable", "2,2"),
-        ("equations", "--type", "I", "--minimal-border", FT.SQUARE_TEXT),
-        ("count-points", "1", "--p", "4"),
-    ] + bad_json + refused_by_argparse:
+    for argv in [("weight", "1 0"), ("count-points", "1", "--p", "4")] + bad_json + refused_by_argparse:
         code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
