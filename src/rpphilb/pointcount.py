@@ -106,6 +106,19 @@ class PrimeField:
         return not any([r % self.p for r in monic_divmod(b, a)[1]])
 
 
+def _power_text(p: int, exponent: int, budget: int) -> str:
+    """The text p^exponent, and its value after " = " where the exponent is below the budget's bit length.
+
+    The value is left out where Python refuses to print it (an env budget of thousands of digits).
+    """
+    if exponent < budget.bit_length():
+        try:
+            return f"{p}^{exponent} = {p**exponent}"
+        except ValueError:  # past Python's int-string conversion limit
+            pass
+    return f"{p}^{exponent}"
+
+
 def count_points(n: RPP, p: int) -> int:
     """Number of nested tuples of monic polynomials over F_p shaped by n.
 
@@ -119,11 +132,11 @@ def count_points(n: RPP, p: int) -> int:
     """
     field = PrimeField(p)
     budget = configured_budget()
-    cost = p**n.size
-    if cost > budget:
+    # p >= 2, so p^|n| >= 2^|n| > budget once |n| reaches the budget's bit length: decided unbuilt
+    if n.size >= budget.bit_length() or p**n.size > budget:
         raise CapExceeded(
             "budget-exceeded",
-            f"{p}^{n.size} = {cost} candidate tuples exceed the budget {budget}",
+            f"{_power_text(p, n.size, budget)} candidate tuples exceed the budget {budget}",
             n.to_text(),
         )
 

@@ -16,6 +16,7 @@ from rpphilb.poly import X, SparsePoly, VarId, parse_var_name
 from rpphilb.rpp import Factorization, Indicator, _first_fault, enumerate_rpps, indicators
 from rpphilb.series import TruncatedSeries
 from rpphilb.univariate import poly_mul
+from rpphilb.verify import load_corpus
 
 import frozen_tables as FT
 from shapes import diagrams_up_to
@@ -27,6 +28,11 @@ def check_schema(instance, name):
 
     schema = files("rpphilb").joinpath(f"schemas/{name}.schema.json").read_text(encoding="utf-8")
     jsonschema.validate(instance, json.loads(schema))
+
+
+def corpus_row(name):
+    """The bundled corpus row ``name``, freshly loaded: the one record of the paper's worked examples."""
+    return next(row for row in load_corpus()["rows"] if row["name"] == name)
 
 
 def connected_parts(diagram, vector):

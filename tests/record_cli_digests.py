@@ -20,6 +20,8 @@ The same pass holds every run to the exit rule (``exit_rule_breach``): an
 answer on stdout and exit 0, or exit 1 or 2 with nothing on stdout and one
 strict JSON error object on stderr, so that ``--check`` fails on a run that
 exits 0 with nothing to say even where its bytes were recorded that way.
+A run that raises out of ``cli.main`` breaks the rule too, named by its
+exception, and the pass goes on to the later argv and groups.
 ``test_cli_digests.py`` validates the JSON of the same runs against the
 shipped schemas.
 """
@@ -169,14 +171,17 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
-def exit_rule_breach(argv: tuple, code: int, out: str, err: str):
+def exit_rule_breach(argv: tuple, code: int | Exception, out: str, err: str):
     """How one run breaks the exit rule, or None.
 
     Exit 0 prints an answer on stdout and nothing on stderr.  Exit 1 or 2
     prints nothing on stdout and one error object, strict JSON, on stderr;
     the one exception is ``verify`` with a failed row, which exits 2 with
     its report on stdout and nothing on stderr.
+    A run that raised out of ``main`` has the exception as its exit code.
     """
+    if isinstance(code, Exception):
+        return f"raised {code!r}"
     if code == 0:
         return None if out and not err else "exit 0 without an answer alone on stdout"
     if code not in (1, 2):
@@ -194,8 +199,8 @@ def exit_rule_breach(argv: tuple, code: int, out: str, err: str):
 
 
 def _fingerprint(argv: tuple, code: int, out: str, err: str) -> str:
-    """8 hex digits of SHA-256 over (argv, stdout, stderr, exit code)."""
-    blob = json.dumps([list(argv), out, err, code])
+    """8 hex digits of SHA-256 over (argv, stdout, stderr, exit code); an exception counts by its repr."""
+    blob = json.dumps([list(argv), out, err, code], default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
@@ -217,10 +222,18 @@ def _cli_environment():
                 os.environ["RPPHILB_MAX_BUDGET"] = saved_budget
 
 
+def _run(argv: tuple) -> tuple:
+    """(argv, exit code, stdout, stderr); a run that raises has the exception as its code and no output."""
+    try:
+        return (argv, *run_cli(*argv))
+    except Exception as exc:  # a breach to report, not the end of the pass over the later argv and groups
+        return (argv, exc, "", "")
+
+
 def runs(group: str) -> list:
     """[(argv, exit code, stdout, stderr), ...] for one group, in order."""
     with _cli_environment():
-        return [(argv, *run_cli(*argv)) for argv in _argvs()[group]]
+        return [_run(argv) for argv in _argvs()[group]]
 
 
 def first_moved(group_runs: list, digest: str):

@@ -6,7 +6,7 @@ One check fails by design of this suite: criterion 5 asserts the
 box-refined product expansion, which is false on any shape with a
 repeated diagonal (smallest: the 2x2 square), and its verdict line
 carries the counterexample.  Its diagonal-collapsed form is checked by
-the series tests and the bundled verification corpus.  Criterion 7
+the bundled verification corpus's gansner-diagonal rows.  Criterion 7
 asserts what the point counter promises: per-filling equality with the
 box coefficient where the diagonals are distinct, and equality of
 diagonal totals where a diagonal repeats; its verdict line still shows
@@ -48,6 +48,7 @@ from rpphilb.series import (
 from rpphilb.verify import run_random_properties
 
 import frozen_tables as FT
+from conftest import corpus_row
 
 PROPERTY_SEED = 20260817
 PROPERTY_CASES = 260
@@ -66,26 +67,28 @@ def _as_text(factorization):
     return {nu.to_text(): m for nu, m in factorization.terms.items()}
 
 
-def _frozen_multiset(table_entry):
-    return frozenset(table_entry["factorization"].items())
+def _frozen_multiset(component):
+    return frozenset(component["factorization"].items())
 
 
 def test_criterion_1_square_example():
     started = time.monotonic()
-    n = RPP.from_text(FT.SQUARE_TEXT)
+    example = corpus_row("square-classification")
+    expected = example["expected"]
+    components = expected["components"]
+    n = RPP.from_text(example["rpp"])
     nus = indicators(n.diagram)
     ok = len(nus) == 5 and n.weight() == 4
 
     facts = all_factorizations(n)
     found = {frozenset(_as_text(f).items()) for f in facts}
-    expected = {_frozen_multiset(entry) for entry in FT.SQUARE_COMPONENTS}
-    ok = ok and len(facts) == 3 and found == expected
+    ok = ok and len(facts) == 3 and found == {_frozen_multiset(entry) for entry in components}
 
     reports = classify(n)
     std = _as_text(standard_factorization(n))
     comp = _as_text(complete_factorization(n))
-    ok = ok and std == FT.SQUARE_COMPONENTS[0]["factorization"]
-    ok = ok and comp == FT.SQUARE_COMPONENTS[2]["factorization"]
+    ok = ok and std == components[expected["standard_index"]]["factorization"]
+    ok = ok and comp == components[expected["complete_index"]]["factorization"]
     ok = ok and reports[0].smooth and reports[2].smooth and not reports[1].smooth
 
     witness = {
@@ -93,7 +96,7 @@ def test_criterion_1_square_example():
         for k, c in enumerate(reports[1].relation_witness or ())
         if c
     }
-    ok = ok and witness == FT.SQUARE_COMPONENTS[1]["witness"]
+    ok = ok and witness == components[1]["witness"]
     _verdict(
         1,
         ok,
@@ -106,8 +109,10 @@ def test_criterion_1_square_example():
 
 def test_criterion_2_grid_example():
     started = time.monotonic()
-    n = RPP.from_text(FT.GRID_TEXT)
-    ok = len(indicators(n.diagram)) == 19 and n.weight() == FT.GRID_WEIGHT
+    example = corpus_row("grid-classification")
+    expected = example["expected"]
+    n = RPP.from_text(example["rpp"])
+    ok = len(indicators(n.diagram)) == 19 and n.weight() == expected["weight"]
 
     reports = classify(n)
     ok = ok and len(reports) == 15
@@ -130,7 +135,7 @@ def test_criterion_2_grid_example():
                 "witness": witness,
             }
         )
-    ok = ok and rows == FT.GRID_COMPONENTS
+    ok = ok and rows == expected["components"]
     ok = ok and sum(1 for r in rows if r["smooth"]) == 8
     non_bijective = [r for r in rows if not r["bijective_on_points"]]
     ok = ok and len(non_bijective) == 6
@@ -143,7 +148,7 @@ def test_criterion_2_grid_example():
     ok = ok and len(special) == 1 and special[0]["witness"]
 
     std = _as_text(standard_factorization(n))
-    ok = ok and std == rows[FT.GRID_STANDARD_INDEX]["factorization"]
+    ok = ok and std == rows[expected["standard_index"]]["factorization"]
     ok = ok and complete_factorization(n) is None
     _verdict(
         2,
@@ -231,7 +236,7 @@ def test_criterion_5_box_product_expansion():
             outcomes.append(
                 f"{list(cols)}: NOT equal - sum side only {missing[:1]}, "
                 f"product side only {extra[:1]} (repeated diagonal; the "
-                f"diagonal-collapsed forms agree, see the series tests)"
+                f"diagonal-collapsed forms agree, see the corpus's gansner-diagonal rows)"
             )
     _verdict(5, ok, "; ".join(outcomes), started, 30.0)
 
@@ -243,7 +248,7 @@ def test_criterion_6_euler_hook_check():
     counts = [sum(r.size == k for r in enumerate_rpps(diagram, k)) for k in range(11)]
     ok = [int(format_coefficient(series.coefficient((k,)))) for k in range(11)] == counts
     hooks = sorted((diagram.hook_length(b) for b in diagram.boxes), reverse=True)
-    ok = ok and hooks == FT.SQUARE_HOOKS
+    ok = ok and hooks == corpus_row("euler-single-square")["expected"]["hook_lengths"]
     affine = motivic_series(diagram, "A1", 6)
     ok = ok and affine.substitute_L(1) == euler_series(diagram, 1, 6)
     _verdict(

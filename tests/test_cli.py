@@ -164,11 +164,14 @@ def test_empty_column_heights_are_a_parse_error():
 
 
 def test_cap_errors_exit_2():
-    code, _, err = run_cli("count-points", "30", "--p", "2")
-    assert code == 2
-    payload = json.loads(err)
-    check_schema(payload, "error")
-    assert payload["code"] == "budget-exceeded"
+    # no power past the budget is built: 7^6000 has more digits than Python prints, 7^(10^12) could not be built
+    for label, p in (("30", "2"), ("6000", "7"), ("1000000000000", "7")):
+        code, out, err = run_cli("count-points", label, "--p", p)
+        assert (code, out) == (2, "")
+        payload = strict_json(err)
+        check_schema(payload, "error")
+        message = f"{p}^{label} candidate tuples exceed the budget 10000000"
+        assert payload == {"code": "budget-exceeded", "message": message, "offending_input": label}
     code, _, err = run_cli("count-points", "1", "--p", "11")
     assert code == 2
     assert json.loads(err)["code"] == "cap-exceeded"

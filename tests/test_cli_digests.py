@@ -42,3 +42,16 @@ def test_every_group_is_frozen():
     # each run is frozen in one place only: no two argv parse to the same options
     runs = [tuple(sorted(_options(argv).items())) for group in record_cli_digests._argvs().values() for argv in group]
     assert len(runs) == len(set(runs))
+
+
+def test_a_run_that_raises_is_a_breach_and_the_check_goes_on(monkeypatch, capsys):
+    def main(argv):
+        raise ValueError(f"no answer to {argv[0]}")
+
+    monkeypatch.setattr(record_cli_digests, "main", main)
+    assert record_cli_digests._check() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == record_cli_digests.groups()
+    for group, line in zip(record_cli_digests.groups(), lines):
+        argv = record_cli_digests._argvs()[group][0]
+        assert line.endswith(f"first {argv}: raised ValueError('no answer to {group}')"), line

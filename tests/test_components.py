@@ -27,49 +27,12 @@ from conftest import (
     bijective_on_points_full_box,
     certify_report,
     classify_by_tuple_search,
+    corpus_row,
     diagrams_up_to,
     filling_of_weight,
     search_oracle_fillings,
     value,
 )
-
-
-def _report_rows(reports, diagram):
-    nus = indicators(diagram)
-    rows = []
-    for rep in reports:
-        witness = None
-        if rep.relation_witness is not None:
-            witness = {
-                nus[k].to_text(): c
-                for k, c in enumerate(rep.relation_witness)
-                if c
-            }
-        rows.append(
-            {
-                "factorization": {
-                    nu.to_text(): m for nu, m in rep.factorization.terms.items()
-                },
-                "smooth": rep.smooth,
-                "bijective_on_points": rep.bijective_on_points,
-                "differential_injective": rep.differential_injective,
-                "witness": witness,
-            }
-        )
-    return rows
-
-
-def test_square_classification_table(square_rpp):
-    reports = classify(square_rpp)
-    assert _report_rows(reports, square_rpp.diagram) == FT.SQUARE_COMPONENTS
-    assert all(rep.dimension == 4 for rep in reports)
-
-
-def test_grid_classification_table(grid_rpp):
-    reports = classify(grid_rpp)
-    assert _report_rows(reports, grid_rpp.diagram) == FT.GRID_COMPONENTS
-    assert all(rep.dimension == FT.GRID_WEIGHT for rep in reports)
-    assert sum(1 for rep in reports if not rep.smooth) == 7
 
 
 def test_witness_is_a_support_relation(grid_rpp):
@@ -88,8 +51,8 @@ def test_witness_is_a_support_relation(grid_rpp):
 
 
 def test_dimension_equals_weight(square_rpp, grid_rpp):
-    assert dimension_recursive(square_rpp) == 4
-    assert dimension_recursive(grid_rpp) == FT.GRID_WEIGHT
+    for n, name in ((square_rpp, "square-classification"), (grid_rpp, "grid-classification")):
+        assert dimension_recursive(n) == corpus_row(name)["expected"]["weight"]
 
 
 def test_recursive_dimension_is_the_weight_on_small_fillings():

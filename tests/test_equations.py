@@ -11,7 +11,6 @@ import pytest
 from rpphilb import RPP, DomainError
 from rpphilb.equations import (
     IdealPresentation,
-    ambient_and_bundle,
     check_grading,
     tangent_embedding,
     type_i_ideal,
@@ -31,61 +30,6 @@ from conftest import (
     x_coefficients,
     x_power,
 )
-
-
-def test_divisibility_presentation_for_grid(grid_rpp):
-    ideal = type_i_ideal(grid_rpp)
-    assert ideal.n_vars == FT.TYPE_I_N_VARS
-    assert ideal.group_sizes() == FT.TYPE_I_GROUP_SIZES
-    assert ideal.condition_count == FT.TYPE_I_CONDITIONS
-    assert ideal.n_vars - ideal.condition_count == FT.GRID_WEIGHT
-    assert str(ideal.generators[0]) == FT.TYPE_I_FIRST_GENERATOR
-    assert check_grading(ideal)
-
-
-def test_commuting_presentation_for_grid(grid_rpp):
-    ideal = type_ii_ideal(grid_rpp)
-    assert ideal.n_vars == FT.TYPE_II_N_VARS
-    assert ideal.group_sizes() == FT.TYPE_II_GROUP_SIZES
-    assert ideal.condition_count == FT.TYPE_II_CONDITIONS
-    assert ideal.n_vars - ideal.condition_count == FT.GRID_WEIGHT
-    assert str(ideal.generators[0]) == FT.TYPE_II_FIRST_GENERATOR
-    assert check_grading(ideal)
-
-
-def test_commuting_presentation_minimal_border(grid_rpp):
-    ideal = type_ii_ideal(grid_rpp, minimal_border=True)
-    assert ideal.n_vars == FT.TYPE_II_MIN_N_VARS
-    assert ideal.group_sizes() == FT.TYPE_II_MIN_GROUP_SIZES
-    assert ideal.condition_count == FT.TYPE_II_MIN_CONDITIONS
-    assert ideal.n_vars - ideal.condition_count == FT.GRID_WEIGHT
-    assert check_grading(ideal)
-
-
-def test_ambient_and_bundle_counts(grid_rpp):
-    summary = ambient_and_bundle(grid_rpp)
-    assert summary.to_json_obj() == {
-        "dim_ambient": FT.AMBIENT_TOTAL,
-        "rank_bundle": FT.AMBIENT_TOTAL - FT.AMBIENT_EXPECTED_DIM,
-        "expected_dim": FT.AMBIENT_EXPECTED_DIM,
-    }
-
-
-def test_tangent_reduction_agrees_between_presentations(grid_rpp):
-    dim_i, reduced_i = tangent_embedding(type_i_ideal(grid_rpp))
-    dim_ii, reduced_ii = tangent_embedding(type_ii_ideal(grid_rpp))
-    assert dim_i == dim_ii == FT.TANGENT_DIM
-    assert reduced_i.generator_degrees() == FT.TANGENT_DEGREES
-    assert reduced_ii.generator_degrees() == FT.TANGENT_DEGREES
-
-
-def test_vertical_domino_has_one_equation(domino_rpp):
-    ideal = type_i_ideal(domino_rpp)
-    assert ideal.n_vars == 3
-    assert [str(g) for g in ideal.generators] == [
-        "a_0_0_1^2 - a_0_0_1*a_0_1_1 + a_0_1_2"
-    ]
-    assert check_grading(ideal)
 
 
 def test_single_box_is_affine_space():

@@ -15,7 +15,6 @@ from rpphilb.pointcount import (
 from rpphilb.rpp import enumerate_rpps
 from rpphilb.series import evaluate_motive, motivic_series
 
-import frozen_tables as FT
 from conftest import (
     all_monics_count_points,
     diagrams_up_to,
@@ -101,29 +100,10 @@ def test_single_box_counts_all_monic_polynomials():
             assert count_points(RPP.from_text(str(m)), p) == p ** m
 
 
-def test_vertical_domino_counts(domino_rpp):
-    for p, expected in FT.DOMINO_COUNTS.items():
-        assert count_points(domino_rpp, p) == expected
-
-
 def test_counts_are_invariant_under_zero_padding(domino_rpp):
     padded = RPP.from_text("0 1 / 0 2")
     for p in (2, 3):
         assert count_points(padded, p) == count_points(domino_rpp, p)
-
-
-def test_square_chain_count_exceeds_box_prediction():
-    # six chains of divisors over F_2 against a box-level forecast of four:
-    # the repeated diagonal of the square makes the refined prediction short
-    n = RPP.from_text(FT.REFINEMENT_GAP_TEXT)
-    count = count_points(n, FT.REFINEMENT_GAP_P)
-    assert count == FT.REFINEMENT_GAP_COUNT
-    affine = motivic_series(n.diagram, "A1", n.size)
-    predicted = evaluate_motive(
-        affine.coefficient(tuple(n.values)), FT.REFINEMENT_GAP_P
-    )
-    assert predicted == FT.REFINEMENT_GAP_BOX_PREDICTION
-    assert count != predicted
 
 
 def test_counts_match_box_prediction_when_diagonals_are_distinct():
@@ -203,6 +183,16 @@ def test_budget_guard(monkeypatch):
     # a configured budget overrides the default
     monkeypatch.setenv("RPPHILB_MAX_BUDGET", str(2 ** 20))
     assert count_points(RPP.from_text("20"), 2) == 2 ** 20
+    # p^|n| is built only below the budget's bit length, and printed only where Python prints it
+    for budget, text, p, power in (
+        (str(2**20), "1 2 / 2 3", 7, "7^8 = 5764801"),
+        (str(2**20), "21", 2, "2^21"),  # at the bit length 21, 2^21 is past 2^20 unbuilt
+        ("9" * 4300, "14000", 7, "7^14000"),  # 11832 digits, more than Python prints
+    ):
+        monkeypatch.setenv("RPPHILB_MAX_BUDGET", budget)
+        with pytest.raises(CapExceeded) as err:
+            count_points(RPP.from_text(text), p)
+        assert err.value.message == f"{power} candidate tuples exceed the budget {budget}"
 
 
 def test_budget_env_override(monkeypatch):

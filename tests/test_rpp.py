@@ -264,18 +264,6 @@ def test_complete_factorization_needs_nonnegative_derivative(grid_rpp):
     assert complete_factorization(grid_rpp) is None
 
 
-def test_all_factorizations_of_square(square_rpp):
-    facts = all_factorizations(square_rpp)
-    assert len(facts) == 3
-    as_text = [
-        {nu.to_text(): m for nu, m in f.terms.items()} for f in facts
-    ]
-    expected = [comp["factorization"] for comp in FT.SQUARE_COMPONENTS]
-    assert as_text == expected
-    assert all(f.length == 4 for f in facts)
-    assert all(f.total() == square_rpp for f in facts)
-
-
 def test_all_factorizations_of_grid(grid_rpp):
     facts = all_factorizations(grid_rpp)
     assert len(facts) == 15

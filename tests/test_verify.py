@@ -1,6 +1,5 @@
 """Self-check corpus: loading, row evaluation, negative controls."""
 
-import copy
 import gc
 import hashlib
 import json
@@ -43,7 +42,7 @@ from rpphilb.verify import (
     run_random_properties,
 )
 
-from conftest import diagrams_up_to, x_coefficients, x_power
+from conftest import corpus_row, diagrams_up_to, x_coefficients, x_power
 import frozen_tables as FT
 
 
@@ -447,13 +446,17 @@ def test_type_i_row_refuses_the_minimal_border():
 
 
 def _perturbed(name, change):
-    """The bundled row ``name``, with ``change`` applied to a copy of its expectations."""
-    row = copy.deepcopy(next(row for row in load_corpus()["rows"] if row["name"] == name))
-    change(row["expected"])
+    """The bundled row ``name``, with ``change`` applied to its expectations.
+
+    They are its ``"expected"`` object, or the row itself where its ``expected_*``
+    fields and recorded counterexamples sit beside its inputs.
+    """
+    row = corpus_row(name)
+    change(row.get("expected", row))
     return row
 
 
-#: per row kind with frozen expectations, one expectation changed, and the detail the row then fails with
+#: per bundled row with frozen expectations, one expectation changed, and the detail the row then fails with
 PERTURBATIONS = [
     ("square-classification", lambda e: e.update(standard_index=1), "standard factorisation at 0 != 1"),
     ("square-classification", lambda e: e.update(complete_index=0), "complete factorisation at 2 != 0"),
@@ -466,6 +469,30 @@ PERTURBATIONS = [
     ("equations-type-ii-minimal", lambda e: e.update(group_sizes=[2, 5, 5]), "group_sizes [2, 5, 5, 3] != [2, 5, 5]"),
     ("equations-domino-type-i", lambda e: e.update(first_generator="a_0_0_1"), "first generator 'a_0_0_1^2 - "),
     ("ambient-bundle", lambda e: e.update(rank_bundle=14), "{'dim_ambient': 20, 'rank_bundle': 15, 'expected"),
+    (
+        "grid-classification",
+        lambda e: e["components"][2]["witness"].update({"0 0 0 / 0 0 1 / 1 1 1": 1}),
+        "component 2: witness {'0 0 1 / 0 1 1 / 1 1 1': 1, '0 0 1 / 0 1 1 / 0 1 1': -1, '0 0 0 / 0 0 1 / 1 1 1': -1,",
+    ),
+    ("count-points-domino-p3", lambda e: e.update(expected_count=8), "count 9 != 8"),
+    ("count-points-domino-p2", lambda e: e.update(expected_match=False), "match is True"),
+    ("count-points-square-refinement-gap", lambda e: e.update(expected_motive_box=6), "box coefficient 4 != 6"),
+    (
+        "gansner-box-square-counterexample",
+        lambda e: e.update(lhs_only=[1, 1, 1, 0]),
+        "recorded sum-side counterexample (1, 1, 1, 0) is stale",
+    ),
+    # a recorded inequality names a monomial on each side, so the flipped verdict carries two
+    (
+        "gansner-box-l-shape",
+        lambda e: e.update(expected_equal=False, lhs_only=[0, 1, 1], rhs_only=[1, 1, 0]),
+        "box-level equality is True; ",
+    ),
+    (
+        "gansner-box-hook",
+        lambda e: e.update(expected_equal=False, lhs_only=[0, 1, 1, 1], rhs_only=[1, 1, 1, 0]),
+        "box-level equality is True; ",
+    ),
 ]
 
 
