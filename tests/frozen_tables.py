@@ -63,7 +63,7 @@ RANDOM_ROW_DRAWS_SHA256 = "0740f1fc59006a9484eaf48ff806ee4514d5fd98c7e79019c01ea
 
 # The answer atlas: one SHA-256 per shape (its columns as text) over every
 # filling of total at most 5 on the shapes of at most 8 boxes, recorded by
-# tests/record_atlas.py, which says what each digest covers.
+# tests/frozen.py, which says what each digest covers.
 ATLAS_SHA256 = {
     "1": "a41a2bb439a7322d6613ddc437d537431afba4eaa3f471deebd85facc1e04047",
     "2": "17d4bec63ff1c0dfdbbc064ad8171afcd09602d2c3c4d08157f04ec321d8a09f",
@@ -135,7 +135,7 @@ ATLAS_SHA256 = {
 
 # The singular band: one SHA-256 per shape over every filling of weight at
 # most 5 on the shapes of at most 6 boxes, and the eight 3x3 fillings
-# 0 0 a / 0 b 5 / c 5 5 (a, b, c in {2, 3}); recorded by tests/record_atlas.py.
+# 0 0 a / 0 b 5 / c 5 5 (a, b, c in {2, 3}); recorded by tests/frozen.py.
 SINGULAR_BAND_SHA256 = {
     "1": "1406fd63cad9e29ab28421ecfcc0d1db455ce095f7f936f004da6835b3c59c20",
     "2": "98146f3591718d5eb8728446c5c0f7b39131b460b77f45cd8344ed13a69a212c",
@@ -169,7 +169,7 @@ SINGULAR_BAND_SHA256 = {
     "3,3,3": "cc9aadbb1f3dc2496dabe34083b931f2255ae8898667fb2d9ff92440e975158b",
 }
 
-# The CLI byte atlas, printed by tests/record_cli_digests.py: per subcommand,
+# The CLI byte atlas, printed by tests/frozen.py: per subcommand,
 # its argv's 8-hex fingerprints in order.
 CLI_DIGESTS = {
     "weight": (

@@ -4,27 +4,26 @@ from collections import Counter
 
 from rpphilb import enumerate_rpps, indicators
 
-import record_atlas
-
+import frozen
 import frozen_tables as FT
 from conftest import certify_report
 from shapes import diagrams_up_to
 
 
 def test_no_shape_of_the_atlas_changes_an_answer():
-    got = record_atlas.atlas()
+    got = frozen.atlas()
     assert len(got) == 66
-    moved = record_atlas.moved(got, FT.ATLAS_SHA256)
+    moved = frozen.moved(got, FT.ATLAS_SHA256)
     assert moved == [], f"answers changed on shapes {moved}"
 
 
 def test_the_singular_band_holds_every_filling_of_its_weight():
     # the band is enumerated by label, not by total; the enumeration by total is its oracle
-    band = record_atlas.singular_band()
-    shapes = diagrams_up_to(record_atlas.BAND_BOXES)
+    band = frozen.singular_band()
+    shapes = diagrams_up_to(frozen.BAND_BOXES)
     assert sum(len(band[d.to_text()]) for d in shapes) == 10072
     for d in shapes:
-        by_total = {n.values for n in enumerate_rpps(d, 10) if n.weight() <= record_atlas.BAND_WEIGHT}
+        by_total = {n.values for n in enumerate_rpps(d, 10) if n.weight() <= frozen.BAND_WEIGHT}
         assert by_total == {n.values for n in band[d.to_text()] if n.size <= 10}, d.to_text()
 
 
@@ -47,9 +46,9 @@ def test_no_shape_of_the_singular_band_changes_an_answer_and_every_report_is_cer
             verdicts[certify_report(r, inds)] += 1
             kinds[r.smooth, r.bijective_on_points] += 1
 
-    got = record_atlas.band_digests(inspect)
+    got = frozen.band_digests(inspect)
     assert len(got) == 30
-    moved = record_atlas.moved(got, FT.SINGULAR_BAND_SHA256)
+    moved = frozen.moved(got, FT.SINGULAR_BAND_SHA256)
     assert moved == [], f"answers changed on shapes {moved}"
     assert verdicts == {"certified": 12428}
     # (smooth, bijective): the eight 3x3 fillings hold the only singular but bijective components

@@ -1,6 +1,6 @@
 """Command line surface beyond the CLI byte atlas.
 
-``test_cli_digests.py`` runs every argv of the atlas (``record_cli_digests.py``)
+``test_cli_digests.py`` runs every argv of the atlas (``frozen.py``)
 once and checks its bytes, the exit rule and, for JSON, its schema.  The tests
 here add what a frozen run cannot say: a property across two commands,
 argparse's refusals (whose wording varies between Python builds), inputs
@@ -16,7 +16,7 @@ from rpphilb.rpp import RPP, all_factorizations
 
 import frozen_tables as FT
 from conftest import check_schema
-from record_cli_digests import run_cli, strict_json
+from frozen import run_cli, strict_json
 
 
 # -- one JSON form across two commands ---------------------------------------
