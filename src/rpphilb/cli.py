@@ -86,15 +86,12 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_factorizations(args) -> int:
-    from .rpp import RPP, all_factorizations, complete_factorization, standard_factorization
+    from .rpp import RPP, all_factorizations, named_indices
 
     n = _arg(RPP, args.rpp)
     facts = all_factorizations(n)
     weight = n.weight()
-    standard_index, complete_index = (
-        None if fact is None else facts.index(fact)
-        for fact in (standard_factorization(n), complete_factorization(n))
-    )
+    standard_index, complete_index = named_indices(n, facts)
 
     def as_json():
         return {

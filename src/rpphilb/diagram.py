@@ -14,7 +14,7 @@ parts.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
 
 from .errors import CapExceeded, DomainError, ints, text_int
 
@@ -22,9 +22,8 @@ from .errors import CapExceeded, DomainError, ints, text_int
 MAX_DIAGRAM_BOXES = 30
 
 
-class Box(NamedTuple):
-    i: int  # column, increasing rightward
-    j: int  # row, increasing downward
+#: a box: its column i, increasing rightward, and its row j, increasing downward
+Box = namedtuple("Box", "i j")
 
 
 class YoungDiagram:

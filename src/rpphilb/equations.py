@@ -16,7 +16,7 @@ generator are eliminated by substitution.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, flag
 from .poly import SparsePoly, VarId, _raw, var_a, var_b, var_c
@@ -24,10 +24,8 @@ from .rpp import RPP
 from .univariate import monic_divmod
 
 
-class AmbientSummary(NamedTuple):
-    dim_ambient: int
-    rank_bundle: int
-    expected_dim: int
+class AmbientSummary(namedtuple("AmbientSummary", "dim_ambient rank_bundle expected_dim")):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return self._asdict()

@@ -14,7 +14,7 @@ round-trips through ``parse_poly``, which refuses parentheses.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, ints, text_int
 from .univariate import format_terms, monic_divmod
@@ -22,11 +22,8 @@ from .univariate import format_terms, monic_divmod
 _KIND_RANK = {"x": 0, "a": 1, "b": 2, "c": 3, "L": 4}
 
 
-class VarId(NamedTuple):
-    kind: str
-    i: int = 0
-    j: int = 0
-    k: int = 0
+class VarId(namedtuple("VarId", "kind i j k", defaults=(0, 0, 0))):
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         return (_KIND_RANK[self.kind], self.j, self.i, self.k)

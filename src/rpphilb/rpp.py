@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable
 
 from .diagram import YoungDiagram, enumerate_upper_sets, upper_set_parts
 from .errors import CapExceeded, DomainError, ints, text_int
@@ -341,6 +340,12 @@ def complete_factorization(n: RPP) -> Factorization | None:
             principal = tuple(int(b.i >= box.i and b.j >= box.j) for b in n.diagram.boxes)
             terms[Indicator._of(n.diagram, principal)] = dv
     return Factorization._of(terms)
+
+
+def named_indices(n: RPP, facts: list) -> tuple:
+    """Positions of the standard and the complete factorisation of ``n`` in ``facts``, None where there is none."""
+    named = (standard_factorization(n), complete_factorization(n))
+    return tuple(None if f is None else facts.index(f) for f in named)
 
 
 def _first_fault(diagram: YoungDiagram, vals: tuple[int, ...]) -> int | None:

@@ -13,8 +13,6 @@ the multivariate polynomials of ``poly``.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import DomainError
 
 

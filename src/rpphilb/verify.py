@@ -37,6 +37,7 @@ from .rpp import (
     complete_factorization,
     enumerate_rpps,
     indicators,
+    named_indices,
     standard_factorization,
 )
 from .series import (
@@ -103,11 +104,7 @@ def _row_classify(row: dict) -> list:
     if len(reports) != len(expected["components"]):
         problems.append(f"{len(reports)} components != {len(expected['components'])}")
         return problems
-    facts = [r.factorization for r in reports]
-    std, comp_idx = (
-        None if fact is None else facts.index(fact)
-        for fact in (standard_factorization(n), complete_factorization(n))
-    )
+    std, comp_idx = named_indices(n, [r.factorization for r in reports])
     if std != expected["standard_index"]:
         problems.append(f"standard factorisation at {std} != {expected['standard_index']}")
     if comp_idx != expected["complete_index"]:

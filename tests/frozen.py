@@ -54,16 +54,15 @@ from rpphilb import (
     DomainError,
     ambient_and_bundle,
     classify,
-    complete_factorization,
     count_points,
     enumerate_rpps,
     motivic_series,
-    standard_factorization,
     tangent_embedding,
     type_i_ideal,
     type_ii_ideal,
 )
 from rpphilb.cli import main
+from rpphilb.rpp import named_indices
 
 from shapes import diagrams_up_to
 
@@ -154,10 +153,7 @@ def singular_band() -> dict:
 
 def band_line(n, reports) -> str:
     """One filling's band answers as a JSON line: its reports and both named factorisations' indices."""
-    facts = [r.factorization for r in reports]
-    standard, complete = (
-        None if fact is None else facts.index(fact) for fact in (standard_factorization(n), complete_factorization(n))
-    )
+    standard, complete = named_indices(n, [r.factorization for r in reports])
     classified = [r.to_json_obj() for r in reports]
     return json.dumps({"rpp": n.to_text(), "classify": classified, "standard_index": standard, "complete_index": complete})
 

@@ -2,56 +2,30 @@
 
 Each test prints ``criterion N: PASS/FAIL`` with supporting detail and a
 wall-clock reading, then fails the build when the check does not hold.
-One check fails by design of this suite: criterion 5 asserts the
-box-refined product expansion, which is false on any shape with a
-repeated diagonal (smallest: the 2x2 square), and its verdict line
+Six of the checks replay rows of the bundled verification corpus, the one
+record of the paper's worked examples, through ``verify.run_corpus``, and
+pass exactly when their rows do; criteria 4 and 7 add rows built on the
+bundled ones' kinds.  One check fails by design of this suite: criterion
+5 asserts the box-refined product expansion, which is false on any shape
+with a repeated diagonal (smallest: the 2x2 square), and its verdict line
 carries the counterexample.  Its diagonal-collapsed form is checked by
-the bundled verification corpus's gansner-diagonal rows.  Criterion 7
-asserts what the point counter promises: per-filling equality with the
-box coefficient where the diagonals are distinct, and equality of
-diagonal totals where a diagonal repeats; its verdict line still shows
-the square's per-filling gap, which is not asserted.
+the corpus's gansner-diagonal rows.  Criterion 7 asserts what the point
+counter promises: diagonal totals on every shape of at most 4 boxes,
+which on a shape with distinct diagonals is per-filling equality with the
+box coefficient; the corpus row count-points-square-refinement-gap
+asserts the square's per-filling gap.
 """
 
 import time
 
 import pytest
 
-from rpphilb import RPP, YoungDiagram
-from rpphilb.components import classify
-from rpphilb.equations import (
-    ambient_and_bundle,
-    check_grading,
-    tangent_embedding,
-    type_i_ideal,
-    type_ii_ideal,
-)
-from rpphilb.pointcount import count_points
-from rpphilb.rpp import (
-    all_factorizations,
-    complete_factorization,
-    enumerate_rpps,
-    indicators,
-    standard_factorization,
-)
-from rpphilb.series import (
-    TruncatedSeries,
-    collapse_to_diagonals,
-    diagonal_support,
-    euler_series,
-    evaluate_motive,
-    format_coefficient,
-    hook_product,
-    motivic_series,
-    rpp_series_bruteforce,
-)
-from rpphilb.verify import run_random_properties
+from rpphilb import YoungDiagram
+from rpphilb.series import hook_product, rpp_series_bruteforce
+from rpphilb.verify import run_corpus
 
-import frozen_tables as FT
 from conftest import corpus_row
-
-PROPERTY_SEED = 20260817
-PROPERTY_CASES = 260
+from shapes import diagrams_up_to
 
 
 def _verdict(criterion, ok, detail, started, limit):
@@ -63,152 +37,38 @@ def _verdict(criterion, ok, detail, started, limit):
         pytest.fail(line)
 
 
-def _as_text(factorization):
-    return {nu.to_text(): m for nu, m in factorization.terms.items()}
+def _replay(criterion, summary, rows, started, limit):
+    """The criterion's verdict: every row passes ``run_corpus``."""
+    results = run_corpus({"rows": rows})
+    failed = [f"{name}: {detail}" for name, passed, detail in results if not passed]
+    detail = f"{summary}: {len(rows) - len(failed)}/{len(rows)} corpus rows pass"
+    _verdict(criterion, not failed, "; ".join([detail, *failed]), started, limit)
 
 
-def _frozen_multiset(component):
-    return frozenset(component["factorization"].items())
+def _bundled(*names):
+    return [corpus_row(name) for name in names]
 
 
 def test_criterion_1_square_example():
     started = time.monotonic()
-    example = corpus_row("square-classification")
-    expected = example["expected"]
-    components = expected["components"]
-    n = RPP.from_text(example["rpp"])
-    nus = indicators(n.diagram)
-    ok = len(nus) == 5 and n.weight() == 4
-
-    facts = all_factorizations(n)
-    found = {frozenset(_as_text(f).items()) for f in facts}
-    ok = ok and len(facts) == 3 and found == {_frozen_multiset(entry) for entry in components}
-
-    reports = classify(n)
-    std = _as_text(standard_factorization(n))
-    comp = _as_text(complete_factorization(n))
-    ok = ok and std == components[expected["standard_index"]]["factorization"]
-    ok = ok and comp == components[expected["complete_index"]]["factorization"]
-    ok = ok and reports[0].smooth and reports[2].smooth and not reports[1].smooth
-
-    witness = {
-        nus[k].to_text(): c
-        for k, c in enumerate(reports[1].relation_witness or ())
-        if c
-    }
-    ok = ok and witness == components[1]["witness"]
-    _verdict(
-        1,
-        ok,
-        "5 indicators, weight 4, 3 factorizations, mixed one singular "
-        "with the recorded relation witness",
-        started,
-        1.0,
-    )
+    _replay(1, "the square's classification", _bundled("square-classification"), started, 1.0)
 
 
 def test_criterion_2_grid_example():
     started = time.monotonic()
-    example = corpus_row("grid-classification")
-    expected = example["expected"]
-    n = RPP.from_text(example["rpp"])
-    ok = len(indicators(n.diagram)) == 19 and n.weight() == expected["weight"]
-
-    reports = classify(n)
-    ok = ok and len(reports) == 15
-    rows = []
-    nus = indicators(n.diagram)
-    for rep in reports:
-        witness = None
-        if rep.relation_witness is not None:
-            witness = {
-                nus[k].to_text(): c
-                for k, c in enumerate(rep.relation_witness)
-                if c
-            }
-        rows.append(
-            {
-                "factorization": _as_text(rep.factorization),
-                "smooth": rep.smooth,
-                "bijective_on_points": rep.bijective_on_points,
-                "differential_injective": rep.differential_injective,
-                "witness": witness,
-            }
-        )
-    ok = ok and rows == expected["components"]
-    ok = ok and sum(1 for r in rows if r["smooth"]) == 8
-    non_bijective = [r for r in rows if not r["bijective_on_points"]]
-    ok = ok and len(non_bijective) == 6
-    ok = ok and all(r["witness"] for r in non_bijective)
-    special = [
-        r
-        for r in rows
-        if r["bijective_on_points"] and not r["differential_injective"]
-    ]
-    ok = ok and len(special) == 1 and special[0]["witness"]
-
-    std = _as_text(standard_factorization(n))
-    ok = ok and std == rows[expected["standard_index"]]["factorization"]
-    ok = ok and complete_factorization(n) is None
-    _verdict(
-        2,
-        ok,
-        "19 indicators, weight 5, 15 components (8 smooth / 7 singular), "
-        "all six balance witnesses and the differential witness as recorded, "
-        "standard factorization present, no complete factorization",
-        started,
-        10.0,
-    )
+    _replay(2, "the grid's classification", _bundled("grid-classification"), started, 10.0)
 
 
 def test_criterion_3_grid_equations():
     started = time.monotonic()
-    n = RPP.from_text(FT.GRID_TEXT)
-
-    ideal_i = type_i_ideal(n)
-    ok = (
-        ideal_i.n_vars == 23
-        and ideal_i.group_sizes() == [2, 3, 3, 2, 5, 5]
-        and check_grading(ideal_i)
-    )
-
-    ideal_ii = type_ii_ideal(n)
-    ok = ok and (
-        ideal_ii.n_vars == 26
-        and ideal_ii.n_generators == 21
-        and ideal_ii.group_sizes() == [3, 2, 5, 3, 5, 3]
-        and check_grading(ideal_ii)
-    )
-
-    summary = ambient_and_bundle(n)
-    ok = ok and summary.to_json_obj()["expected_dim"] == 5
-    ok = ok and ideal_i.n_vars - ideal_i.condition_count == 5
-    ok = ok and ideal_ii.n_vars - ideal_ii.condition_count == 5
-
-    dim_i, reduced_i = tangent_embedding(ideal_i)
-    dim_ii, reduced_ii = tangent_embedding(ideal_ii)
-    ok = ok and dim_i == dim_ii == 9
-    ok = ok and reduced_i.generator_degrees() == [4, 4, 5, 5]
-    ok = ok and reduced_ii.generator_degrees() == [4, 4, 5, 5]
-    _verdict(
-        3,
-        ok,
-        "divisibility form 23 vars / groups 2,3,3,2,5,5; commuting form "
-        "26 vars / 21 generators / groups 3,2,5,3,5,3; expected dimension 5 "
-        "both ways; tangent dimension 9 with reduced degrees 4,4,5,5",
-        started,
-        30.0,
-    )
+    rows = _bundled("equations-type-i", "equations-type-ii", "ambient-bundle")
+    _replay(3, "the grid's two presentations, tangent reduction and ambient chart", rows, started, 30.0)
 
 
 def test_criterion_4_random_property_suite():
     started = time.monotonic()
-    failures = run_random_properties(PROPERTY_SEED, PROPERTY_CASES)
-    ok = failures == []
-    detail = f"{PROPERTY_CASES} random instances, {len(failures)} failures"
-    if failures:
-        detail += f"; first: {failures[0]}"
-    _verdict(4, ok, detail, started, 120.0)
+    row = {**corpus_row("random-properties"), "n_cases": 260}
+    _replay(4, f"the random-instance sweep at seed {row['seed']}, 260 instances", [row], started, 120.0)
 
 
 def test_criterion_5_box_product_expansion():
@@ -243,110 +103,24 @@ def test_criterion_5_box_product_expansion():
 
 def test_criterion_6_euler_hook_check():
     started = time.monotonic()
-    diagram = YoungDiagram((2, 2))
-    series = euler_series(diagram, 1, 10, single_variable=True)
-    counts = [sum(r.size == k for r in enumerate_rpps(diagram, k)) for k in range(11)]
-    ok = [int(format_coefficient(series.coefficient((k,)))) for k in range(11)] == counts
-    hooks = sorted((diagram.hook_length(b) for b in diagram.boxes), reverse=True)
-    ok = ok and hooks == corpus_row("euler-single-square")["expected"]["hook_lengths"]
-    affine = motivic_series(diagram, "A1", 6)
-    ok = ok and affine.substitute_L(1) == euler_series(diagram, 1, 6)
-    _verdict(
-        6,
-        ok,
-        "single-variable counts match enumeration through size 10, hooks "
-        "3,2,2,1, and the affine-line series specialises to the Euler form",
-        started,
-        10.0,
-    )
-
-
-def _diagonal_totals(diagram, series, p):
-    """Nonzero coefficients at L = p of the series collapsed along diagonals."""
-    collapsed = collapse_to_diagonals(diagram, series).coefficients
-    totals = {k: evaluate_motive(c, p) for k, c in collapsed.items()}
-    return {k: v for k, v in totals.items() if v}
+    rows = _bundled("euler-single-square", "motivic-specialization-square")
+    _replay(6, "the square's single-variable counts and hooks, and the affine line at L = 1", rows, started, 10.0)
 
 
 def test_criterion_7_point_count_oracle():
+    # each diagonal of a shape with distinct diagonals holds one box, so there
+    # the diagonal totals are the per-filling counts against the box coefficient
     started = time.monotonic()
-    max_size = 6
-    shapes = [
-        (1,),
-        (2,),
-        (1, 1),
-        (3,),
-        (2, 1),
-        (1, 1, 1),
-        (4,),
-        (3, 1),
-        (2, 2),
-        (2, 1, 1),
-        (1, 1, 1, 1),
+    shapes = diagrams_up_to(4)
+    rows = [
+        {"name": f"count-points-diagonal-{d.to_text()}-p{p}", "kind": "count-points-diagonal",
+         "cols": list(d.cols), "p": p, "max_size": 6}
+        for d in shapes
+        for p in (2, 3)
     ]
-    total = matched = traces = 0
-    mismatches = []
-    gaps = []
-    for cols in shapes:
-        diagram = YoungDiagram(cols)
-        affine = motivic_series(diagram, "A1", max_size)
-        fillings = enumerate_rpps(diagram, max_size)
-        distinct = len(diagonal_support(diagram)) == diagram.size
-        for p in (2, 3):
-            counts = {}
-            for n in fillings:
-                counted = counts[tuple(n.values)] = count_points(n, p)
-                predicted = evaluate_motive(
-                    affine.coefficient(tuple(n.values)), p
-                )
-                line = (
-                    f"cols {list(cols)}, n {n.to_text()!r}, p {p}: "
-                    f"counted {counted}, box prediction {predicted}"
-                )
-                if not distinct:
-                    if counted != predicted:
-                        gaps.append(line)
-                    continue
-                total += 1
-                if counted == predicted:
-                    matched += 1
-                else:
-                    mismatches.append(line)
-            if distinct:
-                continue
-            # a repeated diagonal: only the diagonal totals are promised
-            counted_totals = _diagonal_totals(
-                diagram, TruncatedSeries(diagram.size, max_size, counts), p
-            )
-            predicted_totals = _diagonal_totals(diagram, affine, p)
-            traces += len(predicted_totals)
-            if counted_totals != predicted_totals:
-                diff = sorted(
-                    set(counted_totals.items())
-                    ^ set(predicted_totals.items())
-                )
-                mismatches.append(
-                    f"cols {list(cols)}, p {p}: diagonal totals differ, "
-                    f"first at {diff[0]}"
-                )
-    domino_ok = all(
-        count_points(RPP.from_text(FT.DOMINO_TEXT), p) == p ** 2 for p in (2, 3)
+    rows += _bundled("count-points-domino-p2", "count-points-domino-p3", "count-points-square-refinement-gap")
+    summary = (
+        f"diagonal totals at p = 2, 3 to size 6 on the {len(shapes)} shapes of at most 4 boxes, "
+        "the domino's counts and the square's refinement gap"
     )
-    ok = domino_ok and not mismatches
-    detail = (
-        f"{matched}/{total} distinct-diagonal instances match the box "
-        f"prediction; square diagonal totals compared on {traces} "
-        f"(trace, p) pairs; vertical domino gives p^2"
-    )
-    if mismatches:
-        detail += f"; {len(mismatches)} mismatches, e.g. " + "; ".join(
-            mismatches[:2]
-        )
-    if gaps:
-        detail += (
-            f"; not asserted: {len(gaps)} square fillings miss the box "
-            "prediction, e.g. "
-            + "; ".join(gaps[:2])
-            + " (repeated diagonal; only diagonal totals are promised)"
-        )
-    _verdict(7, ok, detail, started, 300.0)
+    _replay(7, summary, rows, started, 300.0)

@@ -52,9 +52,14 @@ def test_unknown_names_behave_as_on_a_plain_module():
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports the package from ``src``; it must succeed."""
+    """``python -S *args`` in a fresh interpreter that imports the package from ``src``; it must succeed.
+
+    ``-S`` skips ``site``, whose ``.pth`` files may import modules (``typing``
+    and ``re`` among them) before the probe starts, so that it could not see
+    the program load them.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -84,40 +89,40 @@ def test_every_submodule_resolves_after_a_bare_import():
     assert {f"rpphilb.{name}" for name in SUBMODULES} <= _loaded_by(code)
 
 
-def _cli_loads(*argv) -> set:
-    return _loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0")
+#: what the light subcommands leave out: the classifier, the equations, verify and their imports
+LIGHT = {"rpphilb.components", "rpphilb.equations", "rpphilb.verify", "dataclasses", "typing"}
+#: {CLI argv: (modules it must load, modules it must not load)}, each run once in a fresh interpreter
+CLI_IMPORTS = {
+    **dict.fromkeys(
+        [
+            ("series", "--curve", "A1", "--max-size", "3", "2,1"),
+            ("series", "--curve", "P1", "--max-size", "3", "2,1"),
+            ("series", "--euler", "1", "--max-size", "3", "2,1"),
+        ],
+        ({"rpphilb.series"}, LIGHT | {"rpphilb.rpp", "rpphilb.poly"}),
+    ),
+    ("weight", "0 2 / 2 4"): ({"rpphilb.rpp"}, LIGHT),
+    ("indicators", "2,2"): ({"rpphilb.rpp"}, LIGHT),
+    ("factorizations", "0 2 / 2 4"): ({"rpphilb.rpp"}, LIGHT),
+    ("count-points", "0 1 / 1 2", "--p", "2"): ({"rpphilb.pointcount"}, {"rpphilb.poly", "typing"}),
+    ("classify", "0 2 / 2 4"): (
+        {"rpphilb.components"},
+        {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify", "typing"},
+    ),
+    # the tangent dimension is the count of variables left, so no rank is taken
+    ("equations", "--type", "I", "--tangent", "0 1 / 1 2"): (
+        {"rpphilb.equations"},
+        {"rpphilb.components", "rpphilb.verify", "rpphilb.linalg", "dataclasses", "typing"},
+    ),
+}
 
 
-SERIES_ARGVS = [
-    ("series", "--curve", "A1", "--max-size", "3", "2,1"),
-    ("series", "--curve", "P1", "--max-size", "3", "2,1"),
-    ("series", "--euler", "1", "--max-size", "3", "2,1"),
-]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *SERIES_ARGVS,
-        ("weight", "0 2 / 2 4"),
-        ("indicators", "2,2"),
-        ("factorizations", "0 2 / 2 4"),
-    ],
-)
-def test_light_subcommands_skip_the_classifier_and_dataclasses(argv):
-    loaded = _cli_loads(*argv)
-    assert loaded & {"rpphilb.components", "rpphilb.equations", "rpphilb.verify", "dataclasses"} == set()
-
-
-@pytest.mark.parametrize("argv", SERIES_ARGVS)
-def test_series_skips_rpp_and_poly(argv):
-    assert _cli_loads(*argv) & {"rpphilb.rpp", "rpphilb.poly"} == set()
-
-
-def test_count_points_skips_poly():
-    loaded = _cli_loads("count-points", "0 1 / 1 2", "--p", "2")
-    assert "rpphilb.pointcount" in loaded
-    assert "rpphilb.poly" not in loaded
+@pytest.mark.parametrize("argv", CLI_IMPORTS)
+def test_each_subcommand_loads_its_layers_and_no_more(argv):
+    must, must_not = CLI_IMPORTS[argv]
+    loaded = _loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0")
+    assert must <= loaded
+    assert loaded & must_not == set()
 
 
 def test_motivic_series_first_use_loads_only_its_layers():
@@ -170,19 +175,6 @@ def test_only_errors_reads_json():
             ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
                 readers.add(path.name)
     assert readers == {"errors.py"}
-
-
-def test_classify_skips_equations_pointcount_and_verify():
-    loaded = _cli_loads("classify", "0 2 / 2 4")
-    assert "rpphilb.components" in loaded
-    assert loaded & {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify"} == set()
-
-
-def test_equations_skips_the_classifier_verify_and_dataclasses():
-    # the tangent dimension is the count of variables left, so no rank is taken
-    loaded = _cli_loads("equations", "--type", "I", "--tangent", "0 1 / 1 2")
-    assert "rpphilb.equations" in loaded
-    assert loaded & {"rpphilb.components", "rpphilb.verify", "rpphilb.linalg", "dataclasses"} == set()
 
 
 def test_the_benchmarks_own_tests_pass():

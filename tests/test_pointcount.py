@@ -106,17 +106,6 @@ def test_counts_are_invariant_under_zero_padding(domino_rpp):
         assert count_points(padded, p) == count_points(domino_rpp, p)
 
 
-def test_counts_match_box_prediction_when_diagonals_are_distinct():
-    # on shapes with all-distinct diagonals the box-level coefficient is an
-    # exact point-count formula
-    for text in ("0 1 / 2", "1 2", "0 1 2", "2 / 3"):
-        n = RPP.from_text(text)
-        affine = motivic_series(n.diagram, "A1", n.size)
-        for p in (2, 3):
-            predicted = evaluate_motive(affine.coefficient(tuple(n.values)), p)
-            assert count_points(n, p) == predicted
-
-
 def test_counts_match_all_monics_oracle_on_random_fillings():
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
