@@ -2,6 +2,7 @@
 and the names the benchmark traces."""
 
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
@@ -89,40 +90,65 @@ def test_every_submodule_resolves_after_a_bare_import():
     assert {f"rpphilb.{name}" for name in SUBMODULES} <= _loaded_by(code)
 
 
+SERIES_ARGVS = [
+    ("series", "--curve", "A1", "--max-size", "3", "2,1"),
+    ("series", "--curve", "P1", "--max-size", "3", "2,1"),
+    ("series", "--euler", "1", "--max-size", "3", "2,1"),
+]
+COUNT_POINTS = ("count-points", "0 1 / 1 2", "--p", "2")
+CLASSIFY = ("classify", "0 2 / 2 4")
+EQUATIONS = ("equations", "--type", "I", "--tangent", "0 1 / 1 2")
 #: what the light subcommands leave out: the classifier, the equations, verify and their imports
 LIGHT = {"rpphilb.components", "rpphilb.equations", "rpphilb.verify", "dataclasses", "typing"}
-#: {CLI argv: (modules it must load, modules it must not load)}, each run once in a fresh interpreter
+#: {CLI argv: (modules it must load, modules it must not load)}
 CLI_IMPORTS = {
-    **dict.fromkeys(
-        [
-            ("series", "--curve", "A1", "--max-size", "3", "2,1"),
-            ("series", "--curve", "P1", "--max-size", "3", "2,1"),
-            ("series", "--euler", "1", "--max-size", "3", "2,1"),
-        ],
-        ({"rpphilb.series"}, LIGHT | {"rpphilb.rpp", "rpphilb.poly"}),
-    ),
+    **dict.fromkeys(SERIES_ARGVS, ({"rpphilb.series"}, LIGHT)),
     ("weight", "0 2 / 2 4"): ({"rpphilb.rpp"}, LIGHT),
     ("indicators", "2,2"): ({"rpphilb.rpp"}, LIGHT),
     ("factorizations", "0 2 / 2 4"): ({"rpphilb.rpp"}, LIGHT),
-    ("count-points", "0 1 / 1 2", "--p", "2"): ({"rpphilb.pointcount"}, {"rpphilb.poly", "typing"}),
-    ("classify", "0 2 / 2 4"): (
-        {"rpphilb.components"},
-        {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify", "typing"},
-    ),
+    COUNT_POINTS: ({"rpphilb.pointcount"}, {"rpphilb.poly", "typing"}),
+    CLASSIFY: ({"rpphilb.components"}, {"rpphilb.equations", "rpphilb.pointcount", "rpphilb.verify", "typing"}),
     # the tangent dimension is the count of variables left, so no rank is taken
-    ("equations", "--type", "I", "--tangent", "0 1 / 1 2"): (
+    EQUATIONS: (
         {"rpphilb.equations"},
         {"rpphilb.components", "rpphilb.verify", "rpphilb.linalg", "dataclasses", "typing"},
     ),
 }
 
 
-@pytest.mark.parametrize("argv", CLI_IMPORTS)
-def test_each_subcommand_loads_its_layers_and_no_more(argv):
+@functools.cache
+def _cli_loads(argv: tuple) -> frozenset:
+    """Modules that ``rpphilb.cli.main(argv)`` loads; each argv runs once, in a fresh interpreter."""
+    return frozenset(_loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0"))
+
+
+def _loads_its_layers_and_no_more(argv):
     must, must_not = CLI_IMPORTS[argv]
-    loaded = _loaded_by(f"from rpphilb.cli import main\nassert main({list(argv)!r}) == 0")
+    loaded = _cli_loads(argv)
     assert must <= loaded
     assert loaded & must_not == set()
+
+
+@pytest.mark.parametrize("argv", [argv for argv in CLI_IMPORTS if CLI_IMPORTS[argv][1] == LIGHT])
+def test_light_subcommands_skip_the_classifier_and_dataclasses(argv):
+    _loads_its_layers_and_no_more(argv)
+
+
+@pytest.mark.parametrize("argv", SERIES_ARGVS)
+def test_series_skips_rpp_and_poly(argv):
+    assert _cli_loads(argv) & {"rpphilb.rpp", "rpphilb.poly"} == set()
+
+
+def test_count_points_skips_poly():
+    _loads_its_layers_and_no_more(COUNT_POINTS)
+
+
+def test_classify_skips_equations_pointcount_and_verify():
+    _loads_its_layers_and_no_more(CLASSIFY)
+
+
+def test_equations_skips_the_classifier_verify_and_dataclasses():
+    _loads_its_layers_and_no_more(EQUATIONS)
 
 
 def test_motivic_series_first_use_loads_only_its_layers():
