@@ -19,6 +19,7 @@ when an answer is meant to change.
   ``BAND_WEIGHT``, and the eight 3×3 fillings ``BAND_EXTRAS``, each with one
   singular but bijective component: ``classify``'s JSON form and the
   indices of the standard and complete factorisations among the reports.
+  The same pass certifies every report (``certify.report_faults``).
 - ``CLI_DIGESTS``: each argv runs in process through ``cli.main``, with
   ``RPPHILB_MAX_BUDGET`` unset, in a fresh folder that holds the
   ``@file.json`` inputs, so every path an error message names is relative.
@@ -33,7 +34,7 @@ when an answer is meant to change.
   output digest of every block-0 job of each recorded workload and seed,
   built by ``bench/inputs.py`` and run and digested by ``bench/jobs.py``
   without the benchmark's timing or checker, and named by (workload, seed,
-  job key).
+  job key).  The same pass certifies every report of the ``classify`` jobs.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from rpphilb import (
 from rpphilb.cli import main
 from rpphilb.rpp import named_indices
 
+import frozen_tables as FT
+from certify import report_faults
 from shapes import diagrams_up_to
 
 
@@ -158,35 +161,39 @@ def band_line(n, reports) -> str:
     return json.dumps({"rpp": n.to_text(), "classify": classified, "standard_index": standard, "complete_index": complete})
 
 
-def band_digests(inspect=None) -> dict:
-    """{shape: SHA-256 of its fillings' band lines}; ``inspect(n, reports)``, if given, sees every filling."""
-    digests = {}
+def band_digests() -> tuple:
+    """({shape: SHA-256 of its fillings' band lines}, [each failing report, by filling])."""
+    digests, failing = {}, []
     for shape, fillings in singular_band().items():
         lines = []
         for n in fillings:
             reports = classify(n)
-            if inspect is not None:
-                inspect(n, reports)
+            failing += (f"{n.to_text()}: {fault}" for fault in report_faults(n, reports))
             lines.append(band_line(n, reports))
         digests[shape] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return digests
+    return digests, failing
 
 
 def shape_faults(got: dict, table: str) -> list:
     """The shapes on which ``got`` differs from the frozen table of that name."""
-    import frozen_tables
-
-    shapes = moved(got, getattr(frozen_tables, table))
+    shapes = moved(got, getattr(FT, table))
     return [f"moved on shapes {shapes}"] if shapes else []
+
+
+def certify_faults(failing: list) -> list:
+    """The count of the reports that fail certification and the first of them, or no fault."""
+    return [f"{len(failing)} reports fail, first {failing[0]}"] if failing else []
+
+
+def band_faults() -> list:
+    """The band's shapes whose answers moved, and its reports that fail certification."""
+    digests, failing = band_digests()
+    return shape_faults(digests, "SINGULAR_BAND_SHA256") + certify_faults(failing)
 
 
 # -- the CLI byte atlas -----------------------------------------------------------------
 
-SQUARE = "0 2 / 2 4"
-GRID = "0 0 3 / 0 2 5 / 3 5 5"
-EVEN_GRID = "0 2 4 / 2 4 6 / 4 6 8"
-TRIPLE_GRID = "0 3 6 / 3 6 9 / 6 9 12"
-FILLINGS = (SQUARE, GRID, "1 / 2", "0 1 / 1 2", "0 1 2 / 1 2", "3", "0", "0 0 / 0 0")
+FILLINGS = (FT.SQUARE_TEXT, FT.GRID_TEXT, "1 / 2", "0 1 / 1 2", "0 1 2 / 1 2", "3", "0", "0 0 / 0 0")
 REFUSED_FILLINGS = ("x", "0 1 / 0 0", "-1", "1 / 2 3", "", "@missing.json", "@not_json.json")
 TEXT_AND_JSON = ((), ("--format", "json"))
 
@@ -200,7 +207,7 @@ FILES = {
             {
                 "name": "ambient-grid",
                 "kind": "ambient",
-                "rpp": GRID,
+                "rpp": FT.GRID_TEXT,
                 "expected": {"dim_ambient": 20, "rank_bundle": 15, "expected_dim": 5},
             },
             {
@@ -228,26 +235,40 @@ def _argvs() -> dict:
         ]
         + [("indicators", d) for d in ("x", "2,3", "0", "31")],
         "factorizations": [
-            ("factorizations", n, *fmt) for fmt in TEXT_AND_JSON for n in (SQUARE, GRID, "0 1 / 1 2", "0 0 / 0 0")
+            ("factorizations", n, *fmt)
+            for fmt in TEXT_AND_JSON
+            for n in (FT.SQUARE_TEXT, FT.GRID_TEXT, "0 1 / 1 2", "0 0 / 0 0")
         ]
         + [("factorizations", n) for n in ("0 13", "x")]
         + [("factorizations", "0", *fmt) for fmt in TEXT_AND_JSON],
         "classify": [
             ("classify", n, *fmt)
             for fmt in TEXT_AND_JSON
-            for n in (SQUARE, "0 1 / 1 2", "0", "@square.json", GRID, EVEN_GRID, TRIPLE_GRID)
+            for n in (
+                FT.SQUARE_TEXT,
+                "0 1 / 1 2",
+                "0",
+                "@square.json",
+                FT.GRID_TEXT,
+                FT.EVEN_GRID_TEXT,
+                FT.TRIPLE_GRID_TEXT,
+            )
         ]
         + [("classify", n) for n in ("0 13", "0 1 / 0 0")],
         "equations": [
             ("equations", n, "--type", *kind, *tangent, *fmt)
             for fmt in TEXT_AND_JSON
-            for n in (SQUARE, GRID, "1 / 2", "3")
+            for n in (FT.SQUARE_TEXT, FT.GRID_TEXT, "1 / 2", "3")
             for kind in (("I",), ("II",), ("II", "--minimal-border"))
             for tangent in ((), ("--tangent",))
         ]
-        + [("equations", n, "--type", kind, "--tangent") for n in (EVEN_GRID, TRIPLE_GRID) for kind in ("I", "II")]
-        + [("equations", EVEN_GRID, "--type", "II", "--tangent", "--minimal-border", "--format", "json")]
-        + [("equations", SQUARE, "--type", "I", "--minimal-border"), ("equations", "x", "--type", "I")]
+        + [
+            ("equations", n, "--type", kind, "--tangent")
+            for n in (FT.EVEN_GRID_TEXT, FT.TRIPLE_GRID_TEXT)
+            for kind in ("I", "II")
+        ]
+        + [("equations", FT.EVEN_GRID_TEXT, "--type", "II", "--tangent", "--minimal-border", "--format", "json")]
+        + [("equations", FT.SQUARE_TEXT, "--type", "I", "--minimal-border"), ("equations", "x", "--type", "I")]
         + [("equations", "0", "--type", "II", *fmt) for fmt in TEXT_AND_JSON],
         "series": [
             ("series", d, *opts, *fmt)
@@ -288,9 +309,9 @@ def _argvs() -> dict:
         "count-points": [
             ("count-points", n, "--p", p, *fmt)
             for fmt in TEXT_AND_JSON
-            for n, p in ((SQUARE, "2"), ("0 1 / 1 2", "2"), ("1 / 2", "3"), ("0", "5"))
+            for n, p in ((FT.SQUARE_TEXT, "2"), ("0 1 / 1 2", "2"), ("1 / 2", "3"), ("0", "5"))
         ]
-        + [("count-points", SQUARE, "--p", p) for p in ("4", "11", "1", "0", "-2")]
+        + [("count-points", FT.SQUARE_TEXT, "--p", p) for p in ("4", "11", "1", "0", "-2")]
         + [("count-points", "5 5 / 5 5", "--p", "7"), ("count-points", "x", "--p", "2")],
         "verify": [("verify", *fmt) for fmt in TEXT_AND_JSON]
         + [("verify", "corpus.json", *fmt) for fmt in TEXT_AND_JSON]
@@ -407,10 +428,8 @@ def groups() -> list:
 
 def group_faults(group: str) -> list:
     """The first argv of ``group`` whose bytes moved, and the first run that breaks the exit rule."""
-    import frozen_tables
-
     group_runs = runs(group)
-    argvs = moved(fingerprints(group_runs), frozen_fingerprints(group, frozen_tables.CLI_DIGESTS))
+    argvs = moved(fingerprints(group_runs), frozen_fingerprints(group, FT.CLI_DIGESTS))
     broken = breaches(group_runs)
     faults = [f"moved, first at {argvs[0]}"] if argvs else []
     if broken:
@@ -434,10 +453,10 @@ def bench_frozen(workload: str) -> dict:
     return {(workload, int(seed), key): digest for seed, digests in recorded.items() for key, digest in digests.items()}
 
 
-def bench_digests(workload: str, inspect=None) -> dict:
-    """{(workload, seed, job key): digest} of block 0's jobs at each recorded seed of ``workload``.
+def bench_digests(workload: str) -> tuple:
+    """({(workload, seed, job key): digest}, [each report that fails certification, by job]) of block 0.
 
-    ``inspect(job, out)``, if given, sees every job's output.
+    Block 0's jobs run at each recorded seed of ``workload``; only ``classify`` jobs have reports.
     """
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
@@ -447,20 +466,22 @@ def bench_digests(workload: str, inspect=None) -> dict:
 
     pool = inputs.load_pool()
     rows = load_corpus()["rows"] if workload == "verify" else None
-    digests = {}
+    digests, failing = {}, []
     for seed in map(int, bench_recorded()[workload]):
         for job in inputs.block(workload, seed, 0, pool, rows):
             out = jobs.prepare(job)()
-            if inspect is not None:
-                inspect(job, out)
-            digests[workload, seed, job.key] = jobs.digest(jobs.canonical(job, out))
-    return digests
+            key = (workload, seed, job.key)
+            if job.kind == "classify":
+                failing += (f"{key}: {fault}" for fault in report_faults(RPP.from_text(job.spec["rpp"]), out))
+            digests[key] = jobs.digest(jobs.canonical(job, out))
+    return digests, failing
 
 
-def bench_faults() -> list:
-    """The (workload, seed, job key) of every recorded benchmark answer that moved."""
-    keys = [key for workload in bench_recorded() for key in moved(bench_digests(workload), bench_frozen(workload))]
-    return [f"moved on {keys}"] if keys else []
+def bench_faults(workload: str) -> list:
+    """The (workload, seed, job key) of each recorded answer of ``workload`` that moved, and its failing reports."""
+    digests, failing = bench_digests(workload)
+    keys = moved(digests, bench_frozen(workload))
+    return ([f"moved on {keys}"] if keys else []) + certify_faults(failing)
 
 
 # -- one driver ------------------------------------------------------------------------
@@ -470,9 +491,9 @@ def layers() -> dict:
     """{label: check}, in the order ``--check`` reports them; a check returns its faults, [] when it holds."""
     return {
         "ATLAS_SHA256": lambda: shape_faults(atlas(), "ATLAS_SHA256"),
-        "SINGULAR_BAND_SHA256": lambda: shape_faults(band_digests(), "SINGULAR_BAND_SHA256"),
+        "SINGULAR_BAND_SHA256": band_faults,
         **{group: functools.partial(group_faults, group) for group in groups()},
-        "bench/digests.json": bench_faults,
+        "bench/digests.json": lambda: [fault for workload in bench_recorded() for fault in bench_faults(workload)],
     }
 
 
@@ -509,5 +530,5 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         sys.exit(check(layers()))
     print_table("ATLAS_SHA256", atlas())
-    print_table("SINGULAR_BAND_SHA256", band_digests())
+    print_table("SINGULAR_BAND_SHA256", band_digests()[0])
     print_table("CLI_DIGESTS", {group: list(fingerprints(runs(group)).values()) for group in groups()})

@@ -1,20 +1,15 @@
 """The answer atlas and the singular band: every answer on small fillings, frozen per shape."""
 
-from collections import Counter
-
-from rpphilb import enumerate_rpps, indicators
+from rpphilb import RPP, enumerate_rpps
 
 import frozen
 import frozen_tables as FT
-from conftest import certify_report
+from conftest import classify_misreading
 from shapes import diagrams_up_to
 
 
 def test_no_shape_of_the_atlas_changes_an_answer():
-    got = frozen.atlas()
-    assert len(got) == 66
-    moved = frozen.moved(got, FT.ATLAS_SHA256)
-    assert moved == [], f"answers changed on shapes {moved}"
+    assert frozen.layers()["ATLAS_SHA256"]() == []
 
 
 def test_the_singular_band_holds_every_filling_of_its_weight():
@@ -27,29 +22,19 @@ def test_the_singular_band_holds_every_filling_of_its_weight():
         assert by_total == {n.values for n in band[d.to_text()] if n.size <= 10}, d.to_text()
 
 
-def _total(fact, size):
-    """Per box, the sum of multiplicity times indicator label."""
-    return tuple(sum(m * ind.values[b] for ind, m in fact.terms.items()) for b in range(size))
-
-
 def test_no_shape_of_the_singular_band_changes_an_answer_and_every_report_is_certified():
-    verdicts = Counter()
-    kinds = Counter()
+    # each factorisation totals its filling, has the weight as its length, and its flags and witness are proved
+    assert frozen.layers()["SINGULAR_BAND_SHA256"]() == []
 
-    def inspect(n, reports):
-        # the oracle for what classify builds without re-deriving it: each factorisation
-        # totals n and has length the weight, and each flag and witness is proved
-        inds, weight = indicators(n.diagram), n.weight()
-        for r in reports:
-            assert _total(r.factorization, n.diagram.size) == n.values, n.to_text()
-            assert r.factorization.length == r.dimension == weight, n.to_text()
-            verdicts[certify_report(r, inds)] += 1
-            kinds[r.smooth, r.bijective_on_points] += 1
 
-    got = frozen.band_digests(inspect)
-    assert len(got) == 30
-    moved = frozen.moved(got, FT.SINGULAR_BAND_SHA256)
-    assert moved == [], f"answers changed on shapes {moved}"
-    assert verdicts == {"certified": 12428}
-    # (smooth, bijective): the eight 3x3 fillings hold the only singular but bijective components
-    assert kinds == {(True, True): 12228, (False, False): 192, (False, True): 8}
+def test_a_wrong_band_answer_frozen_as_right_is_named_by_its_filling(monkeypatch, capsys):
+    # the grid is one of the band's 3x3 extras; its answer with one flag flipped
+    # is frozen in memory, the file left as it is, so only certification fails
+    extras = [RPP.from_text(text) for text in frozen.BAND_EXTRAS]
+    misreading, k = classify_misreading(FT.GRID_TEXT)
+    monkeypatch.setattr(frozen, "singular_band", lambda: {extras[0].diagram.to_text(): extras})
+    monkeypatch.setattr(frozen, "classify", misreading)
+    monkeypatch.setattr(FT, "SINGULAR_BAND_SHA256", frozen.band_digests()[0])
+    assert frozen.check({"SINGULAR_BAND_SHA256": frozen.layers()["SINGULAR_BAND_SHA256"]}) == 1
+    out = capsys.readouterr().out
+    assert out == f"SINGULAR_BAND_SHA256: 1 reports fail, first {FT.GRID_TEXT}: component {k} rejected\n"

@@ -1,8 +1,6 @@
 """The CLI byte atlas: every recorded argv prints the bytes it printed when
 frozen, keeps the exit rule, and prints JSON that its shipped schema accepts."""
 
-import functools
-
 import pytest
 
 import frozen
@@ -12,25 +10,20 @@ from rpphilb.cli import build_parser
 import frozen_tables as FT
 
 
-@functools.cache
-def _runs(group):
-    """The group's runs, shared by the tests below so that each argv runs once."""
-    return frozen.runs(group)
-
-
 def _options(argv):
     return vars(build_parser().parse_args(list(argv)))
 
 
 @pytest.mark.parametrize("group", frozen.groups())
 def test_no_argv_of_the_group_moves_its_bytes(group):
-    assert frozen.moved(frozen.fingerprints(_runs(group)), frozen.frozen_fingerprints(group, FT.CLI_DIGESTS)) == []
+    assert frozen.group_faults(group) == []
 
 
 @pytest.mark.parametrize("group", frozen.groups())
 def test_every_run_keeps_the_exit_rule_and_its_schema(group):
-    assert frozen.breaches(_runs(group)) == []
-    for argv, _, out, err in _runs(group):
+    group_runs = frozen.runs(group)
+    assert frozen.breaches(group_runs) == []
+    for argv, _, out, err in group_runs:
         if err:
             check_schema(frozen.strict_json(err), "error")
         elif _options(argv)["format"] == "json":

@@ -64,23 +64,6 @@ def test_bad_fillings(text, code):
     assert err.value.code == code
 
 
-def multiplicity(diagram, values):
-    return Factorization({Indicator(diagram, (1,)): values[0]})
-
-
-def max_size(diagram, values):
-    return enumerate_rpps(diagram, values[0])
-
-
-@pytest.mark.parametrize("values", [[1.7], [True], ["1"], [1.0]])
-@pytest.mark.parametrize("cls", [Indicator, RPP, multiplicity, max_size])
-def test_labels_that_are_not_ints_are_refused(cls, values):
-    # a multiplicity or an enumeration bound passes the same integer check as a label
-    with pytest.raises(DomainError) as err:
-        cls(YoungDiagram((1,)), values)
-    assert (err.value.code, err.value.exit_code) == ("parse-error", 1)
-
-
 def test_size_values_and_access(square_rpp):
     assert square_rpp.size == 8
     assert square_rpp.values == (0, 2, 2, 4)
@@ -262,13 +245,6 @@ def test_complete_factorization_of_zero_filling_is_empty():
 
 def test_complete_factorization_needs_nonnegative_derivative(grid_rpp):
     assert complete_factorization(grid_rpp) is None
-
-
-def test_all_factorizations_of_grid(grid_rpp):
-    facts = all_factorizations(grid_rpp)
-    assert len(facts) == 15
-    assert all(f.length == 5 for f in facts)
-    assert all(f.total() == grid_rpp for f in facts)
 
 
 @pytest.mark.parametrize(

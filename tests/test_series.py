@@ -179,35 +179,6 @@ def test_weights_that_are_not_monomials_match_the_binomial_convolution():
                 assert hook_product(d, weight, power, max_size) == expected, (d, weight, power)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: TruncatedSeries(1, 3, {(1.5,): 1}),
-        lambda: TruncatedSeries(1, 3, {(True,): 1}),
-        lambda: TruncatedSeries(1, 3, {1: 1}),
-        lambda: TruncatedSeries(1, 3, {(1,): True}),
-        lambda: TruncatedSeries(1, 3, {(1,): 1.5}),
-        lambda: TruncatedSeries(1, 3, {(1,): (1, 0.5)}),
-        lambda: TruncatedSeries(1, 3, {(1,): (False, 1)}),
-        lambda: factor_power((1.7,), 1, -1, 1, 3),
-        lambda: factor_power((True,), 1, -1, 1, 3),
-        lambda: factor_power((1,), 1.5, -1, 1, 3),
-        lambda: factor_power((1,), True, -1, 1, 3),
-        lambda: factor_power((1,), (0, True), -1, 1, 3),
-        lambda: TruncatedSeries(1, 2.5, {(1,): 1}),
-        lambda: TruncatedSeries(True, 3, {(1,): 1}),
-        lambda: factor_power((1,), 1, 1.5, 1, 3),
-        lambda: factor_power((1,), 1, True, 1, 3),
-        lambda: euler_series(YoungDiagram((2, 1)), 1, True),
-        lambda: euler_series(YoungDiagram((2, 1)), True, 3),
-    ],
-)
-def test_series_refuse_entries_that_are_not_ints(build):
-    with pytest.raises(DomainError) as err:
-        build()
-    assert err.value.code == "parse-error"
-
-
 def test_single_variable_series_have_one_variable():
     # the single-variable JSON form keeps the first exponent only, so a second would be lost
     for build in (
