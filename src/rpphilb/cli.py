@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, read_json, text_int
+from .errors import CapExceeded, DomainError, read_json, text_int
 
 
 def _int_option(text: str) -> int:
@@ -41,12 +41,19 @@ def _arg(cls, raw: str):
 
 
 def _emit(args, json_obj, text_lines) -> None:
-    """Print the form ``--format`` asks for; each argument builds its form, so only that one is built."""
-    if args.format == "json":
-        print(json.dumps(json_obj(), indent=2, sort_keys=True))
-    else:
-        for line in text_lines():
-            print(line)
+    """Print the form ``--format`` asks for; each argument builds its form, so only that one is built.
+
+    The whole text is rendered before any of it is written, so an integer past
+    the interpreter's int-to-text limit refuses the run (exit 2) instead of
+    cutting its output short.
+    """
+    as_json = args.format == "json"
+    obj = json_obj() if as_json else None
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(text_lines())
+    except ValueError:
+        raise CapExceeded("cap-exceeded", "the answer holds an integer too long to print", None) from None
+    print(text)
 
 
 # -- subcommands ---------------------------------------------------------------

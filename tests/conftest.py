@@ -8,7 +8,7 @@ from operator import add
 import pytest
 
 from rpphilb import RPP, DomainError, YoungDiagram, classify
-from rpphilb.components import ComponentReport, _relation, _support_matrix, bijective_on_points, differential_injective
+from rpphilb.components import _relation, _support_matrix
 from rpphilb.diagram import upper_set_parts
 from rpphilb.equations import IdealPresentation
 from rpphilb.linalg import rank, rref, solve_from_rref
@@ -215,24 +215,6 @@ def complete_factorization_checked(n):
     fact = Factorization(terms)
     assert fact.total() == n if terms else n.is_zero()
     return fact
-
-
-def classify_by_tuple_search(n):
-    """``components.classify`` on the oracle search's validated leaves.
-
-    The dimension is ``n.weight()``, and each witness is lifted over
-    ``indicators(λ)`` from the public ``differential_injective`` and
-    ``bijective_on_points``.
-    """
-    inds, dim = indicators(n.diagram), n.weight()
-    reports = []
-    for T in factorizations_by_tuple_search(n):
-        inj, diff_witness = differential_injective(T)
-        bij, box_witness = bijective_on_points(T)
-        witness = diff_witness if bij else box_witness
-        lifted = None if witness is None else tuple(witness.get(ind, 0) for ind in inds)
-        reports.append(ComponentReport(T, dim, bij, inj, lifted))
-    return reports
 
 
 def bijective_on_points_full_box(T):

@@ -4,10 +4,12 @@
 once and checks its bytes, the exit rule and, for JSON, its schema.  The tests
 here add what a frozen run cannot say: a property across two commands,
 argparse's refusals (whose wording varies between Python builds), inputs
-written to a test's own files or read from the environment, and timing.
+written to a test's own files or read from the environment, runs that hinge
+on the interpreter's int-string conversion limit, and timing.
 """
 
 import json
+import sys
 import time
 
 import pytest
@@ -16,7 +18,7 @@ from rpphilb.rpp import RPP, all_factorizations
 
 import frozen_tables as FT
 from conftest import check_schema
-from frozen import run_cli, strict_json
+from frozen import TEXT_AND_JSON, run_cli, strict_json
 
 
 # -- one JSON form across two commands ---------------------------------------
@@ -178,6 +180,36 @@ def test_cap_errors_exit_2():
     code, _, err = run_cli("classify", "0 0 0 0 0 1 / 0 0 0 0 1 2 / 0 0 0 1 2 3")
     assert code == 2
     assert json.loads(err)["message"] == "83 indicators exceed the cap 64"
+
+
+#: argv whose answer holds an integer past 4300 digits: with X = 10^2000 − 1, the q^3 coefficient C(X + 2, 3) of
+#: (1 − q)^(−X), of 6000 digits, and the weight 2·(10^4300 − 1), of 4301
+TOO_LONG_TO_PRINT = (
+    ("series", "1", "--euler", "9" * 2000, "--max-size", "3"),
+    ("weight", f"0 {'9' * 4300} / {'9' * 4300}"),
+)
+
+
+def test_an_answer_too_long_to_print_exits_2_with_nothing_on_stdout():
+    # the int-to-text limit is the interpreter's (3.10.7 and later), so the test pins its default
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in TOO_LONG_TO_PRINT:
+            for fmt in TEXT_AND_JSON:
+                code, out, err = run_cli(*argv, *fmt)
+                assert (code, out) == (2, ""), (argv[0], fmt)
+                payload = strict_json(err)
+                check_schema(payload, "error")
+                assert payload == {
+                    "code": "cap-exceeded",
+                    "message": "the answer holds an integer too long to print",
+                    "offending_input": None,
+                }
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_huge_modulus_is_refused_before_any_primality_test():

@@ -12,12 +12,7 @@ import rpphilb.components
 import rpphilb.linalg
 import rpphilb.rpp
 from rpphilb import RPP, CapExceeded, YoungDiagram
-from rpphilb.components import (
-    bijective_on_points,
-    classify,
-    differential_injective,
-    dimension_recursive,
-)
+from rpphilb.components import bijective_on_points, classify, dimension_recursive
 from rpphilb.pointcount import PrimeField, component_point, count_points
 from rpphilb.rpp import Factorization, all_factorizations, enumerate_rpps, indicators
 
@@ -27,11 +22,9 @@ import frozen_tables as FT
 from conftest import (
     bijective_on_points_full_box,
     certify_report,
-    classify_by_tuple_search,
     corpus_row,
     diagrams_up_to,
     filling_of_weight,
-    search_oracle_fillings,
 )
 
 
@@ -47,57 +40,12 @@ def test_recursive_dimension_is_the_weight_on_small_fillings():
         assert dimension_recursive(n) == n.weight(), n.to_text()
 
 
-def test_point_bijectivity_uses_multiplicity_bound(square_rpp):
-    # the mixed factorisation carries the relation inside its multiplicity
-    # box, so it fails the bijectivity test; doubling only two of the four
-    # multiplicities leaves no balanced relation and the test passes
-    reports = classify(square_rpp)
-    mixed = reports[1].factorization
-    ok, witness = bijective_on_points(mixed)
-    assert not ok
-    assert witness is not None
-    assert sum(witness.values()) == 0
-
-    ok_std, none_witness = bijective_on_points(reports[0].factorization)
-    assert ok_std
-    assert none_witness is None
-
-
-def test_differential_injectivity_flags(square_rpp):
-    reports = classify(square_rpp)
-    ok, witness = differential_injective(reports[1].factorization)
-    assert not ok
-    assert witness is not None
-    # a smooth component and the empty factorisation, the zero filling's only one
-    for smooth in (reports[0].factorization, Factorization({})):
-        assert differential_injective(smooth) == bijective_on_points(smooth) == (True, None)
-
-
 def test_witness_search_cap(square_rpp):
     nus = indicators(square_rpp.diagram)
     huge = Factorization({nus[1]: 10 ** 6, nus[2]: 1, nus[3]: 1, nus[4]: 10 ** 6})
     with pytest.raises(CapExceeded) as err:
         bijective_on_points(huge)
     assert err.value.code == "search-too-large"
-
-
-@pytest.mark.parametrize("corner, code", [(13, "search-too-large"), (12, "diagram-too-large")])
-def test_classify_refuses_in_the_searchs_order(corner, code):
-    # 31 boxes are past the indicator cap, but a weight past the search cap is
-    # refused first: classify reads the indicators only after the search
-    filling = RPP(YoungDiagram((31,)), [0] * 30 + [corner])
-    assert filling.weight() == corner
-    with pytest.raises(CapExceeded) as err:
-        classify(filling)
-    assert err.value.code == code
-
-
-def test_small_weight_is_always_smooth():
-    # weight <= 3 leaves no room for a balanced indicator relation
-    for text in ("0 1 / 1 3", "1 2 / 2", "0 0 2 / 1"):
-        n = RPP.from_text(text)
-        assert n.weight() <= 3
-        assert all(rep.smooth for rep in classify(n))
 
 
 def _brute_force_bijective(T):
@@ -181,17 +129,6 @@ def test_classify_is_the_same_with_a_cold_and_a_warm_shape_table():
         rpphilb.rpp._shape_table.cache_clear()
         cold.append(classify_json(text))
     assert [classify_json(text) for text in texts] == cold
-
-
-def test_classify_matches_the_validated_leaf_oracle():
-    # the search stores its leaves unchecked; the oracle builds them with the validating constructor
-    singular = 0
-    for n in search_oracle_fillings():
-        got, want = classify(n), classify_by_tuple_search(n)
-        assert [r.to_json_obj() for r in got] == [r.to_json_obj() for r in want], n
-        assert [r.relation_witness for r in got] == [r.relation_witness for r in want], n
-        singular += sum(not r.smooth for r in got)
-    assert singular > 0
 
 
 def test_classify_reduces_each_support_matrix_once():

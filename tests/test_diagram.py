@@ -56,24 +56,6 @@ def test_from_text_rejects_garbage():
     assert YoungDiagram.from_text(" 2, 1 ") == YoungDiagram((2, 1))
 
 
-def test_partial_order_and_adjacency():
-    # the left/up entries of the table are the boxes a box covers in the
-    # componentwise order, its edge neighbours; the diagonal one is not
-    square = YoungDiagram((2, 2))
-    assert (square.left[1], square.up[2], square.up_left[3]) == (0, 0, 0)
-    assert 0 not in (square.left[3], square.up[3])
-
-
-def test_socle_and_subsocle():
-    # box sets are row-major 0/1 vectors: (0, 0), (1, 0), (0, 1), ...
-    square = YoungDiagram((2, 2))
-    assert square.socle() == (0, 0, 0, 1)
-    assert square.subsocle() == (0, 0, 0, 0)
-    hook = YoungDiagram((2, 1))
-    assert hook.socle() == (0, 1, 1)
-    assert hook.subsocle() == (1, 0, 0)
-
-
 def test_box_set_vectors_match_their_coordinate_definitions():
     # the oracle reads each definition off a plain set of (i, j) pairs
     diagrams = diagrams_up_to(10)
@@ -110,17 +92,6 @@ def test_hooks_of_the_square(square_diagram):
     with pytest.raises(DomainError) as err:
         square_diagram.hook(Box(2, 2))
     assert err.value.code == "box-not-in-diagram"
-
-
-def test_upper_set_counts():
-    # in a rectangle every nonempty upper set contains the corner box and is
-    # edge connected, so the connected count is the total minus the empty set
-    square = YoungDiagram((2, 2))
-    assert len(enumerate_upper_sets(square)) == 6
-    assert len(indicators(square)) == 5
-    grid = YoungDiagram((3, 3, 3))
-    assert len(enumerate_upper_sets(grid)) == 20
-    assert len(indicators(grid)) == 19
 
 
 def test_disconnected_upper_set_in_hook_shape():

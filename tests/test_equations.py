@@ -1,7 +1,6 @@
 """Local defining equations: both presentations, grading, tangent reduction."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from rpphilb.equations import (
 )
 from rpphilb.poly import SparsePoly, VarId, parse_poly, var_a, var_b, var_c
 from rpphilb.rpp import enumerate_rpps
-from rpphilb.verify import check_random_instance, load_corpus
+from rpphilb.verify import load_corpus
 
 import frozen_tables as FT
 from conftest import (
@@ -30,38 +29,6 @@ from conftest import (
     x_coefficients,
     x_power,
 )
-
-
-def test_single_box_is_affine_space():
-    ideal = type_i_ideal(RPP.from_text("3"))
-    assert ideal.n_vars == 3
-    assert ideal.n_generators == 0
-    assert ideal.condition_count == 0
-
-
-def test_universal_monic_shape():
-    # x^2 + a_1_0_1·x + a_1_0_2 at the label 2, divided by x + a_0_0_1, leaves its value at -a_0_0_1
-    ideal = type_i_ideal(RPP.from_text("1 2"))
-    assert ideal.ambient_vars == (var_a(0, 0, 1), var_a(1, 0, 1), var_a(1, 0, 2))
-    assert [str(g) for g in ideal.generators] == ["a_0_0_1^2 - a_0_0_1*a_1_0_1 + a_1_0_2"]
-
-
-def test_ideal_json_shape(square_rpp):
-    obj = type_i_ideal(square_rpp).to_json_obj()
-    assert sorted(obj) == [
-        "ambient_vars",
-        "condition_count",
-        "generators",
-        "grading",
-        "groups",
-        "n_generators",
-        "n_vars",
-    ]
-    assert obj["n_vars"] == 8
-    assert obj["condition_count"] == 4
-    # generator strings parse back to the same polynomials
-    for text in obj["generators"]:
-        assert str(parse_poly(text)) == text
 
 
 def test_grading_is_each_variables_depth():
@@ -199,12 +166,6 @@ def test_tangent_elimination_order_is_pinned(monkeypatch):
     monkeypatch.undo()
     want_dim, want = tangent_by_linear_parts(ideal)
     assert (dim, reduced.to_json_obj()) == (want_dim, want.to_json_obj())
-
-
-def test_both_ideals_vanish_on_random_nested_witnesses():
-    rng = random.Random(411)
-    for _ in range(25):
-        assert check_random_instance(rng) == []
 
 
 # -- coordinate-based type II, kept as the oracle for the neighbour-table build --

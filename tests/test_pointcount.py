@@ -76,15 +76,6 @@ def test_monic_enumeration():
     assert list(F2.monic_polynomials(0)) == [(1,)]
 
 
-def test_divisibility_over_f2():
-    F2 = PrimeField(2)
-    # x^2 + 1 = (x + 1)^2 over F_2
-    assert F2.divides((1, 1), (1, 0, 1))
-    assert not F2.divides((0, 1), (1, 0, 1))
-    # the constant 1 divides everything
-    assert F2.divides((1,), (1, 1, 1))
-
-
 def test_divides_matches_long_division_oracle():
     for p in (2, 3):
         field = PrimeField(p)

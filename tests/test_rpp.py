@@ -147,16 +147,6 @@ def test_is_indicator(square_rpp):
     assert RPP.from_text("0 1 / 1").weight() != 1
 
 
-def test_standard_factorization_of_square(square_rpp):
-    f = standard_factorization(square_rpp)
-    assert {nu.to_text(): m for nu, m in f.terms.items()} == {
-        "0 1 / 1 1": 2,
-        "0 0 / 0 1": 2,
-    }
-    assert f.length == square_rpp.weight()
-    assert f.total() == square_rpp
-
-
 @pytest.mark.parametrize(
     "cols, values, code",
     [
@@ -225,15 +215,6 @@ def test_complete_factorization_is_stored_in_the_constructors_order():
             assert list(complete.terms.items()) == list(Factorization(complete.terms).terms.items()), n
 
 
-def test_complete_factorization_of_square(square_rpp):
-    f = complete_factorization(square_rpp)
-    assert {nu.to_text(): m for nu, m in f.terms.items()} == {
-        "0 1 / 0 1": 2,
-        "0 0 / 1 1": 2,
-    }
-    assert f.total() == square_rpp
-
-
 def test_complete_factorization_of_zero_filling_is_empty():
     # the zero filling has derivative 0 >= 0, so its complete factorisation exists
     for text in ("0", "0 0 / 0 0", "0 0 0 / 0"):
@@ -241,10 +222,6 @@ def test_complete_factorization_of_zero_filling_is_empty():
         f = complete_factorization(n)
         assert f is not None and f.terms == {}
         assert all_factorizations(n) == [f]
-
-
-def test_complete_factorization_needs_nonnegative_derivative(grid_rpp):
-    assert complete_factorization(grid_rpp) is None
 
 
 @pytest.mark.parametrize(
@@ -305,12 +282,6 @@ def test_neighbour_table_matches_box_index_oracle():
                 for i, j in d.boxes
             )
             assert r.derivative() == expected
-
-
-def test_enumerate_rpps_counts(square_diagram):
-    by_size = [sum(r.size == k for r in enumerate_rpps(square_diagram, k)) for k in range(5)]
-    assert by_size == [1, 1, 3, 4, 7]
-    assert len(enumerate_rpps(square_diagram, 4)) == sum(by_size)
 
 
 def test_enumerated_rpps_pass_the_validating_constructor():

@@ -28,14 +28,6 @@ import frozen_tables as FT
 from conftest import diagrams_up_to, graded_product_by_terms, series_one
 
 
-def test_hook_variable_exponents(square_diagram):
-    # a hook's row-major 0/1 vector is the exponent vector of its hook variable
-    assert square_diagram.hook((0, 0)) == (1, 1, 1, 0)
-    assert square_diagram.hook((1, 0)) == (0, 1, 0, 1)
-    assert square_diagram.hook((0, 1)) == (0, 0, 1, 1)
-    assert square_diagram.hook((1, 1)) == (0, 0, 0, 1)
-
-
 def test_geometric_inverse_is_geometric():
     g = factor_power((1, 0), 1, -1, 2, 4)
     for k in range(5):
@@ -80,24 +72,10 @@ def test_collapse_rejects_wrong_diagram(square_diagram, grid_diagram):
     assert err.value.code == "diagram-mismatch"
 
 
-def test_motivic_coefficients_on_worked_monomials(square_diagram):
-    affine = motivic_series(square_diagram, "A1", 4)
-    assert affine.coefficient((1, 1, 1, 1)) == (0, 0, 1)
-    assert affine.coefficient((0, 1, 1, 2)) == (0, 0, 1)
-    assert affine.coefficient((0, 0, 0, 0)) == (1,)
-
-
 def test_unsupported_curve(square_diagram):
     with pytest.raises(DomainError) as err:
         motivic_series(square_diagram, "E8", 4)
     assert err.value.code == "unsupported-curve"
-
-
-def test_series_json_shape(square_diagram):
-    multi = rpp_series_bruteforce(square_diagram, 2).to_json_obj()
-    assert multi[0] == {"exponents": [0, 0, 0, 0], "coefficient": {"0": 1}}
-    single = euler_series(square_diagram, 1, 2, single_variable=True).to_json_obj()
-    assert single[0] == {"size": 0, "coefficient": {"0": 1}}
 
 
 # -- differential oracle: binomial factor series multiplied by __mul__ --

@@ -35,7 +35,6 @@ from rpphilb.rpp import (
 )
 from rpphilb.verify import (
     _random_nested_polynomials,
-    check_random_instance,
     load_corpus,
     random_instance,
     run_corpus,
@@ -258,12 +257,6 @@ def test_random_instance_respects_documented_bounds():
         # the sweep calls all_factorizations unguarded, so neither of its caps may fire
         assert len(indicators(n.diagram)) <= MAX_FACTORIZATION_INDICATORS
         assert n.weight() <= MAX_FACTORIZATION_WEIGHT
-
-
-def test_check_random_instance_lists_no_failures():
-    rng = random.Random(99)
-    for _ in range(10):
-        assert check_random_instance(rng) == []
 
 
 def test_non_nested_tuple_is_reported_as_a_divisibility_failure(monkeypatch):
