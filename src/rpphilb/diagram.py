@@ -15,6 +15,7 @@ parts.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import CapExceeded, DomainError, ints, text_int
 

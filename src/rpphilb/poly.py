@@ -15,6 +15,7 @@ round-trips through ``parse_poly``, which refuses parentheses.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import DomainError, ints, text_int
 from .univariate import format_terms, monic_divmod

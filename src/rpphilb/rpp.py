@@ -17,6 +17,7 @@ principal upper sets.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import itemgetter
 

@@ -13,6 +13,8 @@ the multivariate polynomials of ``poly``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import DomainError
 
 

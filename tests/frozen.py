@@ -3,10 +3,19 @@
     PYTHONPATH=src python3 tests/frozen.py          # print the tables of frozen_tables.py
     PYTHONPATH=src python3 tests/frozen.py --check  # compare every layer with its table
 
-``--check`` prints one line per layer (per subcommand for the CLI byte
-atlas) and exits 1 if any moved.  A layer whose computation raises is
+``--check`` prints one line per check (per subcommand for the CLI byte
+atlas) and exits 1 if any failed.  A check whose computation raises is
 reported with its exception, and the pass goes on.  Re-record a table only
-when an answer is meant to change.
+when an answer is meant to change.  ``--check`` also runs three checks,
+each in a fresh interpreter with warnings as errors:
+
+- ``bundled corpus``: ``rpphilb verify`` under ``python -S`` exits 0 and
+  leaves ``typing`` unloaded.
+- ``demos``: ``demos/*.py`` are the ones ``HEADLINES`` lists, and each
+  exits 0, writes nothing to stderr and prints its headline.
+- ``answers too long to print``: each argv of ``TOO_LONG_TO_PRINT``, in
+  both formats, exits 2 with nothing on stdout and ``TOO_LONG_ERROR`` on
+  stderr.
 
 - ``ATLAS_SHA256``: per shape of at most ``MAX_BOXES`` boxes, its A1 series
   to size ``SERIES_SIZE`` and, for every RPP of total at most ``MAX_TOTAL``
@@ -46,6 +55,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -68,6 +78,9 @@ from rpphilb.rpp import named_indices
 import frozen_tables as FT
 from certify import report_faults
 from shapes import diagrams_up_to
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def moved(got: dict, frozen: dict) -> list:
@@ -426,9 +439,9 @@ def groups() -> list:
     return list(_argvs())
 
 
-def group_faults(group: str) -> list:
-    """The first argv of ``group`` whose bytes moved, and the first run that breaks the exit rule."""
-    group_runs = runs(group)
+def group_faults(group: str, group_runs: list | None = None) -> list:
+    """The first argv of ``group`` whose bytes moved, and the first exit rule breach, in ``group_runs`` or new runs."""
+    group_runs = runs(group) if group_runs is None else group_runs
     argvs = moved(fingerprints(group_runs), frozen_fingerprints(group, FT.CLI_DIGESTS))
     broken = breaches(group_runs)
     faults = [f"moved, first at {argvs[0]}"] if argvs else []
@@ -439,7 +452,7 @@ def group_faults(group: str) -> list:
 
 # -- the benchmark's recorded answers ---------------------------------------------------
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH = ROOT / "bench"
 
 
 def bench_recorded() -> dict:
@@ -484,12 +497,88 @@ def bench_faults(workload: str) -> list:
     return ([f"moved on {keys}"] if keys else []) + certify_faults(failing)
 
 
+# -- the bundled corpus, the demos and the answers too long to print --------------------
+
+DEMOS = ROOT / "demos"
+
+#: run under ``-S``, which skips ``site``, whose ``.pth`` hooks may import modules first
+CORPUS_PROBE = """
+import sys
+from rpphilb.cli import main
+if main(["verify"]) != 0:
+    sys.exit("the bundled corpus failed")
+if "typing" in sys.modules:
+    sys.exit("the program loaded typing")
+"""
+
+#: one line each demo prints, as a check that it ran to its point
+HEADLINES = {
+    "classify_components.py": "  3 factorizations = 3 irreducible components",
+    "local_equations.py": "  variables - conditions = 5 = weight",
+    "series_and_counts.py": "fillings of the square by total size 0..10: 1, 1, 3, 4, 7, 9, 14, 17, 24, 29, 38",
+}
+
+#: argv whose answer holds an integer past 4300 digits: with X = 10^2000 − 1, the q^3 coefficient C(X + 2, 3) of
+#: (1 − q)^(−X), of 6000 digits, and the weight 2·(10^4300 − 1), of 4301
+TOO_LONG_TO_PRINT = (
+    ("series", "1", "--euler", "9" * 2000, "--max-size", "3"),
+    ("weight", f"0 {'9' * 4300} / {'9' * 4300}"),
+)
+TOO_LONG_ERROR = dict(code="cap-exceeded", message="the answer holds an integer too long to print", offending_input=None)
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    """``python -W error *args`` in a fresh interpreter that imports the package from ``src``, budget unset."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env.pop("RPPHILB_MAX_BUDGET", None)
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def corpus_faults() -> list:
+    run = python("-S", "-c", CORPUS_PROBE)
+    return [f"exit {run.returncode}, stderr {run.stderr[-300:]!r}"] if run.returncode else []
+
+
+def demos_listed_faults() -> list:
+    on_disk = sorted(path.name for path in DEMOS.glob("*.py"))
+    return [] if on_disk == sorted(HEADLINES) else [f"demos/*.py is {on_disk}, HEADLINES lists {sorted(HEADLINES)}"]
+
+
+def demo_faults(name: str) -> list:
+    """How one demo fails to run clean: its exit code, its stderr, its headline missing from stdout."""
+    run = python(str(DEMOS / name))
+    faults = [f"exit {run.returncode}"] if run.returncode else []
+    faults += [f"stderr {run.stderr[-300:]!r}"] if run.stderr else []
+    return faults + ([] if HEADLINES[name] in run.stdout.splitlines() else [f"no line {HEADLINES[name]!r}"])
+
+
+def too_long_faults() -> list:
+    """Each run, in both formats, that does not exit 2 with nothing on stdout and ``TOO_LONG_ERROR`` on stderr.
+
+    The int-to-text limit belongs to the interpreter (3.10.7 and 3.11 on), not to the code; each run pins its default.
+    """
+    faults = []
+    for argv, fmt in itertools.product(TOO_LONG_TO_PRINT, TEXT_AND_JSON):
+        run = python("-X", "int_max_str_digits=4300", "-m", "rpphilb.cli", *argv, *fmt)
+        try:
+            error = strict_json(run.stderr)
+        except ValueError:
+            error = None
+        if (run.returncode, run.stdout, error) != (2, "", TOO_LONG_ERROR):
+            name = " ".join((argv[0], *fmt))
+            faults.append(f"{name}: exit {run.returncode}, stdout {run.stdout[:60]!r}, stderr {run.stderr[:99]!r}")
+    return faults
+
+
 # -- one driver ------------------------------------------------------------------------
 
 
 def layers() -> dict:
     """{label: check}, in the order ``--check`` reports them; a check returns its faults, [] when it holds."""
     return {
+        "bundled corpus": corpus_faults,
+        "demos": lambda: demos_listed_faults() + [f"{d}: {f}" for d in sorted(HEADLINES) for f in demo_faults(d)],
+        "answers too long to print": too_long_faults,
         "ATLAS_SHA256": lambda: shape_faults(atlas(), "ATLAS_SHA256"),
         "SINGULAR_BAND_SHA256": band_faults,
         **{group: functools.partial(group_faults, group) for group in groups()},

@@ -16,7 +16,10 @@ box coefficient; the corpus row count-points-square-refinement-gap
 asserts the square's per-filling gap.
 """
 
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +127,21 @@ def test_criterion_7_point_count_oracle():
         "the domino's counts and the square's refinement gap"
     )
     _replay(7, summary, rows, started, 300.0)
+
+
+def test_the_ci_gate_passes_only_when_criterion_5_alone_fails(tmp_path):
+    # tests/gate.py reads the junit report; a collection error is an error case named by its module
+    case = '<testcase classname="{}" name="{}">{}</testcase>'
+    criterion_5 = case.format("tests.test_acceptance", "test_criterion_5_box_product_expansion", "<failure/>")
+    passing, failing = (case.format("tests.test_cli", "test_budget_env_override", tag) for tag in ("", "<failure/>"))
+    reports = {
+        (criterion_5, passing): 0,
+        (criterion_5, failing): 1,
+        (criterion_5, case.format("", "tests.test_cli", '<error message="collection failure"/>')): 1,
+        (criterion_5.replace("<failure/>", ""), passing): 1,
+    }
+    gate = Path(__file__).with_name("gate.py")
+    for k, (cases, code) in enumerate(reports.items()):
+        junit = tmp_path / f"tier1-{k}.xml"
+        junit.write_text(f'<testsuites><testsuite name="pytest">{"".join(cases)}</testsuite></testsuites>')
+        assert subprocess.run([sys.executable, gate, junit], capture_output=True).returncode == code, cases

@@ -4,9 +4,10 @@ and the names the benchmark traces."""
 import ast
 import functools
 import importlib.util
-import os
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 import rpphilb
 import rpphilb.cli
 import rpphilb.verify
+
+import frozen
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -53,14 +56,13 @@ def test_unknown_names_behave_as_on_a_plain_module():
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """``python -S *args`` in a fresh interpreter that imports the package from ``src``; it must succeed.
+    """``frozen.python("-S", *args)``, which must succeed.
 
     ``-S`` skips ``site``, whose ``.pth`` files may import modules (``typing``
     and ``re`` among them) before the probe starts, so that it could not see
     the program load them.
     """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=60)
+    proc = frozen.python("-S", *args)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -185,6 +187,24 @@ def test_brute_force_series_loads_rpp_when_called():
 )
 def test_first_library_calls_load_no_json(call):
     assert "json" not in _loaded_by(f"import rpphilb\n{call}")
+
+
+def test_the_bundled_corpus_without_site_loads_no_typing():
+    # verify loads every layer, with warnings as errors
+    assert frozen.corpus_faults() == []
+
+
+def test_every_annotation_resolves():
+    # annotations stay text (PEP 563) and no module imports typing, so each name one uses must be bound where it lives
+    for name in SUBMODULES:
+        module = importlib.import_module(f"rpphilb.{name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in (obj, *(vars(obj).values() if inspect.isclass(obj) else ())):
+                function = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
+                if inspect.isfunction(function):
+                    typing.get_type_hints(function)
 
 
 def test_only_errors_reads_json():
